@@ -5,7 +5,8 @@ and a block acting through the total delay), lifts it to a first-order
 system on the delay-augmented state, and certifies stability through
 the spectral radius of the lifted matrix.  Then exploits the Kronecker
 structure to decompose the network-sized certificate into one small
-slice per eigenvalue of the coupling matrix H, and sweeps gamma to show
+slice per eigenvalue of the coupling matrix H -- the way
+certify_closed_loop computes it -- and sweeps gamma to show
 the low-gain trade-off: small gamma buys delay tolerance at the price
 of slower gains.
 
@@ -55,7 +56,8 @@ def main():
     rho = spectral_radius(lifted)
     print(f"spectral radius of the lifted matrix : {rho:.7f}")
     print("The delayed recursion is asymptotically stable iff this radius")
-    print("is below 1; the certificate below is exactly this computation.")
+    print("is below 1.  The certificate computes the same radius without")
+    print("building this matrix; see the eigenwise decomposition below.")
 
     banner("Certificates for both architectures")
     for mode in ("state", "output"):
@@ -85,10 +87,16 @@ def main():
         rho_slice = spectral_radius(delay_lift(s0, s1, delays.r))
         worst = max(worst, rho_slice)
         print(f"  slice at lambda = {lam:.4f} : rho = {rho_slice:.7f}")
-    full = certify_closed_loop(plant, g, im, gains, delays, "state")[1]
-    print(f"worst slice : {worst:.7f}")
-    print(f"full lift   : {full:.7f}")
-    print(f"difference  : {abs(worst - full):.2e}")
+    certified = certify_closed_loop(plant, g, im, gains, delays, "state")[1]
+    print(f"worst slice              : {worst:.7f}")
+    print(f"certify_closed_loop      : {certified:.7f}")
+    print(f"dense lift (above)       : {rho:.7f}")
+    print(f"dense lift - certificate : {rho - certified:.2e}")
+    print("The certificate lifts one slice per distinct eigenvalue of H.")
+    print("Here the two routes agree; on a chain of N followers, whose H is")
+    print("one N x N Jordan block at 1, the dense eigensolve drifts from the")
+    print("exact slice radius (by about 2e-2 at N = 64) and costs cubic time")
+    print("in N, while the slice stays exact and small.")
 
     banner("Low-gain sweep: gamma versus delay margin")
     print(f"{'gamma':>7} {'||K||':>9} {'rho':>10} {'stable':>7}")

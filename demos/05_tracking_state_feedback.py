@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from coopreg import GainSet, simulate_compact_oracle, simulate_state_feedback
+from coopreg import simulate_compact_oracle, simulate_state_feedback
 from coopreg import reference as ref
 
 
@@ -24,20 +24,6 @@ def banner(title):
     print("=" * 64)
     print(title)
     print("=" * 64)
-
-
-def recorded_target_gains():
-    """The benchmark's calibrated design (``CALIBRATED_K``) packaged as a GainSet."""
-    return GainSet(
-        k_x=ref.CALIBRATED_K[:, :2],
-        k_z=ref.CALIBRATED_K[:, 2:],
-        gamma=ref.CALIBRATED_GAMMA,
-        nu=ref.NU,
-        l_obs=ref.EXPECTED_L,
-        gamma_l=ref.GAMMA_L,
-        nu_l=ref.NU_L,
-        observer_r=ref.OBSERVER_R,
-    )
 
 
 def main():
@@ -59,7 +45,7 @@ def main():
         print(f"  follower {i}: " + (", ".join(parts) if parts else "nominal"))
 
     banner("Gains")
-    gains = recorded_target_gains()
+    gains = ref.target_gains()
     print(f"K_x = {gains.k_x}")
     print(f"K_z = {gains.k_z}")
     print(f"(the calibrated benchmark design at gamma = {ref.CALIBRATED_GAMMA}; see demo 03)")

@@ -14,12 +14,12 @@ Run:  python3 demos/06_tracking_output_feedback.py [out.csv]
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from coopreg import GainSet, simulate_output_feedback
+from coopreg import simulate_output_feedback
 from coopreg import reference as ref
-from coopreg.simulation import make_variant
 
 
 def banner(title):
@@ -29,24 +29,10 @@ def banner(title):
     print("=" * 64)
 
 
-def recorded_target_gains():
-    """The benchmark's calibrated design (``CALIBRATED_K``) packaged as a GainSet."""
-    return GainSet(
-        k_x=ref.CALIBRATED_K[:, :2],
-        k_z=ref.CALIBRATED_K[:, 2:],
-        gamma=ref.CALIBRATED_GAMMA,
-        nu=ref.NU,
-        l_obs=ref.EXPECTED_L,
-        gamma_l=ref.GAMMA_L,
-        nu_l=ref.NU_L,
-        observer_r=ref.OBSERVER_R,
-    )
-
-
 def main():
     np.set_printoptions(precision=4, suppress=True)
     out_path = sys.argv[1] if len(sys.argv) > 1 else "output_feedback_trace.csv"
-    gains = recorded_target_gains()
+    gains = ref.target_gains()
 
     banner("Output-feedback architecture")
     print("Followers measure y_i = C x_i only.  Each runs the observer")
@@ -77,7 +63,7 @@ def main():
     # Align histories: start the transformed run where the delayed run's
     # controller was r_com steps in, handing it the skipped values as
     # prehistory (newest first).
-    sc_matched = make_variant(
+    sc_matched = replace(
         sc_short,
         init_states={"z": delayed.z[r_com], "xi": delayed.xi[r_com]},
     )

@@ -9,7 +9,8 @@ known communication delay.  The package provides
 * minimal p-copy internal models (:mod:`coopreg.internal_model`),
 * delay-compensating low-gain Riccati synthesis for state- and
   output-feedback architectures (:mod:`coopreg.synthesis`),
-* Schur certification of the delay-lifted networked closed loop
+* Schur certification of the delay-lifted networked closed loop, one
+  coupling eigenvalue of ``H`` at a time
   (:func:`coopreg.synthesis.certify_closed_loop`),
 * agentwise simulators with an independent compact-form oracle
   (:mod:`coopreg.simulation`),

@@ -241,18 +241,7 @@ def cmd_selftest(args):
         f"deviates by {dev_l:.3e} (tolerance 5e-4)",
     )
 
-    from .synthesis import GainSet
-
-    target = GainSet(
-        k_x=reference.CALIBRATED_K[:, :2],
-        k_z=reference.CALIBRATED_K[:, 2:],
-        gamma=reference.CALIBRATED_GAMMA,
-        nu=reference.NU,
-        l_obs=reference.EXPECTED_L,
-        gamma_l=reference.GAMMA_L,
-        nu_l=reference.NU_L,
-        observer_r=reference.OBSERVER_R,
-    )
+    target = reference.target_gains()
     ok_state, rho_state = certify_closed_loop(
         sc_state.plant, sc_state.graph, sc_state.im, target, sc_state.delays, "state"
     )

@@ -23,7 +23,7 @@ import numpy as np
 from .graphs import Digraph
 from .internal_model import Exosystem, build_internal_model
 from .simulation import FollowerUncertainty, Scenario
-from .synthesis import DelaySpec, NominalPlant, synthesize_gains
+from .synthesis import DelaySpec, GainSet, NominalPlant, synthesize_gains
 
 __all__ = [
     "GAMMA",
@@ -44,6 +44,7 @@ __all__ = [
     "reference_per_agent_e",
     "reference_scenario",
     "reference_gains",
+    "target_gains",
 ]
 
 # Stated synthesis parameters of the benchmark design.
@@ -190,6 +191,26 @@ def reference_gains(mode="state", gamma=GAMMA):
         gamma=gamma,
         nu=NU,
         mode=mode,
+        gamma_l=GAMMA_L,
+        nu_l=NU_L,
+        observer_r=OBSERVER_R,
+    )
+
+
+def target_gains():
+    """The calibrated benchmark design as a :class:`GainSet`.
+
+    ``CALIBRATED_K`` split into its plant-state and internal-model
+    parts, with the stated observer gain ``EXPECTED_L`` and parameters.
+    The simulation checks, the selftest and the demos drive the
+    benchmark with it; its lifted radius is 0.9385157 in both modes.
+    """
+    return GainSet(
+        k_x=CALIBRATED_K[:, :2],
+        k_z=CALIBRATED_K[:, 2:],
+        gamma=CALIBRATED_GAMMA,
+        nu=NU,
+        l_obs=EXPECTED_L,
         gamma_l=GAMMA_L,
         nu_l=NU_L,
         observer_r=OBSERVER_R,

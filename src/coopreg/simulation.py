@@ -35,7 +35,7 @@ so the match can be set up exactly.
 
 import csv
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,7 +411,8 @@ def edgewise_virtual_errors(g, e_all):
     which uses only information that travels along graph edges (the
     leader term reduces to ``a_i0 e_i`` because the leader's regulated
     error is zero).  Equals ``(H (x) I_p) vec(e)`` — the test suite
-    checks that identity against the Kronecker route.
+    checks that identity against the Kronecker route.  The simulators
+    apply the same combination to stacked states and observer estimates.
     """
     e_all = np.atleast_2d(e_all)
     out = np.zeros_like(e_all)
@@ -422,21 +423,6 @@ def edgewise_virtual_errors(g, e_all):
                 acc += w * e_all[i - 1]
             else:
                 acc += w * (e_all[i - 1] - e_all[src - 1])
-        out[i - 1] = acc
-    return out
-
-
-def _coupled_combination(g, rows):
-    """Apply the coupling ``sum_j a_ij (s_i - s_j) + a_i0 s_i`` to stacked rows."""
-    rows = np.atleast_2d(rows)
-    out = np.zeros_like(rows)
-    for i in range(1, g.n_followers + 1):
-        acc = np.zeros(rows.shape[1])
-        for src, w in g.in_edges(i):
-            if src == 0:
-                acc += w * rows[i - 1]
-            else:
-                acc += w * (rows[i - 1] - rows[src - 1])
         out[i - 1] = acc
     return out
 
@@ -563,7 +549,7 @@ def simulate_state_feedback(scenario, gains, law="transformed", controller_past=
 
     for t in range(T):
         y, e, ev = _outputs(scenario, mats, x_all, v)
-        eta = _coupled_combination(g, xhist.delayed())
+        eta = edgewise_virtual_errors(g, xhist.delayed())
 
         if law == "transformed":
             z_fb = zhist.delayed()
@@ -662,10 +648,10 @@ def simulate_output_feedback(
         y, e, ev = _outputs(scenario, mats, x_all, v)
 
         if law == "transformed":
-            eta_fb = _coupled_combination(g, xihist.delayed())
+            eta_fb = edgewise_virtual_errors(g, xihist.delayed())
             z_fb = zhist.delayed()
         else:
-            eta_fb = _coupled_combination(g, xi_all)
+            eta_fb = edgewise_virtual_errors(g, xi_all)
             z_fb = z_all
         u = np.stack([k_1 @ z_fb[i] + k_2 @ eta_fb[i] for i in range(nfoll)])
 
@@ -689,7 +675,7 @@ def simulate_output_feedback(
         trace.e[t] = e
         trace.e_v[t] = ev
 
-        eta_now = _coupled_combination(g, xi_all)
+        eta_now = edgewise_virtual_errors(g, xi_all)
         if law == "transformed":
             u_plant = uhist.delayed()            # u(t - r_con)
             u_obs = u_plant                      # observer replays the plant input
@@ -858,7 +844,3 @@ def simulate_compact_oracle(scenario, gains):
 
     return trace
 
-
-def make_variant(scenario, **changes):
-    """Convenience wrapper around :func:`dataclasses.replace` for scenarios."""
-    return replace(scenario, **changes)

@@ -16,9 +16,10 @@ and communication delay ``r_com``:
    ``gamma`` shrinks the feedback aggressiveness until the delayed loop
    can absorb it; the delay enters through an extra factor ``A**(r+1)``
    in the gain formula.
-4. :func:`certify_closed_loop` builds the nominal networked closed
-   loop, lifts the delayed recursion to a delay-free companion system,
-   and checks that the lift is Schur.
+4. :func:`certify_closed_loop` certifies the nominal networked closed
+   loop one eigenvalue ``lam`` of ``H`` (from :func:`eigenvalues`) at a
+   time: the delay-lifted loop's spectrum is the union of the spectra of
+   the delay lifts of its ``lam``-slices, so every slice lift must be Schur.
 5. :func:`auto_tune_gamma` halves ``gamma`` until the certificate
    accepts, which is the standard way to pick the parameter in
    practice.
@@ -512,23 +513,45 @@ def delay_lift(a0, a1, r):
     return lift
 
 
+def _coupling_slices(h):
+    """Distinct eigenvalues of ``H``, one per conjugate pair.
+
+    Values within ``1e-12 * max(1, |lam|)`` of one already kept are
+    merged; real values come back as floats so their slices stay real.
+    """
+    kept = []
+    for lam in eigenvalues(h, "H"):
+        if lam.imag < 0 or any(abs(lam - mu) <= 1e-12 * max(1.0, abs(lam)) for mu in kept):
+            continue
+        kept.append(lam)
+    return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
+
+
 def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
     """Schur certificate for the delayed networked closed loop.
 
-    Builds the nominal blocks, lifts the total delay away, and measures
-    the spectral radius of the lifted matrix.
+    Both closed-loop blocks are Kronecker products against ``I`` or
+    ``H``, so a Schur triangularization of ``H`` block-triangularizes
+    the lifted loop: its spectrum is the union, over the eigenvalues
+    ``lam`` of ``H``, of the spectra of the small slice lifts
+    ``delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), r)``.
+    The certificate takes the eigenvalues of ``H`` from
+    :func:`~coopreg.matrixops.eigenvalues` and lifts one slice per
+    distinct value (one per conjugate pair, since conjugate slices have
+    conjugate spectra), never the network-sized ``(r+1) N w`` matrix.
 
     Returns
     -------
     stable : bool
         True when the radius is below ``1 - margin``.
     rho : float
-        The lifted spectral radius itself.
+        The lifted spectral radius: the largest slice radius.
     """
     h, _ = h_matrix(g)
-    a0, a1 = closed_loop_blocks(plant, h, im, gains, mode)
-    lifted = delay_lift(a0, a1, delays.r)
-    rho = spectral_radius(lifted)
+    rho = max(
+        spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
+        for lam in _coupling_slices(h)
+    )
     return bool(rho < 1.0 - margin), rho
 
 

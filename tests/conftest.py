@@ -39,16 +39,7 @@ def bench_output():
 @pytest.fixture(scope="session")
 def target_gains():
     """The benchmark's calibrated design (``CALIBRATED_K``) packaged as a GainSet."""
-    return GainSet(
-        k_x=ref.CALIBRATED_K[:, :2],
-        k_z=ref.CALIBRATED_K[:, 2:],
-        gamma=ref.CALIBRATED_GAMMA,
-        nu=ref.NU,
-        l_obs=ref.EXPECTED_L,
-        gamma_l=ref.GAMMA_L,
-        nu_l=ref.NU_L,
-        observer_r=ref.OBSERVER_R,
-    )
+    return ref.target_gains()
 
 
 def benchmark_config_dict(mode="state", horizon=300, seed=0):

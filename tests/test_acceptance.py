@@ -12,13 +12,13 @@ calibration note explains why both are kept.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coopreg import (
     DelaySpec,
-    GainSet,
     certify_closed_loop,
     connectivity_spectral_check,
     has_leader_spanning_tree,
@@ -31,7 +31,7 @@ from coopreg import (
     build_internal_model,
 )
 from coopreg.matrixops import controllability_matrix, eigenvalues, numeric_rank
-from coopreg.simulation import FollowerUncertainty, make_variant
+from coopreg.simulation import FollowerUncertainty
 from coopreg.synthesis import build_augmented
 from coopreg import reference as ref
 
@@ -45,19 +45,6 @@ from conftest import (
 
 def _report(num, name, ok, detail):
     print(f"ACCEPTANCE {num:02d} ({name}): {'PASS' if ok else 'FAIL'} — {detail}")
-
-
-def _target_gains():
-    return GainSet(
-        k_x=ref.CALIBRATED_K[:, :2],
-        k_z=ref.CALIBRATED_K[:, 2:],
-        gamma=ref.CALIBRATED_GAMMA,
-        nu=ref.NU,
-        l_obs=ref.EXPECTED_L,
-        gamma_l=ref.GAMMA_L,
-        nu_l=ref.NU_L,
-        observer_r=ref.OBSERVER_R,
-    )
 
 
 def test_01_state_feedback_gain_reproduction():
@@ -160,7 +147,7 @@ def test_04_tracking_convergence_five_seeds():
     """Both feedback modes with the recorded benchmark gains and the
     printed uncertainty set: max |e| over the final 200 of 2000 steps
     below 1e-2 for 5 distinct seeds, under 10 seconds total."""
-    gains = _target_gains()
+    gains = ref.target_gains()
     t0 = time.perf_counter()
     worst = 0.0
     runs = 0
@@ -325,7 +312,7 @@ def test_09_robustness_half_magnitude():
     """With the recorded benchmark gains fixed, the criterion-4 threshold
     also holds for 10 random uncertainty draws at half the printed
     magnitudes."""
-    gains = _target_gains()
+    gains = ref.target_gains()
     w1 = w2 = (0.1, 0.2, 0.3, 0.4)
     w3 = (0.5, 0.6, 0.7, 0.8)
     rng = np.random.default_rng(90)
@@ -342,7 +329,7 @@ def test_09_robustness_half_magnitude():
             )
         for mode in ("state", "output"):
             run = simulate_state_feedback if mode == "state" else simulate_output_feedback
-            sc = make_variant(
+            sc = replace(
                 ref.reference_scenario(mode=mode, horizon=2000, seed=draw),
                 uncertainties=tuple(unc),
             )
@@ -379,7 +366,7 @@ def test_10_law_equivalence():
             overrides["xi"] = delayed.xi[r_com]
             kwargs["observer_past"] = delayed.xi[:r_com][::-1]
         transformed = run(
-            make_variant(sc, init_states=overrides), gains, law="transformed", **kwargs
+            replace(sc, init_states=overrides), gains, law="transformed", **kwargs
         )
 
         dev_e = float(np.max(np.abs(transformed.e - delayed.e)))

@@ -6,6 +6,8 @@ recursions, and against each other across the transformed/delayed law
 pair with matched initial histories.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from coopreg import (
 from coopreg.errors import ConfigurationError, DimensionError, DivergenceError
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
-from coopreg.simulation import make_variant
 from coopreg import reference as ref
 
 from conftest import random_digraph, random_scenario
@@ -161,7 +162,7 @@ class TestScenario:
     def test_initial_state_overrides_keep_stream(self):
         sc = ref.reference_scenario(horizon=1)
         x0, z0, xi0 = sc.initial_states()
-        sc_z = make_variant(sc, init_states={"z": np.ones((4, 2))})
+        sc_z = replace(sc, init_states={"z": np.ones((4, 2))})
         x0b, z0b, xi0b = sc_z.initial_states()
         assert np.array_equal(x0, x0b)
         assert np.array_equal(xi0, xi0b)
@@ -177,7 +178,7 @@ class TestBasicRuns:
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_zero_scenario_stays_zero(self, mode):
         zeros = {"x": np.zeros((4, 2)), "z": np.zeros((4, 2)), "xi": np.zeros((4, 2))}
-        sc = make_variant(
+        sc = replace(
             ref.reference_scenario(mode=mode, horizon=50, v0=(0.0, 0.0)),
             init_states=zeros,
         )
@@ -225,7 +226,7 @@ class TestBasicRuns:
     def test_input_delay_prehistory(self):
         # r_con = 2: the plant consumes u(t-2), with the pre-history
         # frozen at u(0); so x(t+1) = A x(t) + B u(max(t-2, 0)) + E v(t).
-        sc = make_variant(
+        sc = replace(
             ref.reference_scenario(horizon=6, uncertain=False),
             delays=DelaySpec(r_con=2, r_com=0),
         )
@@ -282,7 +283,7 @@ class TestObserverConsistency:
             mode="output", horizon=200, uncertain=False, v0=(0.0, 0.0)
         )
         x0, _, _ = base.initial_states()
-        sc = make_variant(base, init_states={"xi": x0})
+        sc = replace(base, init_states={"xi": x0})
         trace = simulate_output_feedback(sc, target_gains)
         assert np.max(np.abs(trace.xi - trace.x)) <= 1e-10
 
@@ -321,7 +322,7 @@ def matched_transformed_run(sc, gains, run, delayed_trace):
     if delayed_trace.xi is not None:
         overrides["xi"] = delayed_trace.xi[r_com]
         kwargs["observer_past"] = delayed_trace.xi[:r_com][::-1]
-    sc_tr = make_variant(sc, init_states=overrides)
+    sc_tr = replace(sc, init_states=overrides)
     return run(sc_tr, gains, law="transformed", **kwargs)
 
 

@@ -43,6 +43,24 @@ from coopreg import reference as ref
 from conftest import random_connected_digraph, random_unit_circle_pair
 
 
+def unit_chain(n):
+    """Leader -> 1 -> 2 -> ... -> n: H is lower bidiagonal, every eigenvalue 1."""
+    return Digraph(n_followers=n, edges=tuple((i, i + 1, 1.0) for i in range(n)))
+
+
+def slice_radius(plant, h, im, gains, r, mode):
+    """Largest lifted radius over the 1 x 1 slices at every eigenvalue of ``h``."""
+    return max(
+        spectral_radius(delay_lift(*closed_loop_blocks(plant, np.array([[lam]]), im, gains, mode), r))
+        for lam in eigenvalues(h, "H")
+    )
+
+
+def dense_radius(plant, h, im, gains, r, mode):
+    """Radius of the network-sized lift: the dense oracle of the certificate."""
+    return spectral_radius(delay_lift(*closed_loop_blocks(plant, h, im, gains, mode), r))
+
+
 def parametric_residual(a, b, p, gamma):
     """Frobenius norm of the parametric Riccati residual at ``p``."""
     r = np.eye(b.shape[1]) + b.T @ p @ b
@@ -461,18 +479,29 @@ class TestCertifyClosedLoop:
         assert abs(rho - 1.0) <= 1e-7
 
     def test_zero_total_delay_equals_direct_radius(self, target_gains):
+        # For r = 0 the lift is A0 + A1 itself.  The reference H has
+        # eigenvalue 1 with 2 x 2 Jordan blocks, so the dense eigensolve
+        # of the network-sized A0 + A1 is itself off by O(sqrt(eps));
+        # the exact comparison is with the eigenvalue slices.
         plant = ref.reference_plant()
         im = ref.reference_internal_model()
         g = ref.reference_graph()
         h, _ = h_matrix(g)
-        a0, a1 = closed_loop_blocks(plant, h, im, target_gains, "state")
         _, rho = certify_closed_loop(plant, g, im, target_gains, DelaySpec(0, 0), "state")
-        assert abs(rho - spectral_radius(a0 + a1)) <= 1e-12
+        rho_slices = 0.0
+        for lam in eigenvalues(h, "H"):
+            s0, s1 = closed_loop_blocks(plant, np.array([[lam]]), im, target_gains, "state")
+            rho_slices = max(rho_slices, spectral_radius(s0 + s1))
+        assert abs(rho - rho_slices) <= 1e-12
+        a0, a1 = closed_loop_blocks(plant, h, im, target_gains, "state")
+        assert abs(rho - spectral_radius(a0 + a1)) <= 1e-7
 
     def test_eigenwise_slices_match_full_radius_benchmark(self):
         # The coupling enters every block through I or H, so a Schur
         # triangularization of H block-triangularizes the loop: the
         # lifted spectrum is the union over 1 x 1 eigenvalue slices.
+        # The certificate lifts one slice per distinct eigenvalue; the
+        # dense network lift is the oracle.
         plant = ref.reference_plant()
         im = ref.reference_internal_model()
         g = ref.reference_graph()
@@ -480,36 +509,37 @@ class TestCertifyClosedLoop:
         h, _ = h_matrix(g)
         for mode in ("state", "output"):
             gains = ref.reference_gains(mode)
-            _, rho_full = certify_closed_loop(plant, g, im, gains, delays, mode)
-            rho_slices = max(
-                spectral_radius(
-                    delay_lift(*closed_loop_blocks(plant, np.array([[lam]]), im, gains, mode), delays.r)
-                )
-                for lam in eigenvalues(h, "H")
-            )
-            assert abs(rho_full - rho_slices) <= 1e-8
+            _, rho = certify_closed_loop(plant, g, im, gains, delays, mode)
+            assert abs(rho - slice_radius(plant, h, im, gains, delays.r, mode)) <= 1e-12
+            assert abs(rho - dense_radius(plant, h, im, gains, delays.r, mode)) <= 1e-8
 
     def test_eigenwise_slices_match_full_radius_random(self):
         rng = np.random.default_rng(42)
         plant = ref.reference_plant()
-        exo = ref.reference_exosystem()
         im = ref.reference_internal_model()
         for _ in range(4):
             g = random_connected_digraph(rng, n_max=4)
             delays = DelaySpec(int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             gains = auto_tune_gamma(plant, g, im, delays, 0.2)
             h, _ = h_matrix(g)
-            _, rho_full = certify_closed_loop(plant, g, im, gains, delays, "state")
-            rho_slices = max(
-                spectral_radius(
-                    delay_lift(
-                        *closed_loop_blocks(plant, np.array([[lam]]), im, gains, "state"),
-                        delays.r,
-                    )
-                )
-                for lam in eigenvalues(h, "H")
-            )
-            assert abs(rho_full - rho_slices) <= 1e-8
+            _, rho = certify_closed_loop(plant, g, im, gains, delays, "state")
+            assert abs(rho - slice_radius(plant, h, im, gains, delays.r, "state")) <= 1e-12
+            assert abs(rho - dense_radius(plant, h, im, gains, delays.r, "state")) <= 1e-8
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_unit_chain_radius_is_the_unit_slice(self, n):
+        # All N eigenvalues of a chain's H sit in one N x N Jordan block
+        # at 1; the dense network lift drifts from the exact radius by
+        # 4.5e-4 at N = 8 and 2.2e-2 at N = 64.
+        plant = ref.reference_plant()
+        im = ref.reference_internal_model()
+        delays = ref.reference_delays()
+        for mode in ("state", "output"):
+            gains = ref.reference_gains(mode)
+            stable, rho = certify_closed_loop(plant, unit_chain(n), im, gains, delays, mode)
+            assert stable
+            exact = slice_radius(plant, np.eye(1), im, gains, delays.r, mode)
+            assert abs(rho - exact) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +604,18 @@ class TestAutoTuneGamma:
             gains, ref.reference_delays(), "state",
         )
         assert stable
+
+    def test_unit_chain64_accepts_first_stable_gamma(self):
+        # On the unit slice gamma = 0.25 gives radius 1.094 and 0.125
+        # gives 0.933, so halving from 0.5 must stop at 0.125.
+        plant = ref.reference_plant()
+        im = ref.reference_internal_model()
+        delays = ref.reference_delays()
+        g = unit_chain(64)
+        for mode in ("state", "output"):
+            gains = auto_tune_gamma(plant, g, im, delays, 0.5, mode=mode)
+            assert gains.gamma == 0.125
+            assert slice_radius(plant, np.eye(1), im, gains, delays.r, mode) < 1.0
 
     def test_rejects_expansive_open_loop(self):
         plant = NominalPlant(a=[[1.05]], b=[[1.0]], c=[[1.0]])
