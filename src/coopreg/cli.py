@@ -67,16 +67,19 @@ def cmd_check(args):
     return 1
 
 
-def _synthesize_from_config(cfg):
+def _synthesize_from_config(cfg, gamma=None):
+    """Synthesize gains for the configured problem at ``gamma`` (default: the file's)."""
     sc, st = cfg.scenario, cfg.synthesis
-    if st.gamma is None:
-        raise ConfigurationError("synthesis.gamma: required for gain synthesis")
+    if gamma is None:
+        if st.gamma is None:
+            raise ConfigurationError("synthesis.gamma: required for gain synthesis")
+        gamma = st.gamma
     return synthesize_gains(
         sc.plant,
         sc.graph,
         sc.im,
         sc.delays,
-        gamma=st.gamma,
+        gamma=gamma,
         nu=st.nu,
         mode=sc.mode,
         gamma_l=st.gamma_l,
@@ -176,22 +179,11 @@ def _gamma_list(text):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    sc, st = cfg.scenario, cfg.synthesis
+    sc = cfg.scenario
     rows = []
     print(f"{'gamma':>10}  {'||K||_F':>10}  {'radius':>10}  stable")
     for gamma in args.gammas:
-        gains = synthesize_gains(
-            sc.plant,
-            sc.graph,
-            sc.im,
-            sc.delays,
-            gamma=gamma,
-            nu=st.nu,
-            mode=sc.mode,
-            gamma_l=st.gamma_l,
-            nu_l=st.nu_l,
-            observer_r=st.observer_r,
-        )
+        gains = _synthesize_from_config(cfg, gamma)
         stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
         knorm = float(np.linalg.norm(np.hstack([gains.k_x, gains.k_z])))
         rows.append((gamma, knorm, rho, stable))

@@ -31,6 +31,21 @@ delay sits on the arriving error signal.  With matched initial
 histories the two generate identical error trajectories shifted by
 ``r_com``; :func:`simulate_state_feedback` exposes ``controller_past``
 so the match can be set up exactly.
+
+One kernel
+----------
+Both agentwise simulators run one time loop.  It steps all followers at
+once from their stacked matrices and couples neighbours through arrays
+built once from the edge list.  Modes and laws differ only in how many
+steps late each signal is read::
+
+    signal                              transformed   delayed
+    controller state z                  r_com         0
+    e_v driving z and the observer      0             r_com
+    coupled x (state mode)              r_com         r_com
+    coupled xi (output mode)            r_com         0
+    u replayed by the observer          r_con         r_con + r_com
+    u received by the plant             r_con         r_con
 """
 
 import csv
@@ -414,26 +429,41 @@ def edgewise_virtual_errors(g, e_all):
     checks that identity against the Kronecker route.  The simulators
     apply the same combination to stacked states and observer estimates.
     """
-    e_all = np.atleast_2d(e_all)
-    out = np.zeros_like(e_all)
-    for i in range(1, g.n_followers + 1):
-        acc = np.zeros(e_all.shape[1])
-        for src, w in g.in_edges(i):
-            if src == 0:
-                acc += w * e_all[i - 1]
-            else:
-                acc += w * (e_all[i - 1] - e_all[src - 1])
-        out[i - 1] = acc
-    return out
+    return _edge_coupling(g)(np.atleast_2d(e_all))
+
+
+def _edge_coupling(g):
+    """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
+
+    The edge list becomes index and weight arrays once; each call of the
+    returned function forms ``w (row_dst - row_src)`` for every edge, with
+    the leader's row held at zero, and sums the terms per receiving
+    follower in edge-list order.  No ``H`` matrix is involved, so the
+    agentwise route stays independent of the Kronecker oracle.
+    """
+    src = np.array([s for s, _, _ in g.edges], dtype=int)
+    dst = np.array([d for _, d, _ in g.edges], dtype=int)
+    w = np.array([wt for _, _, wt in g.edges], dtype=float)[:, None]
+
+    def couple(rows):
+        padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
+        padded[1:] = rows
+        out = np.zeros_like(padded)
+        np.add.at(out, dst, w * (padded[dst] - padded[src]))
+        return out[1:]
+
+    return couple
 
 
 class _History:
     """Fixed-depth ring buffer over stacked signal arrays.
 
-    ``depth`` past values plus the current one; ``delayed()`` returns
-    the oldest entry, i.e. the value ``depth`` steps ago.  Backed by an
-    index into a preallocated array rather than a deque so pushes are
-    allocation-free.
+    ``depth`` past values plus the current one; ``ago(k)`` returns the
+    value ``k`` steps before the current one, so ``ago(0)`` is the
+    current value and ``ago(depth)`` the oldest.  Backed by an index into
+    a preallocated array rather than a deque so pushes are
+    allocation-free.  The returned rows are views: read them before the
+    next push.
     """
 
     def __init__(self, depth, first, past=None):
@@ -449,8 +479,8 @@ class _History:
             self.buf[:depth] = past[::-1]
         self.head = self.size - 1  # position of the current value
 
-    def delayed(self):
-        return self.buf[(self.head + 1) % self.size]
+    def ago(self, k):
+        return self.buf[(self.head - k) % self.size]
 
     def push(self, value):
         self.head = (self.head + 1) % self.size
@@ -492,13 +522,80 @@ def _alloc_trace(scenario, with_observer):
     )
 
 
-def _outputs(scenario, mats, x_all, v):
-    """Per-agent output, regulated error, and virtual error at one instant."""
-    f = scenario.exo.f
-    y = np.stack([mats[i][2] @ x_all[i] for i in range(scenario.n_agents)])
-    e = y + (f @ v)[None, :]
-    ev = edgewise_virtual_errors(scenario.graph, e)
-    return y, e, ev
+def _check_law(caller, law, history_given, history_rule):
+    if law not in ("transformed", "delayed"):
+        raise ConfigurationError(f"{caller}: unknown law {law!r}")
+    if law == "delayed" and history_given:
+        raise ConfigurationError(f"{caller}: {history_rule} to the transformed law only")
+
+
+def _apply(mats, rows):
+    """Row ``i`` of the result is ``mats[i] @ rows[i]``."""
+    return np.matmul(mats, rows[..., None])[..., 0]
+
+
+def _simulate(scenario, gains, law, controller_past, observer_past, output):
+    """The one time loop behind both agentwise simulators.
+
+    Mode and law differ only in how late each signal is read (the table
+    in the module docstring); ``output`` adds the observer and makes its
+    estimate, not the plant state, the coupled feedback state.
+    """
+    r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
+    d_z = r_com if law == "transformed" else 0
+    d_ev = r_com - d_z
+    d_fb = d_z if output else r_com
+    a, b, c, e_in = (np.stack(mats) for mats in zip(*scenario.agent_matrices()))
+    couple = _edge_coupling(scenario.graph)
+    f, g1, g2 = scenario.exo.f, scenario.im.g1, scenario.im.g2
+    a_nom, b_nom, c_nom, l_obs = scenario.plant.a, scenario.plant.b, scenario.plant.c, gains.l_obs
+
+    x, z, xi = scenario.initial_states()
+    if not output:
+        xi = None
+    v = scenario.exo.v0.copy()
+    trace = _alloc_trace(scenario, with_observer=output)
+    fb_hist = _History(d_fb, xi if output else x, past=observer_past)
+    z_hist = _History(d_z, z, past=controller_past)
+
+    for t in range(scenario.horizon):
+        y = _apply(c, x)
+        e = y + f @ v
+        ev = couple(e)
+        u = couple(fb_hist.ago(d_fb)) @ gains.k_x.T + z_hist.ago(d_z) @ gains.k_z.T
+        if t == 0:
+            u_hist = _History(r_con + d_ev, u)
+            ev_hist = _History(d_ev, ev)
+        else:
+            u_hist.push(u)
+            ev_hist.push(ev)
+
+        trace.v[t] = v
+        trace.x[t] = x
+        trace.z[t] = z
+        trace.u[t] = u
+        trace.y[t] = y
+        trace.e[t] = e
+        trace.e_v[t] = ev
+        if output:
+            trace.xi[t] = xi
+
+        ev_late = ev_hist.ago(d_ev)
+        if output:
+            xi = (
+                xi @ a_nom.T
+                + u_hist.ago(r_con + d_ev) @ b_nom.T
+                - couple(xi) @ c_nom.T @ l_obs.T
+                + ev_late @ l_obs.T
+            )
+        x = _apply(a, x) + _apply(b, u_hist.ago(r_con)) + e_in @ v
+        z = z @ g1.T + ev_late @ g2.T
+        fb_hist.push(xi if output else x)
+        z_hist.push(z)
+        v = exo_step(scenario.exo, v)
+        _guard(t + 1, x, z, xi)
+
+    return trace
 
 
 def simulate_state_feedback(scenario, gains, law="transformed", controller_past=None):
@@ -524,78 +621,10 @@ def simulate_state_feedback(scenario, gains, law="transformed", controller_past=
     -------
     SimulationTrace
     """
-    if law not in ("transformed", "delayed"):
-        raise ConfigurationError(f"simulate_state_feedback: unknown law {law!r}")
-    if law == "delayed" and controller_past is not None:
-        raise ConfigurationError(
-            "simulate_state_feedback: controller_past applies to the transformed law only"
-        )
-    mats = scenario.agent_matrices()
-    g = scenario.graph
-    g1, g2 = scenario.im.g1, scenario.im.g2
-    k_x, k_z = gains.k_x, gains.k_z
-    r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
-    T = scenario.horizon
-    nfoll = scenario.n_agents
-
-    x_all, z_all, _ = scenario.initial_states()
-    v = scenario.exo.v0.copy()
-    trace = _alloc_trace(scenario, with_observer=False)
-
-    xhist = _History(r_com, x_all)
-    zhist = _History(r_com, z_all, past=controller_past) if law == "transformed" else None
-    uhist = None
-    evhist = None
-
-    for t in range(T):
-        y, e, ev = _outputs(scenario, mats, x_all, v)
-        eta = edgewise_virtual_errors(g, xhist.delayed())
-
-        if law == "transformed":
-            z_fb = zhist.delayed()
-        else:
-            z_fb = z_all
-        u = np.stack([k_x @ eta[i] + k_z @ z_fb[i] for i in range(nfoll)])
-
-        if uhist is None:
-            uhist = _History(r_con, u)
-        else:
-            uhist.push(u)
-        if law == "delayed":
-            if evhist is None:
-                evhist = _History(r_com, ev)
-            else:
-                evhist.push(ev)
-
-        trace.v[t] = v
-        trace.x[t] = x_all
-        trace.z[t] = z_all
-        trace.u[t] = u
-        trace.y[t] = y
-        trace.e[t] = e
-        trace.e_v[t] = ev
-
-        u_delayed = uhist.delayed()
-        x_next = np.stack(
-            [
-                mats[i][0] @ x_all[i] + mats[i][1] @ u_delayed[i] + mats[i][3] @ v
-                for i in range(nfoll)
-            ]
-        )
-        if law == "transformed":
-            z_next = np.stack([g1 @ z_all[i] + g2 @ ev[i] for i in range(nfoll)])
-        else:
-            ev_delayed = evhist.delayed()
-            z_next = np.stack([g1 @ z_all[i] + g2 @ ev_delayed[i] for i in range(nfoll)])
-
-        x_all, z_all = x_next, z_next
-        xhist.push(x_all)
-        if law == "transformed":
-            zhist.push(z_all)
-        v = exo_step(scenario.exo, v)
-        _guard(t + 1, x_all, z_all)
-
-    return trace
+    _check_law(
+        "simulate_state_feedback", law, controller_past is not None, "controller_past applies"
+    )
+    return _simulate(scenario, gains, law, controller_past, None, output=False)
 
 
 def simulate_output_feedback(
@@ -615,103 +644,13 @@ def simulate_output_feedback(
     """
     if gains.l_obs is None:
         raise ConfigurationError("simulate_output_feedback: gain set has no observer gain")
-    if law not in ("transformed", "delayed"):
-        raise ConfigurationError(f"simulate_output_feedback: unknown law {law!r}")
-    if law == "delayed" and (controller_past is not None or observer_past is not None):
-        raise ConfigurationError(
-            "simulate_output_feedback: history overrides apply to the transformed law only"
-        )
-    mats = scenario.agent_matrices()
-    g = scenario.graph
-    a_nom, b_nom, c_nom = scenario.plant.a, scenario.plant.b, scenario.plant.c
-    g1, g2 = scenario.im.g1, scenario.im.g2
-    k_1, k_2, l_obs = gains.k_1, gains.k_2, gains.l_obs
-    r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
-    r_total = scenario.delays.r
-    T = scenario.horizon
-    nfoll = scenario.n_agents
-
-    x_all, z_all, xi_all = scenario.initial_states()
-    v = scenario.exo.v0.copy()
-    trace = _alloc_trace(scenario, with_observer=True)
-
-    if law == "transformed":
-        zhist = _History(r_com, z_all, past=controller_past)
-        xihist = _History(r_com, xi_all, past=observer_past)
-        uhist = None  # depth r_con, created once u(0) exists
-        evhist = None
-    else:
-        uhist = None  # depth r_total for the observer; plant slices the same buffer
-        evhist = None
-
-    for t in range(T):
-        y, e, ev = _outputs(scenario, mats, x_all, v)
-
-        if law == "transformed":
-            eta_fb = edgewise_virtual_errors(g, xihist.delayed())
-            z_fb = zhist.delayed()
-        else:
-            eta_fb = edgewise_virtual_errors(g, xi_all)
-            z_fb = z_all
-        u = np.stack([k_1 @ z_fb[i] + k_2 @ eta_fb[i] for i in range(nfoll)])
-
-        if uhist is None:
-            depth = r_con if law == "transformed" else r_total
-            uhist = _History(depth, u)
-        else:
-            uhist.push(u)
-        if law == "delayed":
-            if evhist is None:
-                evhist = _History(r_com, ev)
-            else:
-                evhist.push(ev)
-
-        trace.v[t] = v
-        trace.x[t] = x_all
-        trace.z[t] = z_all
-        trace.xi[t] = xi_all
-        trace.u[t] = u
-        trace.y[t] = y
-        trace.e[t] = e
-        trace.e_v[t] = ev
-
-        eta_now = edgewise_virtual_errors(g, xi_all)
-        if law == "transformed":
-            u_plant = uhist.delayed()            # u(t - r_con)
-            u_obs = u_plant                      # observer replays the plant input
-            ev_im = ev                           # current virtual error
-            ev_obs = ev
-        else:
-            u_obs = uhist.delayed()              # u(t - r_con - r_com)
-            u_plant = uhist.buf[(uhist.head - r_con) % uhist.size]  # u(t - r_con)
-            ev_im = evhist.delayed()             # e_v(t - r_com)
-            ev_obs = ev_im
-
-        x_next = np.stack(
-            [
-                mats[i][0] @ x_all[i] + mats[i][1] @ u_plant[i] + mats[i][3] @ v
-                for i in range(nfoll)
-            ]
-        )
-        z_next = np.stack([g1 @ z_all[i] + g2 @ ev_im[i] for i in range(nfoll)])
-        xi_next = np.stack(
-            [
-                a_nom @ xi_all[i]
-                + b_nom @ u_obs[i]
-                - l_obs @ (c_nom @ eta_now[i])
-                + l_obs @ ev_obs[i]
-                for i in range(nfoll)
-            ]
-        )
-
-        x_all, z_all, xi_all = x_next, z_next, xi_next
-        if law == "transformed":
-            zhist.push(z_all)
-            xihist.push(xi_all)
-        v = exo_step(scenario.exo, v)
-        _guard(t + 1, x_all, z_all, xi_all)
-
-    return trace
+    _check_law(
+        "simulate_output_feedback",
+        law,
+        controller_past is not None or observer_past is not None,
+        "history overrides apply",
+    )
+    return _simulate(scenario, gains, law, controller_past, observer_past, output=True)
 
 
 def _compact_matrices(scenario, gains):
@@ -824,7 +763,7 @@ def simulate_compact_oracle(scenario, gains):
         y_flat = c_blk @ x_flat
         e_flat = y_flat + np.tile(f_exo @ v, nfoll)
         ev_flat = c_bar @ x_flat + f_bar @ v
-        u_flat = u_map @ ucom.delayed()
+        u_flat = u_map @ ucom.ago(r_com)
 
         trace.v[t] = v
         trace.x[t] = x_flat.reshape(nfoll, n)
@@ -836,7 +775,7 @@ def simulate_compact_oracle(scenario, gains):
         if mode == "output":
             trace.xi[t] = w[nfoll * (n + nz) :].reshape(nfoll, n)
 
-        w = a0 @ w + a1 @ whist.delayed() + b_in @ v
+        w = a0 @ w + a1 @ whist.ago(r_total) + b_in @ v
         whist.push(w)
         ucom.push(w)
         v = exo_step(scenario.exo, v)

@@ -208,13 +208,30 @@ def random_connected_digraph(rng, n_max=5):
             return g
 
 
-def random_scenario(rng, mode, horizon=200):
+# Twelve followers for coupling code at network scale: followers 4, 6,
+# 9, 11 and 12 have two or three in-edges, 6 -> 7 -> 8 -> 9 -> 6 is a
+# cycle (so H is not triangular), and the edges are listed out of
+# destination order.
+NET12 = Digraph(
+    n_followers=12,
+    edges=(
+        (9, 10, 1.0), (0, 1, 1.0), (5, 12, 0.6), (3, 9, 0.6), (2, 4, 0.6),
+        (6, 7, 1.0), (1, 2, 0.8), (9, 6, 0.5), (11, 12, 0.9), (0, 3, 1.2),
+        (8, 9, 1.4), (4, 5, 0.9), (2, 11, 1.2), (1, 6, 1.3), (7, 8, 0.9),
+        (3, 4, 1.1), (10, 11, 0.7), (0, 9, 0.8), (5, 6, 0.7), (7, 12, 1.1),
+    ),
+)
+
+
+def random_scenario(rng, mode, horizon=200, graph=None, delays=None):
     """Small bounded scenario for cross-route trace comparisons.
 
     The plant spectrum sits on the closed unit disk, the gains are
     small random matrices (no stabilization is needed for two exact
     simulators to agree), and every structured-uncertainty slot is
-    exercised.  Returns ``(scenario, gains)``.
+    exercised.  ``graph`` and ``delays``, when given, replace the
+    random draws of at most four followers and of the delays.  Returns
+    ``(scenario, gains)``.
     """
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
@@ -237,16 +254,17 @@ def random_scenario(rng, mode, horizon=200):
     exo = Exosystem(s=s, f=f, v0=v0)
     im = build_internal_model(exo)
 
-    nfoll = int(rng.integers(1, 5))
-    g = None
-    while g is None or g.n_followers != nfoll:
-        g = random_digraph(rng, n_max=nfoll)
-        if g.n_followers != nfoll:
-            g = None
+    g = graph
+    if g is None:
+        nfoll = int(rng.integers(1, 5))
+        while g is None or g.n_followers != nfoll:
+            g = random_digraph(rng, n_max=nfoll)
+    nfoll = g.n_followers
 
-    r_con = int(rng.integers(0, 3))
-    r_com = int(rng.integers(0, 3 - r_con + 1))
-    delays = DelaySpec(r_con=r_con, r_com=r_com)
+    if delays is None:
+        r_con = int(rng.integers(0, 3))
+        r_com = int(rng.integers(0, 3 - r_con + 1))
+        delays = DelaySpec(r_con=r_con, r_com=r_com)
 
     unc = []
     scale = 0.1

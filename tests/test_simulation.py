@@ -32,7 +32,17 @@ from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
 from coopreg import reference as ref
 
-from conftest import random_digraph, random_scenario
+from conftest import NET12, random_digraph, random_scenario
+
+
+def case_scenario(case, mode, horizon):
+    """A seed draws a small :func:`random_scenario`; ``"net12"`` puts a
+    random plant and gains on the twelve-follower ``NET12`` with
+    ``r_con = 1``, ``r_com = 2``."""
+    if case == "net12":
+        rng = np.random.default_rng(12)
+        return random_scenario(rng, mode, horizon, graph=NET12, delays=DelaySpec(1, 2))
+    return random_scenario(np.random.default_rng(case), mode, horizon)
 
 
 def zero_gains(mode="state"):
@@ -81,8 +91,12 @@ class TestEdgewiseVirtualErrors:
             e_all = rng.uniform(-2, 2, (g.n_followers, p))
             h, _ = h_matrix(g)
             expect = (kron(h, np.eye(p)) @ e_all.reshape(-1)).reshape(g.n_followers, p)
-            got = edgewise_virtual_errors(g, e_all)
-            assert np.max(np.abs(got - expect)) <= 1e-12
+            shuffled = Digraph(
+                g.n_followers, tuple(g.edges[k] for k in rng.permutation(len(g.edges)))
+            )
+            for graph in (g, shuffled):
+                got = edgewise_virtual_errors(graph, e_all)
+                assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_leader_edge_only(self):
         # Single follower fed by the leader: e_v = a_10 * e_1.
@@ -301,11 +315,10 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, target_gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [101, 202, 303])
+    @pytest.mark.parametrize("seed", [101, 202, 303, "net12"])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_scenario_agreement(self, seed, mode):
-        rng = np.random.default_rng(seed)
-        sc, gains = random_scenario(rng, mode, horizon=150)
+        sc, gains = case_scenario(seed, mode, horizon=150)
         run = simulate_state_feedback if mode == "state" else simulate_output_feedback
         agentwise = run(sc, gains)
         oracle = simulate_compact_oracle(sc, gains)
@@ -344,11 +357,10 @@ class TestLawEquivalence:
         if mode == "output":
             assert np.max(np.abs(transformed.xi[: T - r_com] - delayed.xi[r_com:])) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [11, 22, 33])
+    @pytest.mark.parametrize("seed", [11, 22, 33, "net12"])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_matched_histories(self, seed, mode):
-        rng = np.random.default_rng(seed)
-        sc, gains = random_scenario(rng, mode, horizon=80)
+        sc, gains = case_scenario(seed, mode, horizon=80)
         run = simulate_state_feedback if mode == "state" else simulate_output_feedback
         delayed = run(sc, gains, law="delayed")
         transformed = matched_transformed_run(sc, gains, run, delayed)
