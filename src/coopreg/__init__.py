@@ -57,6 +57,7 @@ from .synthesis import (
     certify_closed_loop,
     check_assumptions,
     closed_loop_blocks,
+    network_blocks,
     delay_lift,
     observer_gain,
     solve_parametric_dare,
@@ -102,6 +103,7 @@ __all__ = [
     "observer_gain",
     "build_augmented",
     "closed_loop_blocks",
+    "network_blocks",
     "delay_lift",
     "certify_closed_loop",
     "synthesize_gains",

@@ -26,10 +26,10 @@ from .matrixops import (
     as_matrix,
     companion_pair,
     controllability_matrix,
-    eigenvalues,
     kron,
     minimal_polynomial,
     numeric_rank,
+    on_unit_circle,
     require_square,
 )
 
@@ -84,7 +84,7 @@ class Exosystem:
 
     def modes_on_unit_circle(self, tol=1e-9):
         """True if every eigenvalue of ``S`` has modulus within ``tol`` of 1."""
-        return bool(np.max(np.abs(np.abs(eigenvalues(self.s, "S")) - 1.0)) <= tol)
+        return on_unit_circle(self.s, tol)
 
 
 @dataclass(frozen=True, eq=False)

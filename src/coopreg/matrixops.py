@@ -34,6 +34,7 @@ __all__ = [
     "is_schur",
     "on_unit_circle",
     "kron",
+    "block_diag",
     "numeric_rank",
     "real_embedding",
     "complex_rank",
@@ -145,10 +146,23 @@ def on_unit_circle(m, tol=1e-9):
 
 
 def kron(a, b):
-    """Kronecker product of two 2-D arrays (thin wrapper with validation)."""
+    """Kronecker product of two 2-D arrays, formed as one reshaped outer product."""
     if np.ndim(a) != 2 or np.ndim(b) != 2:
         raise DimensionError("kron: both factors must be 2-D arrays")
-    return np.kron(a, b)
+    a, b = np.asarray(a), np.asarray(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
+def block_diag(mats):
+    """Block-diagonal matrix with the 2-D arrays ``mats`` down its diagonal."""
+    rows, cols = (sum(m.shape[k] for m in mats) for k in (0, 1))
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    i = j = 0
+    for m in mats:
+        out[i : i + m.shape[0], j : j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    return out
 
 
 def numeric_rank(m, tol=DEFAULT_RANK_TOL):

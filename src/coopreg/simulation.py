@@ -7,12 +7,13 @@ Two independent execution routes are provided on purpose:
   separately, exchanging only the signals the distributed law is
   allowed to see — neighbor states or outputs, delayed by the
   communication latency;
-* the *compact oracle* (:func:`simulate_compact_oracle`) assembles the
-  full networked closed loop as one Kronecker-structured recursion and
-  iterates it directly.
+* the *compact oracle* (:func:`simulate_compact_oracle`) takes the full
+  uncertain networked loop from :func:`~coopreg.synthesis.network_blocks`,
+  the builder behind the certificate, and iterates it as one recursion.
 
-Both must produce the same trajectories; the test suite holds them
-against each other, which guards the block algebra and the buffer
+The two share no stepping code, and only the oracle forms ``H``.  Both
+must produce the same trajectories; the test suite holds them against
+each other, which guards the shared block builder and the buffer
 bookkeeping at the same time.
 
 Timing conventions
@@ -55,8 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .matrixops import as_matrix, kron
+from .matrixops import as_matrix, block_diag, kron
 from .graphs import h_matrix
+from .synthesis import network_blocks
 
 __all__ = [
     "DIVERGENCE_GUARD",
@@ -229,19 +231,11 @@ class Scenario:
     def agent_matrices(self):
         """Effective per-follower ``(A_i, B_i, C_i, E_i)`` with uncertainty applied."""
         n, m, p, q = self.plant.n, self.plant.m, self.plant.p, self.exo.q
-        e_list = self.e_list()
+        unc = self.uncertainties or (FollowerUncertainty.zero(),) * self.n_agents
         out = []
-        for i in range(self.n_agents):
-            if self.uncertainties is not None:
-                da, db, de, dc = self.uncertainties[i].materialize(n, m, p, q)
-            else:
-                da = np.zeros((n, n))
-                db = np.zeros((n, m))
-                de = np.zeros((n, q))
-                dc = np.zeros((p, n))
-            out.append(
-                (self.plant.a + da, self.plant.b + db, self.plant.c + dc, e_list[i] + de)
-            )
+        for u, e in zip(unc, self.e_list()):
+            da, db, de, dc = u.materialize(n, m, p, q)
+            out.append((self.plant.a + da, self.plant.b + db, self.plant.c + dc, e + de))
         return out
 
     def initial_states(self):
@@ -367,40 +361,28 @@ def load_trace_csv(path):
     """Read a trace written by :meth:`SimulationTrace.to_csv`."""
     with open(path, newline="") as fh:
         rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    try:
-        header = next(reader)
-    except StopIteration:
+    if not rows:
         raise ConfigurationError(f"{path}: empty trace file")
-    data = np.array([[float(val) for val in row] for row in reader], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    cols = {name: data[:, k] for k, name in enumerate(header)}
+    header = next(csv.reader(rows[:1]))
+    data = np.loadtxt(rows[1:], delimiter=",", ndmin=2) if rows[1:] else np.zeros((0, len(header)))
+    index = {name: k for k, name in enumerate(header)}
     T = data.shape[0]
 
-    pat = re.compile(r"^([a-z]+?)(\d+)_(\d+)$")
-    dims = {}
-    for name in header:
-        m = pat.match(name)
-        if m:
-            prefix, agent, comp = m.group(1), int(m.group(2)), int(m.group(3))
-            cur = dims.get(prefix, (0, 0))
-            dims[prefix] = (max(cur[0], agent), max(cur[1], comp + 1))
-    q = sum(1 for name in header if re.match(r"^v\d+$", name))
+    dims = {}  # prefix -> (followers, width)
+    for m in filter(None, map(re.compile(r"^([a-z]+?)(\d+)_(\d+)$").match, header)):
+        nfoll, width = dims.get(m[1], (0, 0))
+        dims[m[1]] = (max(nfoll, int(m[2])), max(width, int(m[3]) + 1))
 
     def grab(prefix):
         if prefix not in dims:
             return None
         nfoll, width = dims[prefix]
-        arr = np.zeros((T, nfoll, width))
-        for i in range(nfoll):
-            for k in range(width):
-                arr[:, i, k] = cols[f"{prefix}{i + 1}_{k}"]
-        return arr
+        cols = [index[f"{prefix}{i + 1}_{k}"] for i in range(nfoll) for k in range(width)]
+        return data[:, cols].reshape(T, nfoll, width)
 
     return SimulationTrace(
-        t=cols["t"].astype(int),
-        v=np.column_stack([cols[f"v{k}"] for k in range(q)]) if q else np.zeros((T, 0)),
+        t=data[:, index["t"]].astype(int),
+        v=data[:, [k for k, name in enumerate(header) if re.match(r"^v\d+$", name)]],
         x=grab("x"),
         z=grab("z"),
         u=grab("u"),
@@ -653,40 +635,20 @@ def simulate_output_feedback(
     return _simulate(scenario, gains, law, controller_past, observer_past, output=True)
 
 
-def _compact_matrices(scenario, gains):
-    """Uncertain Kronecker-form closed-loop matrices for the oracle."""
-    nfoll = scenario.n_agents
-    n, m, p, q = scenario.plant.n, scenario.plant.m, scenario.plant.p, scenario.exo.q
-    mats = scenario.agent_matrices()
-    h, _ = h_matrix(scenario.graph)
-    eye_n = np.eye(nfoll)
-
-    a_bar = np.zeros((nfoll * n, nfoll * n))
-    b_bar = np.zeros((nfoll * n, nfoll * m))
-    c_blk = np.zeros((nfoll * p, nfoll * n))
-    e_bar = np.zeros((nfoll * n, q))
-    for i, (a_i, b_i, c_i, e_i) in enumerate(mats):
-        a_bar[i * n : (i + 1) * n, i * n : (i + 1) * n] = a_i
-        b_bar[i * n : (i + 1) * n, i * m : (i + 1) * m] = b_i
-        c_blk[i * p : (i + 1) * p, i * n : (i + 1) * n] = c_i
-        e_bar[i * n : (i + 1) * n] = e_i
-    c_bar = kron(h, np.eye(p)) @ c_blk
-    f_bar = kron((h @ np.ones((nfoll, 1))), scenario.exo.f)
-    g1_bar = kron(eye_n, scenario.im.g1)
-    g2_bar = kron(eye_n, scenario.im.g2)
-    return h, a_bar, b_bar, c_blk, c_bar, e_bar, f_bar, g1_bar, g2_bar
-
-
 def simulate_compact_oracle(scenario, gains):
     """Iterate the assembled closed-loop recursion in one shot.
 
-    Builds the full uncertain networked system in Kronecker form —
-    including the structured uncertainty of every follower — and runs
-    ``w(t+1) = A0 w(t) + A1 w(t - r) + B v(t)`` directly.  Serves as
-    the independent cross-check for the agentwise simulators; shares no
-    stepping code with them.
+    Takes ``A0``, ``A1 = B U`` and the virtual-error drive from
+    :func:`~coopreg.synthesis.network_blocks`, the builder behind the
+    certificate, called with every follower's uncertain
+    ``(A_i, B_i, C_i)``, and runs ``w(t+1) = A0 w(t) + A1 w(t - r) +
+    B_v v(t)`` directly.  Serves as the independent cross-check for the
+    agentwise simulators: it shares no stepping code with them, and it
+    forms ``H``, which they never do, so it checks the builder too.
     """
     mode = scenario.mode
+    if mode == "output" and gains.l_obs is None:
+        raise ConfigurationError("simulate_compact_oracle: output mode needs an observer gain")
     nfoll = scenario.n_agents
     n, m, p = scenario.plant.n, scenario.plant.m, scenario.plant.p
     nz = scenario.im.dim
@@ -694,62 +656,18 @@ def simulate_compact_oracle(scenario, gains):
     r_com = scenario.delays.r_com
     T = scenario.horizon
 
-    h, a_bar, b_bar, c_blk, c_bar, e_bar, f_bar, g1_bar, g2_bar = _compact_matrices(
-        scenario, gains
-    )
-    eye_n = np.eye(nfoll)
+    mats = scenario.agent_matrices()
+    h, _ = h_matrix(scenario.graph)
+    a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, mode, mats)
+    a1 = b_u @ u_map
+    c_blk = block_diag([mat[2] for mat in mats])
+    c_bar = kron(h, np.eye(p)) @ c_blk
+    f_bar = kron(h @ np.ones((nfoll, 1)), scenario.exo.f)
+    b_in = drive @ f_bar
+    b_in[: nfoll * n] = np.vstack([mat[3] for mat in mats])
 
-    if mode == "state":
-        kx_bar = kron(h, gains.k_x)
-        kz_bar = kron(eye_n, gains.k_z)
-        a0 = np.block(
-            [
-                [a_bar, np.zeros((nfoll * n, nfoll * nz))],
-                [g2_bar @ c_bar, g1_bar],
-            ]
-        )
-        a1 = np.block(
-            [
-                [b_bar @ kx_bar, b_bar @ kz_bar],
-                [np.zeros((nfoll * nz, nfoll * (n + nz)))],
-            ]
-        )
-        b_in = np.vstack([e_bar, g2_bar @ f_bar])
-        u_map = np.hstack([kx_bar, kz_bar])
-    else:
-        if gains.l_obs is None:
-            raise ConfigurationError("simulate_compact_oracle: output mode needs an observer gain")
-        k1_bar = kron(eye_n, gains.k_1)
-        k2_bar = kron(h, gains.k_2)
-        lc = gains.l_obs @ scenario.plant.c
-        s1 = kron(eye_n, scenario.plant.a) - kron(h, lc)
-        s2 = kron(eye_n, gains.l_obs)
-        b_nom = kron(eye_n, scenario.plant.b)
-        zna = np.zeros((nfoll * n, nfoll * n))
-        a0 = np.block(
-            [
-                [a_bar, np.zeros((nfoll * n, nfoll * nz)), zna],
-                [g2_bar @ c_bar, g1_bar, np.zeros((nfoll * nz, nfoll * n))],
-                [s2 @ c_bar, np.zeros((nfoll * n, nfoll * nz)), s1],
-            ]
-        )
-        a1 = np.block(
-            [
-                [np.zeros((nfoll * n, nfoll * n)), b_bar @ k1_bar, b_bar @ k2_bar],
-                [np.zeros((nfoll * nz, nfoll * (2 * n + nz)))],
-                [np.zeros((nfoll * n, nfoll * n)), b_nom @ k1_bar, b_nom @ k2_bar],
-            ]
-        )
-        b_in = np.vstack([e_bar, g2_bar @ f_bar, s2 @ f_bar])
-        u_map = np.hstack(
-            [np.zeros((nfoll * m, nfoll * n)), k1_bar, k2_bar]
-        )
-
-    x0, z0, xi0 = scenario.initial_states()
-    if mode == "state":
-        w = np.concatenate([x0.reshape(-1), z0.reshape(-1)])
-    else:
-        w = np.concatenate([x0.reshape(-1), z0.reshape(-1), xi0.reshape(-1)])
+    states = scenario.initial_states()[: 2 if mode == "state" else 3]
+    w = np.concatenate([s.reshape(-1) for s in states])
     v = scenario.exo.v0.copy()
 
     trace = _alloc_trace(scenario, with_observer=(mode == "output"))

@@ -16,10 +16,12 @@ and communication delay ``r_com``:
    ``gamma`` shrinks the feedback aggressiveness until the delayed loop
    can absorb it; the delay enters through an extra factor ``A**(r+1)``
    in the gain formula.
-4. :func:`certify_closed_loop` certifies the nominal networked closed
-   loop one eigenvalue ``lam`` of ``H`` (from :func:`eigenvalues`) at a
-   time: the delay-lifted loop's spectrum is the union of the spectra of
-   the delay lifts of its ``lam``-slices, so every slice lift must be Schur.
+4. :func:`network_blocks` builds the delayed networked loop for any
+   per-follower ``(A_i, B_i, C_i)`` stack; the compact simulation oracle
+   uses it too.  :func:`certify_closed_loop` certifies the nominal loop
+   one eigenvalue ``lam`` of ``H`` at a time, through
+   :func:`closed_loop_blocks`: the lifted spectrum is the union of the
+   spectra of the ``lam``-slice lifts, so every slice lift must be Schur.
 5. :func:`auto_tune_gamma` halves ``gamma`` until the certificate
    accepts, which is the standard way to pick the parameter in
    practice.
@@ -45,6 +47,7 @@ from .graphs import connectivity_spectral_check, h_matrix, has_leader_spanning_t
 from .matrixops import (
     SCHUR_MARGIN,
     as_matrix,
+    block_diag,
     complex_rank,
     detectable,
     eigenvalues,
@@ -66,6 +69,7 @@ __all__ = [
     "observer_gain",
     "build_augmented",
     "closed_loop_blocks",
+    "network_blocks",
     "delay_lift",
     "certify_closed_loop",
     "synthesize_gains",
@@ -429,6 +433,13 @@ def build_augmented(plant, im):
     return a_c, b_c
 
 
+def _check_loop(caller, mode, gains):
+    if mode not in ("state", "output"):
+        raise ConfigurationError(f"{caller}: unknown mode {mode!r}")
+    if mode == "output" and gains.l_obs is None:
+        raise ConfigurationError(f"{caller}: output mode requires an observer gain")
+
+
 def closed_loop_blocks(plant, h, im, gains, mode):
     """Nominal networked closed-loop pair ``(A0, A1)``.
 
@@ -436,57 +447,61 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     ``w(t+1) = A0 w(t) + A1 w(t - r)`` with ``r = r_con + r_com``.
     ``h`` may be any square coupling matrix, including a ``1 x 1``
     complex eigenvalue slice, which is how per-mode certificates are
-    computed.
-
-    In state-feedback mode ``w`` stacks plant states and internal-model
-    states; in output-feedback mode a third block of observer states is
-    appended.
+    computed.  The blocks are those of :func:`network_blocks` with every
+    follower at the nominal model.
     """
-    if mode not in ("state", "output"):
-        raise ConfigurationError(f"closed_loop_blocks: unknown mode {mode!r}")
+    _check_loop("closed_loop_blocks", mode, gains)
+    nominal = [(plant.a, plant.b, plant.c)] * len(np.atleast_2d(h))
+    a0, b_u, u_map, _ = network_blocks(plant, h, im, gains, mode, nominal)
+    return a0, b_u @ u_map
+
+
+def network_blocks(plant, h, im, gains, mode, agents):
+    """Networked closed loop of the followers ``agents`` coupled through ``h``.
+
+    ``agents`` holds one ``(A_i, B_i, C_i)`` per row of ``h``; further
+    entries, such as the ``E_i`` of ``Scenario.agent_matrices()``, are
+    ignored.  The observer rows use the nominal ``plant``: the observer
+    is a model that the controller runs.  The state ``w`` stacks the
+    plant states, the internal-model states and, in output mode, the
+    observer states of all followers.  Its recursion is::
+
+        w(t+1) = A0 w(t) + B u(t - r_con) + D (H 1 (x) F) v(t) + [E_i v(t) on rows x_i]
+
+    with the stacked input ``u(t) = U w(t - r_com)``, so ``A1 = B U``.
+    ``D`` is the map through which the virtual error
+    ``(H (x) I_p) diag(C_i) x + (H 1 (x) F) v`` enters ``w``; its plant
+    part is already in ``A0``.  Returns ``(A0, B, U, D)``.
+    """
+    _check_loop("network_blocks", mode, gains)
     h = np.atleast_2d(np.asarray(h))
     nn = h.shape[0]
-    a, b, c = plant.a, plant.b, plant.c
-    g1, g2 = im.g1, im.g2
-    n, nz = plant.n, im.dim
+    if len(agents) != nn:
+        raise DimensionError(f"network_blocks: {len(agents)} followers for a {nn} x {nn} coupling")
+    a_bar, b_bar, c_blk = (block_diag([agent[k] for agent in agents]) for k in range(3))
     eye_n = np.eye(nn)
-    ia = kron(eye_n, a)
-    ig1 = kron(eye_n, g1)
-    hg2c = kron(h, g2 @ c)
+    c_bar = kron(h, np.eye(plant.p)) @ c_blk
+    g1, g2 = kron(eye_n, im.g1), kron(eye_n, im.g2)
+    kx, kz = kron(h, gains.k_x), kron(eye_n, gains.k_z)
+    z = np.zeros
+    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[0]
 
     if mode == "state":
-        a0 = np.block([[ia, np.zeros((nn * n, nn * nz))], [hg2c, ig1]])
-        a1 = np.block(
-            [
-                [kron(h, b @ gains.k_x), kron(eye_n, b @ gains.k_z)],
-                [np.zeros((nn * nz, nn * (n + nz)))],
-            ]
-        )
-        return a0, a1
+        a0 = np.block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
+        b_u = np.vstack([b_bar, z((nz, nu))])
+        return a0, b_u, np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
 
-    if gains.l_obs is None:
-        raise ConfigurationError("closed_loop_blocks: output mode requires an observer gain")
-    lc = gains.l_obs @ c
-    hlc = kron(h, lc)
-    obs = kron(eye_n, a) - hlc
-    z0 = np.zeros
+    l_bar = kron(eye_n, gains.l_obs)
+    obs = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
     a0 = np.block(
         [
-            [ia, z0((nn * n, nn * nz)), z0((nn * n, nn * n))],
-            [hg2c, ig1, z0((nn * nz, nn * n))],
-            [hlc, z0((nn * n, nn * nz)), obs],
+            [a_bar, z((nx, nz + nx))],
+            [g2 @ c_bar, g1, z((nz, nx))],
+            [l_bar @ c_bar, z((nx, nz)), obs],
         ]
     )
-    bk1 = kron(eye_n, b @ gains.k_1)
-    bk2 = kron(h, b @ gains.k_2)
-    a1 = np.block(
-        [
-            [z0((nn * n, nn * n)), bk1, bk2],
-            [z0((nn * nz, nn * (2 * n + nz)))],
-            [z0((nn * n, nn * n)), bk1, bk2],
-        ]
-    )
-    return a0, a1
+    b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
+    return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
 
 
 def delay_lift(a0, a1, r):

@@ -5,10 +5,15 @@ uncertified gains, divergence, selftest failure), 2 usage/configuration
 errors.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
 
+import coopreg
 from coopreg import cli, load_gains, load_trace_csv
 from coopreg import reference as ref
 from coopreg.config import save_gains
@@ -250,3 +255,17 @@ class TestSelftest:
         assert "PASS  stability certificates" in out
         assert "PASS  state-feedback convergence" in out
         assert "PASS  output-feedback convergence" in out
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports
+    # the package and its command line must not load it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coopreg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, coopreg, coopreg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

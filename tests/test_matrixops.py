@@ -6,6 +6,7 @@ import pytest
 from coopreg.errors import DimensionError, NumericalError
 from coopreg.matrixops import (
     as_matrix,
+    block_diag,
     companion_pair,
     complex_rank,
     controllability_matrix,
@@ -220,6 +221,25 @@ class TestKron:
     def test_rejects_vectors(self):
         with pytest.raises(DimensionError):
             kron(np.ones(2), np.eye(2))
+
+    def test_equals_numpy_kron_bitwise(self):
+        # Each entry is one product a_ij * b_kl, so the reshaped outer
+        # product must match numpy's kron exactly, complex and empty too.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            a = rng.normal(size=tuple(rng.integers(0, 4, 2)))
+            b = rng.normal(size=tuple(rng.integers(0, 4, 2)))
+            if rng.random() < 0.5:
+                a = a + 1j * rng.normal(size=a.shape)
+            got, want = kron(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_block_diag_places_blocks():
+    a, b = np.array([[1.0, 2.0]]), np.array([[3.0], [4.0j]])
+    out = block_diag([a, b])
+    assert out.shape == (3, 3) and np.iscomplexobj(out)
+    assert np.array_equal(out, [[1, 2, 0], [0, 0, 3], [0, 0, 4j]])
 
 
 def test_eigenvalues_requires_square():

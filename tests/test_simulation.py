@@ -32,7 +32,13 @@ from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
 from coopreg import reference as ref
 
-from conftest import NET12, random_digraph, random_scenario
+from conftest import (
+    NET12,
+    SCHUR_SEEDS,
+    random_digraph,
+    random_scenario,
+    uncertain_lifted_radius,
+)
 
 
 def case_scenario(case, mode, horizon):
@@ -43,6 +49,18 @@ def case_scenario(case, mode, horizon):
         rng = np.random.default_rng(12)
         return random_scenario(rng, mode, horizon, graph=NET12, delays=DelaySpec(1, 2))
     return random_scenario(np.random.default_rng(case), mode, horizon)
+
+
+def check_schur_case(case, sc, gains, *traces):
+    """A :data:`SCHUR_SEEDS` case must have a Schur uncertain loop and
+    traces that stay below 1e3; other cases are not checked."""
+    if case not in SCHUR_SEEDS:
+        return
+    assert uncertain_lifted_radius(sc, gains) < 1.0
+    for trace in traces:
+        for name in ("x", "z", "xi", "u", "y", "e", "e_v"):
+            arr = getattr(trace, name)
+            assert arr is None or np.max(np.abs(arr)) < 1e3, name
 
 
 def zero_gains(mode="state"):
@@ -315,7 +333,7 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, target_gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [101, 202, 303, "net12"])
+    @pytest.mark.parametrize("seed", [101, 202, 303, "net12", *SCHUR_SEEDS])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_scenario_agreement(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=150)
@@ -323,6 +341,7 @@ class TestOracleAgreement:
         agentwise = run(sc, gains)
         oracle = simulate_compact_oracle(sc, gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
+        check_schur_case(seed, sc, gains, agentwise, oracle)
 
 
 def matched_transformed_run(sc, gains, run, delayed_trace):
@@ -357,7 +376,7 @@ class TestLawEquivalence:
         if mode == "output":
             assert np.max(np.abs(transformed.xi[: T - r_com] - delayed.xi[r_com:])) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [11, 22, 33, "net12"])
+    @pytest.mark.parametrize("seed", [11, 22, 33, "net12", *SCHUR_SEEDS])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_matched_histories(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=80)
@@ -368,6 +387,7 @@ class TestLawEquivalence:
         r_com = sc.delays.r_com
         T = sc.horizon
         assert np.max(np.abs(transformed.z[: T - r_com] - delayed.z[r_com:])) <= 1e-9
+        check_schur_case(seed, sc, gains, delayed, transformed)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from coopreg.synthesis import (
     build_augmented,
     closed_loop_blocks,
     delay_lift,
+    network_blocks,
     transmission_zeros_ok,
 )
 from coopreg import reference as ref
@@ -379,6 +380,67 @@ class TestClosedLoopBlocks:
             closed_loop_blocks(
                 ref.reference_plant(), np.eye(4), ref.reference_internal_model(),
                 target_gains, "both",
+            )
+
+
+class TestNetworkBlocks:
+    """The one builder of the networked loop, on per-follower stacks."""
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("lam", [None, 0.8 + 0.3j])
+    def test_nominal_stack_reproduces_closed_loop_blocks(self, mode, lam, target_gains):
+        plant = ref.reference_plant()
+        im = ref.reference_internal_model()
+        h = h_matrix(ref.reference_graph())[0] if lam is None else np.array([[lam]])
+        a0, b_u, u_map, drive = network_blocks(
+            plant, h, im, target_gains, mode, [(plant.a, plant.b, plant.c)] * h.shape[0]
+        )
+        n0, n1 = closed_loop_blocks(plant, h, im, target_gains, mode)
+        assert np.array_equal(a0, n0)
+        assert np.array_equal(b_u @ u_map, n1)
+        # the virtual error (H (x) I_p) (I (x) C) x enters w only through D
+        nx = h.shape[0] * plant.n
+        c_bar = np.kron(h, plant.c)
+        assert np.max(np.abs(a0[nx:, :nx] - (drive @ c_bar)[nx:])) <= 1e-15
+        assert not np.any(drive[:nx])
+
+    @pytest.mark.parametrize(
+        "mode, scale, rho",
+        [
+            ("state", 1.0, 0.933189),
+            ("state", 3.0, 0.992503),
+            ("state", 3.4, 1.007180),
+            ("output", 1.0, 0.961790),
+            ("output", 1.4, 0.994223),
+            ("output", 1.6, 1.008794),
+        ],
+    )
+    def test_uncertain_reference_loop(self, mode, scale, rho, target_gains):
+        # The benchmark's perturbed followers: Schur at scale 3.0 but not
+        # 3.4 in state mode, at 1.4 but not 1.6 in output mode.
+        sc = ref.reference_scenario(mode=mode, uncertainty_scale=scale)
+        h, _ = h_matrix(sc.graph)
+        a0, b_u, u_map, _ = network_blocks(
+            sc.plant, h, sc.im, target_gains, mode, sc.agent_matrices()
+        )
+        got = spectral_radius(delay_lift(a0, b_u @ u_map, sc.delays.r))
+        assert abs(got - rho) <= 1e-6
+        assert (got < 1.0) == (rho < 1.0)
+
+    def test_stack_length_must_match_h(self, target_gains):
+        plant = ref.reference_plant()
+        with pytest.raises(DimensionError, match="network_blocks"):
+            network_blocks(
+                plant, np.eye(4), ref.reference_internal_model(), target_gains, "state",
+                [(plant.a, plant.b, plant.c)] * 3,
+            )
+
+    def test_unknown_mode(self, target_gains):
+        plant = ref.reference_plant()
+        with pytest.raises(ConfigurationError, match="network_blocks: unknown mode"):
+            network_blocks(
+                plant, np.eye(1), ref.reference_internal_model(), target_gains, "both",
+                [(plant.a, plant.b, plant.c)],
             )
 
 
