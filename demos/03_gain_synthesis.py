@@ -64,7 +64,7 @@ def main():
     print()
     print("Scalar sanity check: for a = b = 1 the solution is gamma/(1-gamma).")
     for gm in (0.08, 0.3, 0.5):
-        p1 = solve_parametric_dare(np.eye(1), np.eye(1), gm, tol=1e-14)[0, 0]
+        p1 = solve_parametric_dare(np.eye(1), np.eye(1), gm)[0, 0]
         print(f"  gamma = {gm:4.2f}: solver {p1:.12f}, closed form {gm / (1 - gm):.12f}")
 
     banner("Delay-compensating state-feedback gain")

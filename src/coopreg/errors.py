@@ -28,8 +28,8 @@ class ConfigurationError(CoopregError):
 class NumericalError(CoopregError):
     """A numerical routine failed to produce a usable result.
 
-    Raised for non-convergent Riccati iterations, failed eigenvalue
-    computations, and loss of positive definiteness.
+    Raised for Riccati equations without an accurate stabilizing solution,
+    failed eigenvalue computations, and failed numerical identity checks.
     """
 
 

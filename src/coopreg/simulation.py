@@ -364,7 +364,10 @@ def load_trace_csv(path):
     if not rows:
         raise ConfigurationError(f"{path}: empty trace file")
     header = next(csv.reader(rows[:1]))
-    data = np.loadtxt(rows[1:], delimiter=",", ndmin=2) if rows[1:] else np.zeros((0, len(header)))
+    try:
+        data = np.loadtxt(rows[1:], delimiter=",", ndmin=2) if rows[1:] else np.zeros((0, len(header)))
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
     index = {name: k for k, name in enumerate(header)}
     T = data.shape[0]
 
@@ -672,7 +675,6 @@ def simulate_compact_oracle(scenario, gains):
 
     trace = _alloc_trace(scenario, with_observer=(mode == "output"))
     whist = _History(r_total, w)
-    ucom = _History(r_com, w)
     f_exo = scenario.exo.f
 
     for t in range(T):
@@ -681,7 +683,7 @@ def simulate_compact_oracle(scenario, gains):
         y_flat = c_blk @ x_flat
         e_flat = y_flat + np.tile(f_exo @ v, nfoll)
         ev_flat = c_bar @ x_flat + f_bar @ v
-        u_flat = u_map @ ucom.ago(r_com)
+        u_flat = u_map @ whist.ago(r_com)
 
         trace.v[t] = v
         trace.x[t] = x_flat.reshape(nfoll, n)
@@ -695,7 +697,6 @@ def simulate_compact_oracle(scenario, gains):
 
         w = a0 @ w + a1 @ whist.ago(r_total) + b_in @ v
         whist.push(w)
-        ucom.push(w)
         v = exo_step(scenario.exo, v)
         _guard(t + 1, w)
 

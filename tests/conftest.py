@@ -162,8 +162,8 @@ def random_unit_circle_pair(rng, n, m, ctrb_margin=1e-2, extra_stable=False):
     """Controllable pair with (mostly) unit-circle open-loop spectrum.
 
     Rejection-samples until the controllability matrix has smallest
-    singular value above ``ctrb_margin`` so the Riccati iteration meets
-    its residual contract in double precision.
+    singular value above ``ctrb_margin`` so the Riccati solvers meet
+    their residual contracts in double precision.
     """
     while True:
         a0, _ = unit_circle_blocks(rng, n, extra_stable=extra_stable)
@@ -176,6 +176,44 @@ def random_unit_circle_pair(rng, n, m, ctrb_margin=1e-2, extra_stable=False):
         sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
         if sv[-1] > ctrb_margin:
             return a, b
+
+
+def fixed_point_dare(a, b, gamma, tol=1e-12, max_iter=100000):
+    """Parametric Riccati solution by the fixed-point iteration: a test oracle.
+
+    Iterates the standard Riccati map for ``A / sqrt(1 - gamma)`` from
+    ``P = I`` (about ``1/gamma`` steps), symmetrizing every iterate, until
+    the parametric residual drops below ``tol * max(1, ||P||_F)``.  When
+    the iterates stop changing first, a residual within a factor 100 of
+    that threshold is still accepted; otherwise ``AssertionError``.
+    """
+    a, b = np.atleast_2d(np.asarray(a, float)), np.atleast_2d(np.asarray(b, float))
+    n, m = a.shape[0], b.shape[1]
+    at = a / np.sqrt(1.0 - gamma)
+    eye_m = np.eye(m)
+
+    def residual_norm(p):
+        r = eye_m + b.T @ p @ b
+        res = a.T @ p @ a - p - a.T @ p @ b @ np.linalg.solve(r, b.T @ p @ a) + gamma * p
+        return float(np.linalg.norm(res, "fro"))
+
+    p = np.eye(n)
+    stalled = False
+    for _ in range(max_iter):
+        r = eye_m + b.T @ p @ b
+        p_next = at.T @ p @ at - at.T @ p @ b @ np.linalg.solve(r, b.T @ p @ at)
+        p_next = 0.5 * (p_next + p_next.T)
+        step = float(np.max(np.abs(p_next - p)))
+        p = p_next
+        if residual_norm(p) <= tol * max(1.0, float(np.linalg.norm(p, "fro"))):
+            return p
+        if step <= 1e-16 * (1.0 + float(np.max(np.abs(p)))):
+            stalled = True
+            break
+    res = residual_norm(p)
+    threshold = (100.0 if stalled else 1.0) * tol * max(1.0, float(np.linalg.norm(p, "fro")))
+    assert res <= threshold, f"fixed point: residual {res:.3e} above {threshold:.3e} (gamma={gamma})"
+    return p
 
 
 def random_digraph(rng, n_max=8):

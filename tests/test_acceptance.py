@@ -210,7 +210,7 @@ def test_06_riccati_correctness():
         return float(np.linalg.norm(res, "fro"))
 
     a_c, b_c = build_augmented(ref.reference_plant(), ref.reference_internal_model())
-    p_bench = solve_parametric_dare(a_c, b_c, ref.GAMMA, tol=1e-13)
+    p_bench = solve_parametric_dare(a_c, b_c, ref.GAMMA)
     worst_res = residual(a_c, b_c, p_bench, ref.GAMMA)
 
     worst_cross = 0.0
@@ -220,7 +220,7 @@ def test_06_riccati_correctness():
         m = int(rng.integers(1, min(n, 2) + 1))
         a, b = random_unit_circle_pair(rng, n, m, extra_stable=bool(rng.random() < 0.3))
         gamma = float(rng.uniform(0.05, 0.5))
-        p = solve_parametric_dare(a, b, gamma, tol=1e-13)
+        p = solve_parametric_dare(a, b, gamma)
         worst_res = max(worst_res, residual(a, b, p, gamma))
 
         at = a / np.sqrt(1.0 - gamma)
@@ -230,7 +230,7 @@ def test_06_riccati_correctness():
 
     scalar_dev = 0.0
     for gamma in (0.08, 0.25, 0.5, 0.9):
-        p = solve_parametric_dare([[1.0]], [[1.0]], gamma, tol=1e-14)
+        p = solve_parametric_dare([[1.0]], [[1.0]], gamma)
         scalar_dev = max(scalar_dev, abs(p[0, 0] - gamma / (1.0 - gamma)))
 
     ok = worst_res <= 1e-10 and scalar_dev <= 1e-12 and worst_cross <= 1e-9

@@ -450,6 +450,20 @@ class TestTraceCsv:
         assert loaded.horizon == 0
         assert loaded.x.shape == (0, 4, 2)
 
+    @pytest.mark.parametrize("damage", ["truncated_row", "non_numeric_cell"])
+    def test_malformed_trace_names_the_file(self, tmp_path, damage, target_gains):
+        trace = simulate_state_feedback(ref.reference_scenario(horizon=5), target_gains)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+        if damage == "truncated_row":
+            last = last[: len(last) // 2]
+        else:
+            last = "oops" + last[last.index(",") :]
+        path.write_text(f"{head}\n{last}\n")
+        with pytest.raises(ConfigurationError, match="trace.csv: malformed trace data"):
+            load_trace_csv(path)
+
     def test_deviation_shape_mismatch(self):
         sc5 = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())
         sc6 = simulate_state_feedback(ref.reference_scenario(horizon=6), zero_gains())

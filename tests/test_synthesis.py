@@ -28,6 +28,7 @@ from coopreg import (
 from coopreg.errors import (
     ConfigurationError,
     DimensionError,
+    NumericalError,
     SynthesisError,
 )
 from coopreg.graphs import h_matrix
@@ -41,7 +42,7 @@ from coopreg.synthesis import (
 )
 from coopreg import reference as ref
 
-from conftest import random_connected_digraph, random_unit_circle_pair
+from conftest import fixed_point_dare, random_connected_digraph, random_unit_circle_pair
 
 
 def unit_chain(n):
@@ -77,10 +78,8 @@ class TestParametricDare:
     @pytest.mark.parametrize("gamma", [0.08, 0.3, 0.5])
     def test_scalar_closed_form(self, gamma):
         # For a = b = 1 the equation reduces to p/(1+p) = gamma,
-        # i.e. p = gamma / (1 - gamma).  The residual-to-error
-        # amplification is 1/(gamma (1 - gamma)), so a tightened
-        # residual target is needed to pin the value itself to 1e-12.
-        p = solve_parametric_dare([[1.0]], [[1.0]], gamma, tol=1e-14)
+        # i.e. p = gamma / (1 - gamma).
+        p = solve_parametric_dare([[1.0]], [[1.0]], gamma)
         assert abs(p[0, 0] - gamma / (1.0 - gamma)) <= 1e-12
 
     def test_benchmark_pair_residual_symmetry_definiteness(self):
@@ -96,17 +95,42 @@ class TestParametricDare:
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, min(n, 2) + 1))
             a, b = random_unit_circle_pair(rng, n, m, extra_stable=bool(rng.random() < 0.3))
-            gamma = float(rng.uniform(0.05, 0.5))
-            # tightened residual target: the bound below is absolute,
-            # and well-conditioned pairs can carry ||P|| in the hundreds
-            p = solve_parametric_dare(a, b, gamma, tol=1e-13)
-            assert parametric_residual(a, b, p, gamma) <= 1e-10
+            for gamma in (float(rng.uniform(0.05, 0.5)), 1e-3, 1e-4):
+                p = solve_parametric_dare(a, b, gamma)
+                assert parametric_residual(a, b, p, gamma) <= 1e-10
 
-            # independent route: standard Riccati solver on the scaled matrix
-            at = a / np.sqrt(1.0 - gamma)
-            p_ref = sla.solve_discrete_are(at, b, np.zeros((n, n)), np.eye(m))
-            scale = max(1.0, float(np.linalg.norm(p_ref, "fro")))
-            assert np.linalg.norm(p - p_ref, "fro") <= 1e-9 * scale
+                # independent route: standard Riccati solver on the scaled matrix
+                at = a / np.sqrt(1.0 - gamma)
+                p_ref = sla.solve_discrete_are(at, b, np.zeros((n, n)), np.eye(m))
+                scale = max(1.0, float(np.linalg.norm(p_ref, "fro")))
+                assert np.linalg.norm(p - p_ref, "fro") <= 1e-9 * scale
+                if gamma >= 0.05:
+                    # second oracle: the fixed-point iteration, about 1/gamma steps
+                    p_fix = fixed_point_dare(a, b, gamma, tol=1e-13)
+                    assert np.linalg.norm(p - p_fix, "fro") <= 1e-9 * scale
+
+    @pytest.mark.parametrize("gamma, bound", [(1e-3, 2e-9), (1e-4, 1e-7)])
+    def test_benchmark_pair_small_gamma_gain_against_scipy(self, gamma, bound):
+        a_c, b_c = build_augmented(ref.reference_plant(), ref.reference_internal_model())
+        at = a_c / np.sqrt(1.0 - gamma)
+        p_ref = sla.solve_discrete_are(at, b_c, np.zeros((4, 4)), np.eye(1))
+        k_ref = -np.linalg.solve(np.eye(1) + b_c.T @ p_ref @ b_c, b_c.T @ p_ref @ a_c)
+        k = state_feedback_gain(a_c, b_c, gamma, 1.0, 0)
+        assert np.linalg.norm(k - k_ref) <= bound * np.linalg.norm(k_ref)
+
+    @pytest.mark.parametrize("gamma, reason", [(1e-6, "accuracy estimate"), (1e-9, "gamma=1e-09")])
+    def test_benchmark_pair_too_small_gamma_raises(self, gamma, reason):
+        # Double precision cannot resolve P this close to the unit circle
+        # (K is about 3e-4 off at 1e-6): refuse instead of returning a guess.
+        a_c, b_c = build_augmented(ref.reference_plant(), ref.reference_internal_model())
+        with pytest.raises(NumericalError, match=reason):
+            solve_parametric_dare(a_c, b_c, gamma)
+
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    def test_unit_circle_scaled_matrix_raises(self, a):
+        # a / sqrt(1 - 0.75) = +-1: no stabilizing solution exists.
+        with pytest.raises(NumericalError, match="no stabilizing solution"):
+            solve_parametric_dare([[a]], [[1.0]], 0.75)
 
     def test_inverse_form_identity(self):
         # When p is invertible the equation is equivalent to
@@ -181,7 +205,7 @@ class TestObserverGain:
     def test_scalar_closed_form(self):
         # a = c = 1: dual solution p = gamma/(1-gamma), so
         # L = p / (1 + p) / nu = gamma / nu.
-        l_obs = observer_gain([[1.0]], [[1.0]], 0.3, 0.5, tol=1e-14)
+        l_obs = observer_gain([[1.0]], [[1.0]], 0.3, 0.5)
         assert abs(l_obs[0, 0] - 0.6) <= 1e-12
 
     def test_benchmark_observer_values(self):
@@ -678,6 +702,17 @@ class TestAutoTuneGamma:
             gains = auto_tune_gamma(plant, g, im, delays, 0.5, mode=mode)
             assert gains.gamma == 0.125
             assert slice_radius(plant, np.eye(1), im, gains, delays.r, mode) < 1.0
+
+    def test_reports_unresolvable_gammas_as_nan(self):
+        # margin 0.5 is out of reach, so all 40 halvings run; the last
+        # ones fall below what double precision resolves and must be
+        # recorded as failed solves, not as overflow warnings or guesses.
+        sc = ref.reference_scenario("state")
+        with pytest.raises(SynthesisError, match="after 40 halvings") as info:
+            auto_tune_gamma(sc.plant, sc.graph, sc.im, sc.delays, 0.5, margin=0.5)
+        last = str(info.value).split("last candidates: ")[1].split(", ")
+        assert len(last) == 5
+        assert all(c.endswith("rho=nan") for c in last)
 
     def test_rejects_expansive_open_loop(self):
         plant = NominalPlant(a=[[1.05]], b=[[1.0]], c=[[1.0]])
