@@ -49,7 +49,6 @@ steps late each signal is read::
     u received by the plant             r_con         r_con
 """
 
-import csv
 import re
 from dataclasses import dataclass
 
@@ -286,17 +285,12 @@ class SimulationTrace:
 
     def tail_max_error(self, steps):
         """Largest ``|e|`` entry over the last ``steps`` rows."""
-        if steps <= 0 or self.horizon == 0:
-            return 0.0
-        tail = self.e[-min(steps, self.horizon):]
-        return float(np.max(np.abs(tail))) if tail.size else 0.0
+        return float(self.tail_max_error_per_agent(steps).max(initial=0.0))
 
     def tail_max_error_per_agent(self, steps):
-        """Per-agent version of :meth:`tail_max_error`; shape ``(N,)``."""
-        tail = self.e[-min(steps, self.horizon):]
-        if tail.size == 0:
-            return np.zeros(self.e.shape[1])
-        return np.max(np.abs(tail), axis=(0, 2))
+        """Per-agent version of :meth:`tail_max_error`; shape ``(N,)``, zeros for ``steps <= 0``."""
+        tail = self.e[self.horizon - min(max(steps, 0), self.horizon):]
+        return np.abs(tail).max(axis=(0, 2), initial=0.0)
 
     def max_relative_deviation(self, other):
         """Worst entrywise deviation from ``other`` over all shared signals.
@@ -321,23 +315,23 @@ class SimulationTrace:
         """Write the trace to ``path`` at full float precision.
 
         The file starts with ``#`` comment lines documenting the
-        layout, followed by a standard CSV header and one row per time
-        step.  Agent indices in column names run from 1 (the leader,
-        index 0, has no columns; its trajectory is implied by ``v``).
+        layout, followed by a CSV header and one row per time step.
+        Agent indices in column names run from 1 (the leader, index 0,
+        has no columns; its trajectory is implied by ``v``).  Values are
+        their shortest round-trip ``repr``, so :func:`load_trace_csv`
+        reads them back exactly, and rows end in CRLF.  The signals are
+        joined into one ``(T, columns)`` block, formatted row by row.
         """
         T = self.horizon
-        nfoll = self.x.shape[1] if self.x.ndim == 3 else 0
-        q = self.v.shape[1]
-        names = ["t"]
-        names += [f"v{k}" for k in range(q)]
+        nfoll = self.x.shape[1]
+        names = ["t"] + [f"v{k}" for k in range(self.v.shape[1])]
         blocks = [("x", self.x), ("z", self.z)]
         if self.xi is not None:
             blocks.append(("xi", self.xi))
         blocks += [("u", self.u), ("y", self.y), ("e", self.e), ("ev", self.e_v)]
-        for prefix, arr in blocks:
-            for i in range(nfoll):
-                for k in range(arr.shape[2]):
-                    names.append(f"{prefix}{i + 1}_{k}")
+        names += [f"{pre}{i + 1}_{k}" for pre, arr in blocks for i in range(nfoll) for k in range(arr.shape[2])]
+        cols = [arr.reshape(T, nfoll * arr.shape[2]) for _, arr in blocks]
+        data = np.concatenate([self.v, *cols], axis=1, dtype=float)
         with open(path, "w", newline="") as fh:
             fh.write("# closed-loop simulation trace\n")
             fh.write(f"# rows: t = 0..{T - 1} (horizon {T}); values at full float precision\n")
@@ -347,14 +341,9 @@ class SimulationTrace:
                 fh.write("#   xi<i>_<k> observer state,\n")
             fh.write("#   u<i>_<k> input, y<i>_<k> output, e<i>_<k> regulated error,\n")
             fh.write("#   ev<i>_<k> virtual (graph-weighted) error\n")
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row_idx in range(T):
-                row = [int(self.t[row_idx])]
-                row += [repr(float(val)) for val in self.v[row_idx]]
-                for _, arr in blocks:
-                    row += [repr(float(val)) for val in arr[row_idx].reshape(-1)]
-                writer.writerow(row)
+            fh.write(",".join(names) + "\r\n")
+            for t, row in zip(self.t.astype(int).tolist(), data):
+                fh.write(f"{t},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def load_trace_csv(path):
@@ -363,7 +352,7 @@ def load_trace_csv(path):
         rows = [line for line in fh if not line.startswith("#")]
     if not rows:
         raise ConfigurationError(f"{path}: empty trace file")
-    header = next(csv.reader(rows[:1]))
+    header = rows[0].rstrip("\r\n").split(",")
     try:
         data = np.loadtxt(rows[1:], delimiter=",", ndmin=2) if rows[1:] else np.zeros((0, len(header)))
     except ValueError as exc:
@@ -420,22 +409,25 @@ def edgewise_virtual_errors(g, e_all):
 def _edge_coupling(g):
     """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
 
-    The edge list becomes index and weight arrays once; each call of the
-    returned function forms ``w (row_dst - row_src)`` for every edge, with
-    the leader's row held at zero, and sums the terms per receiving
-    follower in edge-list order.  No ``H`` matrix is involved, so the
-    agentwise route stays independent of the Kronecker oracle.
+    The edge list becomes index and weight arrays once, stably sorted by
+    receiver, so each follower's terms keep their edge-list order.  Each
+    follower's run starts with a head entry that reads the leader's zero
+    row on both ends, so every run sums ``((0 + t1) + t2) + ...`` with
+    one ``np.add.reduceat``: bit for bit what ``np.add.at`` into a zero
+    array gives, signed zeros included, and a zero row for a follower
+    with no in-edge.  No ``H`` matrix is involved, so the agentwise
+    route stays independent of the Kronecker oracle.
     """
-    src = np.array([s for s, _, _ in g.edges], dtype=int)
-    dst = np.array([d for _, d, _ in g.edges], dtype=int)
-    w = np.array([wt for _, _, wt in g.edges], dtype=float)[:, None]
+    heads = [(0, 0, 1.0, i) for i in range(1, g.n_followers + 1)]
+    entries = sorted(heads + [(s, d, wt, d) for s, d, wt in g.edges], key=lambda entry: entry[3])
+    src, dst, w, _ = (np.array(col) for col in zip(*entries))
+    starts = np.flatnonzero(dst == 0)
+    w = w[:, None]
 
     def couple(rows):
         padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
         padded[1:] = rows
-        out = np.zeros_like(padded)
-        np.add.at(out, dst, w * (padded[dst] - padded[src]))
-        return out[1:]
+        return np.add.reduceat(w * (padded.take(dst, axis=0) - padded.take(src, axis=0)), starts)
 
     return couple
 
@@ -477,8 +469,8 @@ def _guard(step, *arrays):
     for arr in arrays:
         if arr is None or arr.size == 0:
             continue
-        m = float(np.max(np.abs(arr)))
-        if not np.isfinite(m) or m > DIVERGENCE_GUARD:
+        m = float(np.abs(arr).max())
+        if not m <= DIVERGENCE_GUARD:  # also catches nan
             raise DivergenceError(
                 f"simulation diverged at step {step} (state magnitude {m:.3e} "
                 f"exceeds guard {DIVERGENCE_GUARD:.1e})",

@@ -684,7 +684,8 @@ def auto_tune_gamma(
     ------
     SynthesisError
         If a precondition fails or no candidate certifies within
-        ``max_halvings`` halvings; the message lists the radii seen.
+        ``max_halvings`` halvings; the message names the smallest
+        finite radius reached and the last five candidates.
     """
     gamma0 = float(gamma0)
     if not (0.0 < gamma0 < 1.0):
@@ -724,7 +725,9 @@ def auto_tune_gamma(
         if gamma_l is not None:
             gamma_l = gamma_l / 2.0
     summary = ", ".join(f"gamma={gk:.3e} -> rho={rk:.6f}" for gk, rk in tried[-5:])
+    finite = [(rk, gk) for gk, rk in tried if np.isfinite(rk)]
+    best = "rho={:.6f} at gamma={:.3e}".format(*min(finite)) if finite else "none finite"
     raise SynthesisError(
         f"auto_tune_gamma: no certified gain after {max_halvings} halvings from {gamma0}; "
-        f"last candidates: {summary}"
+        f"smallest radius: {best}; last candidates: {summary}"
     )

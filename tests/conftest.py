@@ -4,6 +4,8 @@ All generators take an explicit ``numpy.random.Generator`` so every
 test controls its own seed; nothing here reads global random state.
 """
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -214,6 +216,44 @@ def fixed_point_dare(a, b, gamma, tol=1e-12, max_iter=100000):
     threshold = (100.0 if stalled else 1.0) * tol * max(1.0, float(np.linalg.norm(p, "fro")))
     assert res <= threshold, f"fixed point: residual {res:.3e} above {threshold:.3e} (gamma={gamma})"
     return p
+
+
+def reference_trace_csv(trace, path):
+    """Trace CSV written one value at a time through ``csv.writer``: a test oracle.
+
+    This is the writer :meth:`SimulationTrace.to_csv` replaced; the
+    library's bulk writer must match its bytes exactly.
+    """
+    T = trace.horizon
+    nfoll = trace.x.shape[1] if trace.x.ndim == 3 else 0
+    q = trace.v.shape[1]
+    names = ["t"]
+    names += [f"v{k}" for k in range(q)]
+    blocks = [("x", trace.x), ("z", trace.z)]
+    if trace.xi is not None:
+        blocks.append(("xi", trace.xi))
+    blocks += [("u", trace.u), ("y", trace.y), ("e", trace.e), ("ev", trace.e_v)]
+    for prefix, arr in blocks:
+        for i in range(nfoll):
+            for k in range(arr.shape[2]):
+                names.append(f"{prefix}{i + 1}_{k}")
+    with open(path, "w", newline="") as fh:
+        fh.write("# closed-loop simulation trace\n")
+        fh.write(f"# rows: t = 0..{T - 1} (horizon {T}); values at full float precision\n")
+        fh.write("# columns: t; exosystem state v<k>; then per follower i (1-based):\n")
+        fh.write("#   x<i>_<k> plant state, z<i>_<k> internal-model state,\n")
+        if trace.xi is not None:
+            fh.write("#   xi<i>_<k> observer state,\n")
+        fh.write("#   u<i>_<k> input, y<i>_<k> output, e<i>_<k> regulated error,\n")
+        fh.write("#   ev<i>_<k> virtual (graph-weighted) error\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row_idx in range(T):
+            row = [int(trace.t[row_idx])]
+            row += [repr(float(val)) for val in trace.v[row_idx]]
+            for _, arr in blocks:
+                row += [repr(float(val)) for val in arr[row_idx].reshape(-1)]
+            writer.writerow(row)
 
 
 def random_digraph(rng, n_max=8):

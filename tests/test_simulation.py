@@ -37,6 +37,7 @@ from conftest import (
     SCHUR_SEEDS,
     random_digraph,
     random_scenario,
+    reference_trace_csv,
     uncertain_lifted_radius,
 )
 
@@ -100,6 +101,21 @@ class TestExoStep:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
 
+def kronecker_virtual_errors(g, e_all):
+    h, _ = h_matrix(g)
+    p = e_all.shape[1]
+    return (kron(h, np.eye(p)) @ e_all.reshape(-1)).reshape(g.n_followers, p)
+
+
+def per_edge_scatter(g, rows):
+    """The coupling as ``np.add.at`` over the edge list into zero rows."""
+    src, dst, w = (np.array(col) for col in zip(*g.edges))
+    padded = np.vstack([np.zeros((1, rows.shape[1])), rows])
+    out = np.zeros_like(padded)
+    np.add.at(out, dst, w[:, None] * (padded[dst] - padded[src]))
+    return out[1:]
+
+
 class TestEdgewiseVirtualErrors:
     def test_matches_kronecker_route(self):
         rng = np.random.default_rng(17)
@@ -107,8 +123,7 @@ class TestEdgewiseVirtualErrors:
             g = random_digraph(rng, n_max=6)
             p = int(rng.integers(1, 3))
             e_all = rng.uniform(-2, 2, (g.n_followers, p))
-            h, _ = h_matrix(g)
-            expect = (kron(h, np.eye(p)) @ e_all.reshape(-1)).reshape(g.n_followers, p)
+            expect = kronecker_virtual_errors(g, e_all)
             shuffled = Digraph(
                 g.n_followers, tuple(g.edges[k] for k in rng.permutation(len(g.edges)))
             )
@@ -121,6 +136,34 @@ class TestEdgewiseVirtualErrors:
         g = Digraph(n_followers=1, edges=((0, 1, 2.5),))
         got = edgewise_virtual_errors(g, np.array([[0.4]]))
         assert np.max(np.abs(got - np.array([[1.0]]))) <= 1e-15
+
+    def test_empty_edge_list_gives_zero_rows(self):
+        g = Digraph(n_followers=3)
+        e_all = np.random.default_rng(3).uniform(-2, 2, (3, 2))
+        got = edgewise_virtual_errors(g, e_all)
+        assert np.array_equal(got, kronecker_virtual_errors(g, e_all))
+        assert np.array_equal(got, np.zeros((3, 2)))
+
+    def test_followers_without_in_edges_keep_zero_rows(self):
+        # followers 2 and 4 receive nothing; 1 and 3 receive two edges each
+        g = Digraph(4, ((4, 3, 2.0), (0, 1, 1.5), (2, 1, 0.3), (1, 3, 0.7)))
+        e_all = np.random.default_rng(4).uniform(-2, 2, (4, 2))
+        got = edgewise_virtual_errors(g, e_all)
+        assert np.max(np.abs(got - kronecker_virtual_errors(g, e_all))) <= 1e-12
+        assert np.array_equal(got[[1, 3]], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_net12_bitwise_equals_per_edge_scatter(self, p):
+        # several in-edges per follower, listed out of receiver order;
+        # follower 1 hears only the leader, so its -0.0 error row makes a
+        # -0.0 term, which a sum into zero rows turns into +0.0
+        e_all = np.random.default_rng(12 + p).uniform(-2, 2, (12, p))
+        e_all[0] = -0.0
+        got = edgewise_virtual_errors(NET12, e_all)
+        want = per_edge_scatter(NET12, e_all)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.signbit(got[0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +452,13 @@ class TestTracking:
         trace = simulate_state_feedback(sc, target_gains)
         assert trace.tail_max_error(200) <= 1e-2
 
+    @pytest.mark.parametrize("steps", [0, -1, -29])
+    def test_tail_of_no_rows_is_zero(self, steps):
+        trace = simulate_state_feedback(ref.reference_scenario(horizon=30), zero_gains())
+        assert np.max(np.abs(trace.e)) > 0.0
+        assert trace.tail_max_error(steps) == 0.0
+        assert np.array_equal(trace.tail_max_error_per_agent(steps), np.zeros(4))
+
     def test_tail_error_helpers(self):
         sc = ref.reference_scenario(horizon=30)
         trace = simulate_state_feedback(sc, zero_gains())
@@ -424,12 +474,32 @@ class TestTracking:
 # trace file round-trip
 
 
+def csv_case_trace(case, gains):
+    """A reference run in either mode, a zero-horizon run, or a short
+    output-mode run holding signed zeros, infinities, nan, the smallest
+    subnormal and values whose ``repr`` switches to exponent form."""
+    if case == "zero_horizon":
+        return simulate_state_feedback(ref.reference_scenario(horizon=0), zero_gains())
+    mode = "state" if case == "state" else "output"
+    run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+    trace = run(ref.reference_scenario(mode=mode, horizon=25 if case == mode else 3), gains)
+    if case == "special_values":
+        trace.v[0, 1] = -0.0
+        trace.x[0, 0, 0] = -0.0
+        trace.x[1, 2, 1] = np.inf
+        trace.z[2, 3, 0] = -np.inf
+        trace.xi[1, 0, 0] = np.nan
+        trace.u[2, 1, 0] = 5e-324
+        trace.y[0, 2, 0] = -5e-324
+        trace.e[1, 3, 0] = 1e16
+        trace.e_v[2, 0, 0] = 1e-5
+    return trace
+
+
 class TestTraceCsv:
-    @pytest.mark.parametrize("mode", ["state", "output"])
-    def test_round_trip_exact(self, tmp_path, mode, target_gains):
-        sc = ref.reference_scenario(mode=mode, horizon=25)
-        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
-        trace = run(sc, target_gains)
+    @pytest.mark.parametrize("case", ["state", "output", "special_values"])
+    def test_round_trip_exact(self, tmp_path, case, target_gains):
+        trace = csv_case_trace(case, target_gains)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         loaded = load_trace_csv(path)
@@ -438,7 +508,8 @@ class TestTraceCsv:
             if a is None:
                 assert b is None
                 continue
-            assert np.array_equal(a, b), name
+            assert np.array_equal(a, b, equal_nan=True), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
         assert np.array_equal(trace.t, loaded.t)
 
     def test_zero_horizon_header_only(self, tmp_path):
@@ -449,6 +520,13 @@ class TestTraceCsv:
         loaded = load_trace_csv(path)
         assert loaded.horizon == 0
         assert loaded.x.shape == (0, 4, 2)
+
+    @pytest.mark.parametrize("case", ["state", "output", "zero_horizon", "special_values"])
+    def test_bytes_match_per_value_writer(self, tmp_path, case, target_gains):
+        trace = csv_case_trace(case, target_gains)
+        trace.to_csv(tmp_path / "bulk.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncated_row", "non_numeric_cell"])
     def test_malformed_trace_names_the_file(self, tmp_path, damage, target_gains):

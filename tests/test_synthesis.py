@@ -714,6 +714,16 @@ class TestAutoTuneGamma:
         assert len(last) == 5
         assert all(c.endswith("rho=nan") for c in last)
 
+        # the smallest finite radius reached still shows, and is a local
+        # minimum of the halving sequence
+        def rho_at(gamma):
+            gains = synthesize_gains(sc.plant, sc.graph, sc.im, sc.delays, gamma)
+            return certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, "state", margin=0.5)[1]
+
+        best = str(info.value).split("smallest radius: ")[1].split(";")[0]
+        assert best == f"rho={rho_at(0.125):.6f} at gamma=1.250e-01"
+        assert rho_at(0.25) > rho_at(0.125) < rho_at(0.0625)
+
     def test_rejects_expansive_open_loop(self):
         plant = NominalPlant(a=[[1.05]], b=[[1.0]], c=[[1.0]])
         exo = Exosystem(s=[[1.0]], f=[[1.0]], v0=[1.0])
