@@ -4,14 +4,12 @@ A scenario file describes one experiment end to end: plant, exosystem,
 graph, delays, synthesis parameters, optional per-agent disturbance
 maps and uncertainties, and the simulation settings.  Gains produced by
 synthesis are written to a separate file together with their stability
-certificate, so a simulation run can be reproduced without re-running
-synthesis.
+certificate, so a run can be reproduced without re-running synthesis.
 
-Both readers validate shapes eagerly and report failures with the
-dotted path of the offending field (``plant.a``, ``graph.edges[2]``,
-...).  Serialization is deterministic — the same objects always produce
-byte-identical files — and numeric values round-trip at full float
-precision.
+Each section's fields are stated once, in a table that both the reader
+and the writer use.  Readers validate eagerly and name the dotted path
+of the offending field (``plant.a``, ``graph.edges[2]``, ...).  Writing
+is deterministic and round-trips floats at full precision.
 """
 
 import numpy as np
@@ -62,72 +60,135 @@ class ExperimentConfig:
         self.synthesis = synthesis
 
 
-def _require(d, key, path, kind=dict):
-    if key not in d:
-        raise ConfigurationError(f"{path}.{key}: missing required field")
-    val = d[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigurationError(
-            f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}"
-        )
+# Field tables, in file order: (name, kind, default).  A "matrix" is a
+# list of equal-length rows of numbers, a "vector" a flat list of
+# numbers; "number" accepts int or float, "integer" only int (bool is
+# neither).  A required field must be present and not null; any other
+# field falls back to its default when absent or null.
+_REQUIRED = object()
+
+
+def _fields(kind, names, default=_REQUIRED):
+    return tuple((name, kind, default) for name in names.split())
+
+
+_PLANT = _fields("matrix", "a b c") + _fields("matrix", "e", None)
+_EXOSYSTEM = _fields("matrix", "s f") + _fields("vector", "v0", None)
+_GRAPH = _fields("integer", "n_followers")
+_DELAYS = _fields("integer", "r_con r_com", 0)
+_SYNTHESIS = _fields("number", "gamma nu gamma_l nu_l", None) + _fields("integer", "observer_r", 0)
+_BETA_OVERRIDE = _fields("matrix", "beta sigma")
+_UNCERTAINTY = _fields("matrix", "d_a d_b d_e d_c", None)
+_SIMULATION = _fields("integer", "horizon", 100) + _fields("integer", "seed", 0)
+_SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_high", 1.0)
+# The observer fields after the first four are written only with l_obs;
+# gamma_l and nu_l are read only beside it.
+_GAINS = _fields("matrix", "k_x k_z") + _fields("number", "gamma nu")
+_GAINS += _fields("matrix", "l_obs", None) + _fields("number", "gamma_l nu_l", None)
+_GAINS += _fields("integer", "observer_r", 0)
+_NOUN = {"matrix": "matrix", "vector": "vector", "number": "value", "integer": "value"}
+
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check(kind, val, where):
+    """Validate one present (non-null) value of ``kind``; return it as stored."""
+    if kind == "number":
+        if not _is_number(val):
+            raise ConfigurationError(f"{where}: expected a number, got {val!r}")
+        return float(val)
+    if kind == "integer":
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigurationError(f"{where}: expected an integer, got {val!r}")
+        return val
+    if kind == "vector":
+        if not isinstance(val, list) or not all(map(_is_number, val)):
+            raise ConfigurationError(f"{where}: expected a flat list of numbers")
+        return np.array(val, dtype=float)
+    if not isinstance(val, list) or not val or not all(isinstance(row, list) for row in val):
+        raise ConfigurationError(f"{where}: expected a list of rows")
+    width = len(val[0])
+    for idx, row in enumerate(val):
+        if len(row) != width:
+            raise ConfigurationError(f"{where}: row {idx} has {len(row)} entries, expected {width}")
+        for entry in row:
+            if not _is_number(entry):
+                raise ConfigurationError(f"{where}: row {idx} contains a non-numeric entry {entry!r}")
+    return np.array(val, dtype=float)
+
+
+def _read(fields, section, path):
+    """Check ``section`` against a field table; return ``{name: value}``."""
+    out = {}
+    for name, kind, default in fields:
+        val = section.get(name)
+        if val is not None:
+            out[name] = _check(kind, val, f"{path}.{name}")
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"{path}.{name}: missing required {_NOUN[kind]}")
+        else:
+            out[name] = default
+    return out
+
+
+def _plain(kind, val):
+    """``val`` as the plain YAML value of its field kind."""
+    if kind == "matrix":
+        return [[float(v) for v in row] for row in np.atleast_2d(val)]
+    if kind == "vector":
+        return [float(v) for v in val]
+    return float(val) if kind == "number" else int(val)
+
+
+def _write(fields, values, sparse=False):
+    """Plain YAML of ``values`` in table order, without ``None`` (or, if ``sparse``, defaults)."""
+    return {
+        name: _plain(kind, values[name])
+        for name, kind, default in fields
+        if values[name] is not None and not (sparse and values[name] == default)
+    }
+
+
+def _mapping(val, path, what="a mapping"):
+    if not isinstance(val, dict):
+        raise ConfigurationError(f"{path}: expected {what}")
     return val
 
 
-def _matrix(d, key, path, required=True):
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: missing required matrix")
+def _section(data, key, fields, required=False, what="a mapping"):
+    """Read the top-level section ``data[key]`` through its field table."""
+    if required and key not in data:
+        raise ConfigurationError(f"{key}: missing required field")
+    return _read(fields, _mapping(data.get(key, {}), key, what), key)
+
+
+def _items(data, key, what, read):
+    """``read(item, "<key>[k]")`` for each item of the optional list ``data[key]``."""
+    items = data.get(key)
+    if items is None:
         return None
-    rows = d[key]
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ConfigurationError(f"{path}.{key}: expected a list of rows")
-    width = len(rows[0])
-    for idx, row in enumerate(rows):
-        if len(row) != width:
-            raise ConfigurationError(
-                f"{path}.{key}: row {idx} has {len(row)} entries, expected {width}"
-            )
-        for val in row:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigurationError(
-                    f"{path}.{key}: row {idx} contains a non-numeric entry {val!r}"
-                )
-    return np.array(rows, dtype=float)
+    if not isinstance(items, list):
+        raise ConfigurationError(f"{key}: expected a list of {what}")
+    return tuple(read(item, f"{key}[{k}]") for k, item in enumerate(items))
 
 
-def _vector(d, key, path, required=True):
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: missing required vector")
-        return None
-    vals = d[key]
-    if not isinstance(vals, list) or any(
-        not isinstance(v, (int, float)) or isinstance(v, bool) for v in vals
-    ):
-        raise ConfigurationError(f"{path}.{key}: expected a flat list of numbers")
-    return np.array(vals, dtype=float)
+def _uncertainty(entry, path):
+    if entry is None:
+        return FollowerUncertainty.zero()
+    unknown = set(_mapping(entry, path)) - {name for name, _, _ in _UNCERTAINTY}
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown fields {sorted(unknown)}")
+    return FollowerUncertainty(**_read(_UNCERTAINTY, entry, path))
 
 
-def _scalar(d, key, path, default=None, required=False):
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: missing required value")
-        return default
-    val = d[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
-
-
-def _int(d, key, path, default=None, required=False):
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: missing required value")
-        return default
-    val = d[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigurationError(f"{path}.{key}: expected an integer, got {val!r}")
-    return int(val)
+def _load_yaml(path):
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as ex:
+            raise ConfigurationError(f"{path}: not valid YAML ({ex})")
 
 
 def load_config(path):
@@ -139,11 +200,7 @@ def load_config(path):
         With ``scenario`` fully assembled (internal model built,
         shapes cross-checked) and ``synthesis`` settings attached.
     """
-    with open(path) as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as ex:
-            raise ConfigurationError(f"{path}: not valid YAML ({ex})")
+    data = _load_yaml(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
     return config_from_dict(data)
@@ -155,118 +212,45 @@ def config_from_dict(data):
     if mode not in ("state", "output"):
         raise ConfigurationError(f"mode: must be 'state' or 'output', got {mode!r}")
 
-    pd = _require(data, "plant", "")
-    plant = NominalPlant(
-        a=_matrix(pd, "a", "plant"),
-        b=_matrix(pd, "b", "plant"),
-        c=_matrix(pd, "c", "plant"),
-        e=_matrix(pd, "e", "plant", required=False),
-    )
+    plant = NominalPlant(**_section(data, "plant", _PLANT, required=True))
+    exo = Exosystem(**_section(data, "exosystem", _EXOSYSTEM, required=True))
 
-    ed = _require(data, "exosystem", "")
-    exo = Exosystem(
-        s=_matrix(ed, "s", "exosystem"),
-        f=_matrix(ed, "f", "exosystem"),
-        v0=_vector(ed, "v0", "exosystem", required=False),
-    )
-
-    gd = _require(data, "graph", "")
-    n_followers = _int(gd, "n_followers", "graph", required=True)
-    edges_raw = gd.get("edges", [])
-    if not isinstance(edges_raw, list):
+    n_followers = _section(data, "graph", _GRAPH, required=True)["n_followers"]
+    edges = data["graph"].get("edges", [])
+    if not isinstance(edges, list):
         raise ConfigurationError("graph.edges: expected a list of [source, target, weight]")
-    edges = []
-    for k, item in enumerate(edges_raw):
+    for k, item in enumerate(edges):
         if not isinstance(item, list) or len(item) != 3:
-            raise ConfigurationError(
-                f"graph.edges[{k}]: expected [source, target, weight], got {item!r}"
-            )
-        edges.append(tuple(item))
-    graph = Digraph(n_followers=n_followers, edges=tuple(edges))
+            raise ConfigurationError(f"graph.edges[{k}]: expected [source, target, weight], got {item!r}")
+    graph = Digraph(n_followers=n_followers, edges=tuple(map(tuple, edges)))
+    delays = DelaySpec(**_section(data, "delays", _DELAYS, what="a mapping with r_con / r_com"))
 
-    dd = data.get("delays", {})
-    if not isinstance(dd, dict):
-        raise ConfigurationError("delays: expected a mapping with r_con / r_com")
-    delays = DelaySpec(
-        r_con=_int(dd, "r_con", "delays", default=0),
-        r_com=_int(dd, "r_com", "delays", default=0),
-    )
-
-    sd = data.get("synthesis", {})
-    if not isinstance(sd, dict):
-        raise ConfigurationError("synthesis: expected a mapping")
-    beta_override = None
-    if "beta_override" in sd and sd["beta_override"] is not None:
-        bo = sd["beta_override"]
-        if not isinstance(bo, dict):
-            raise ConfigurationError("synthesis.beta_override: expected a mapping with beta and sigma")
-        beta_override = (
-            _matrix(bo, "beta", "synthesis.beta_override"),
-            _matrix(bo, "sigma", "synthesis.beta_override"),
-        )
-    settings = SynthesisSettings(
-        gamma=_scalar(sd, "gamma", "synthesis"),
-        nu=_scalar(sd, "nu", "synthesis"),
-        gamma_l=_scalar(sd, "gamma_l", "synthesis"),
-        nu_l=_scalar(sd, "nu_l", "synthesis"),
-        observer_r=_int(sd, "observer_r", "synthesis", default=0),
-        beta_override=beta_override,
-    )
-    for pname in ("gamma", "gamma_l"):
-        val = getattr(settings, pname)
+    synthesis = _section(data, "synthesis", _SYNTHESIS)
+    beta_override = data.get("synthesis", {}).get("beta_override")
+    if beta_override is not None:
+        path = "synthesis.beta_override"
+        bo = _read(_BETA_OVERRIDE, _mapping(beta_override, path, "a mapping with beta and sigma"), path)
+        beta_override = (bo["beta"], bo["sigma"])
+    settings = SynthesisSettings(**synthesis, beta_override=beta_override)
+    for name in ("gamma", "gamma_l"):
+        val = getattr(settings, name)
         if val is not None and not (0.0 < val < 1.0):
-            raise ConfigurationError(f"synthesis.{pname}: must lie in (0, 1), got {val}")
-
+            raise ConfigurationError(f"synthesis.{name}: must lie in (0, 1), got {val}")
+    if settings.observer_r < 0:
+        raise ConfigurationError(f"synthesis.observer_r: must be a non-negative integer, got {settings.observer_r}")
     im = build_internal_model(exo, beta_override=beta_override)
 
-    per_agent_e = None
-    if "per_agent_e" in data and data["per_agent_e"] is not None:
-        pe = data["per_agent_e"]
-        if not isinstance(pe, list):
-            raise ConfigurationError("per_agent_e: expected a list of matrices")
-        per_agent_e = tuple(
-            _matrix({"e": entry}, "e", f"per_agent_e[{k}]") for k, entry in enumerate(pe)
-        )
+    per_agent_e = _items(
+        data, "per_agent_e", "matrices", lambda e, at: _read(_fields("matrix", "e"), {"e": e}, at)["e"]
+    )
+    uncertainties = _items(data, "uncertainties", "mappings", _uncertainty)
 
-    uncertainties = None
-    if "uncertainties" in data and data["uncertainties"] is not None:
-        ud = data["uncertainties"]
-        if not isinstance(ud, list):
-            raise ConfigurationError("uncertainties: expected a list of mappings")
-        ulist = []
-        for k, entry in enumerate(ud):
-            if entry is None:
-                ulist.append(FollowerUncertainty.zero())
-                continue
-            if not isinstance(entry, dict):
-                raise ConfigurationError(f"uncertainties[{k}]: expected a mapping")
-            unknown = set(entry) - {"d_a", "d_b", "d_e", "d_c"}
-            if unknown:
-                raise ConfigurationError(
-                    f"uncertainties[{k}]: unknown fields {sorted(unknown)}"
-                )
-            ulist.append(
-                FollowerUncertainty(
-                    d_a=_matrix(entry, "d_a", f"uncertainties[{k}]", required=False),
-                    d_b=_matrix(entry, "d_b", f"uncertainties[{k}]", required=False),
-                    d_e=_matrix(entry, "d_e", f"uncertainties[{k}]", required=False),
-                    d_c=_matrix(entry, "d_c", f"uncertainties[{k}]", required=False),
-                )
-            )
-        uncertainties = tuple(ulist)
-
-    simd = data.get("simulation", {})
-    if not isinstance(simd, dict):
-        raise ConfigurationError("simulation: expected a mapping")
-    init_states = None
-    if "init_states" in simd and simd["init_states"] is not None:
-        isd = simd["init_states"]
-        if not isinstance(isd, dict):
-            raise ConfigurationError("simulation.init_states: expected a mapping")
-        init_states = {
-            key: _matrix(isd, key, "simulation.init_states")
-            for key in isd
-        }
+    simulation = _section(data, "simulation", _SIMULATION)
+    init_states = data.get("simulation", {}).get("init_states")
+    if init_states is not None:
+        path = "simulation.init_states"
+        keys = _mapping(init_states, path)
+        init_states = _read([(key, "matrix", _REQUIRED) for key in keys], init_states, path)
 
     scenario = Scenario(
         plant=plant,
@@ -277,76 +261,35 @@ def config_from_dict(data):
         mode=mode,
         per_agent_e=per_agent_e,
         uncertainties=uncertainties,
-        horizon=_int(simd, "horizon", "simulation", default=100),
-        seed=_int(simd, "seed", "simulation", default=0),
-        init_low=_scalar(simd, "init_low", "simulation", default=-1.0),
-        init_high=_scalar(simd, "init_high", "simulation", default=1.0),
         init_states=init_states,
+        **simulation,
     )
     return ExperimentConfig(scenario=scenario, synthesis=settings)
-
-
-def _mat_list(arr):
-    return [[float(v) for v in row] for row in np.atleast_2d(arr)]
 
 
 def config_to_dict(cfg):
     """Serialize an :class:`ExperimentConfig` back to a plain mapping."""
     sc, st = cfg.scenario, cfg.synthesis
-    out = {"mode": sc.mode}
-    plant = {
-        "a": _mat_list(sc.plant.a),
-        "b": _mat_list(sc.plant.b),
-        "c": _mat_list(sc.plant.c),
+    out = {
+        "mode": sc.mode,
+        "plant": _write(_PLANT, vars(sc.plant)),
+        "exosystem": _write(_EXOSYSTEM, vars(sc.exo)),
+        "graph": _write(_GRAPH, vars(sc.graph)),
+        "delays": _write(_DELAYS, vars(sc.delays)),
     }
-    if sc.plant.e is not None:
-        plant["e"] = _mat_list(sc.plant.e)
-    out["plant"] = plant
-    out["exosystem"] = {
-        "s": _mat_list(sc.exo.s),
-        "f": _mat_list(sc.exo.f),
-        "v0": [float(v) for v in sc.exo.v0],
-    }
-    out["graph"] = {
-        "n_followers": sc.graph.n_followers,
-        "edges": [[src, dst, float(w)] for src, dst, w in sc.graph.edges],
-    }
-    out["delays"] = {"r_con": sc.delays.r_con, "r_com": sc.delays.r_com}
-    synth = {}
-    for key in ("gamma", "nu", "gamma_l", "nu_l"):
-        val = getattr(st, key)
-        if val is not None:
-            synth[key] = float(val)
-    if st.observer_r:
-        synth["observer_r"] = st.observer_r
+    out["graph"]["edges"] = [[src, dst, float(w)] for src, dst, w in sc.graph.edges]
+    synth = _write(_SYNTHESIS, vars(st), sparse=True)
     if st.beta_override is not None:
-        synth["beta_override"] = {
-            "beta": _mat_list(st.beta_override[0]),
-            "sigma": _mat_list(st.beta_override[1]),
-        }
+        synth["beta_override"] = _write(_BETA_OVERRIDE, dict(zip(("beta", "sigma"), st.beta_override)))
     if synth:
         out["synthesis"] = synth
     if sc.per_agent_e is not None:
-        out["per_agent_e"] = [_mat_list(e) for e in sc.per_agent_e]
+        out["per_agent_e"] = [_plain("matrix", e) for e in sc.per_agent_e]
     if sc.uncertainties is not None:
-        ulist = []
-        for u in sc.uncertainties:
-            entry = {}
-            for key in ("d_a", "d_b", "d_e", "d_c"):
-                val = getattr(u, key)
-                if val is not None:
-                    entry[key] = _mat_list(val)
-            ulist.append(entry)
-        out["uncertainties"] = ulist
-    sim = {
-        "horizon": sc.horizon,
-        "seed": sc.seed,
-        "init_low": float(sc.init_low),
-        "init_high": float(sc.init_high),
-    }
+        out["uncertainties"] = [_write(_UNCERTAINTY, vars(u)) for u in sc.uncertainties]
+    out["simulation"] = _write(_SIMULATION, vars(sc))
     if sc.init_states:
-        sim["init_states"] = {k: _mat_list(v) for k, v in sc.init_states.items()}
-    out["simulation"] = sim
+        out["simulation"]["init_states"] = {k: _plain("matrix", v) for k, v in sc.init_states.items()}
     return out
 
 
@@ -362,18 +305,7 @@ def save_gains(gains, path, certificate=None):
     ``certificate`` is a mapping such as
     ``{"mode": "state", "stable": True, "spectral_radius": 0.95, "delay": 2}``.
     """
-    gd = {
-        "k_x": _mat_list(gains.k_x),
-        "k_z": _mat_list(gains.k_z),
-        "gamma": float(gains.gamma),
-        "nu": float(gains.nu),
-    }
-    if gains.l_obs is not None:
-        gd["l_obs"] = _mat_list(gains.l_obs)
-        gd["gamma_l"] = float(gains.gamma_l)
-        gd["nu_l"] = float(gains.nu_l)
-        gd["observer_r"] = int(gains.observer_r)
-    data = {"gains": gd}
+    data = {"gains": _write(_GAINS if gains.l_obs is not None else _GAINS[:4], vars(gains))}
     if certificate is not None:
         cert = dict(certificate)
         if "spectral_radius" in cert:
@@ -387,25 +319,10 @@ def save_gains(gains, path, certificate=None):
 
 def load_gains(path):
     """Read a gain file; returns ``(GainSet, certificate_or_None)``."""
-    with open(path) as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as ex:
-            raise ConfigurationError(f"{path}: not valid YAML ({ex})")
+    data = _load_yaml(path)
     if not isinstance(data, dict) or "gains" not in data:
         raise ConfigurationError(f"{path}: missing top-level 'gains' section")
-    gd = data["gains"]
-    if not isinstance(gd, dict):
-        raise ConfigurationError("gains: expected a mapping")
-    l_obs = _matrix(gd, "l_obs", "gains", required=False)
-    gains = GainSet(
-        k_x=_matrix(gd, "k_x", "gains"),
-        k_z=_matrix(gd, "k_z", "gains"),
-        gamma=_scalar(gd, "gamma", "gains", required=True),
-        nu=_scalar(gd, "nu", "gains", required=True),
-        l_obs=l_obs,
-        gamma_l=_scalar(gd, "gamma_l", "gains") if l_obs is not None else None,
-        nu_l=_scalar(gd, "nu_l", "gains") if l_obs is not None else None,
-        observer_r=_int(gd, "observer_r", "gains", default=0),
-    )
-    return gains, data.get("certificate")
+    gd = _mapping(data["gains"], "gains")
+    skip = () if gd.get("l_obs") is not None else ("gamma_l", "nu_l")
+    gains = _read([f for f in _GAINS if f[0] not in skip], gd, "gains")
+    return GainSet(**gains), data.get("certificate")

@@ -15,12 +15,13 @@ exposed as two independently computed predicates so it can be checked
 rather than assumed.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .matrixops import eigenvalues
+from .matrixops import DEFAULT_RANK_TOL, eigenvalues
 
 __all__ = [
     "Digraph",
@@ -42,7 +43,8 @@ class Digraph:
         Number of followers ``N``; nodes are ``0`` (leader) through ``N``.
     edges : sequence of (int, int, float)
         Directed edges ``(source, target, weight)``.  Information flows
-        from source to target.
+        from source to target.  Node indices must be integers and
+        weights real numbers (``bool`` is neither).
     """
 
     n_followers: int
@@ -62,6 +64,12 @@ class Digraph:
                 raise ConfigurationError(
                     f"graph.edges[{k}]: expected (source, target, weight), got {edge!r}"
                 )
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (src, dst)):
+                raise ConfigurationError(
+                    f"graph.edges[{k}]: node indices must be integers, got ({src!r}, {dst!r})"
+                )
+            if not isinstance(w, numbers.Real) or isinstance(w, bool):
+                raise ConfigurationError(f"graph.edges[{k}]: weight must be a real number, got {w!r}")
             src, dst, w = int(src), int(dst), float(w)
             n = self.n_followers
             if not (0 <= src <= n) or not (0 <= dst <= n):
@@ -156,11 +164,11 @@ def has_leader_spanning_tree(g):
     return len(seen) == g.n_followers + 1
 
 
-def connectivity_spectral_check(g, tol=1e-9):
-    """True if every eigenvalue of ``H`` has real part greater than ``tol``.
+def connectivity_spectral_check(g):
+    """True if every eigenvalue of ``H`` has real part greater than ``DEFAULT_RANK_TOL``.
 
     Equivalent to :func:`has_leader_spanning_tree` in exact arithmetic;
     computed from the spectrum so the equivalence is testable.
     """
     h, _ = h_matrix(g)
-    return bool(np.min(np.real(eigenvalues(h, "H"))) > tol)
+    return bool(np.min(np.real(eigenvalues(h, "H"))) > DEFAULT_RANK_TOL)

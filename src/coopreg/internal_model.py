@@ -82,9 +82,9 @@ class Exosystem:
     def p(self):
         return self.f.shape[0]
 
-    def modes_on_unit_circle(self, tol=1e-9):
-        """True if every eigenvalue of ``S`` has modulus within ``tol`` of 1."""
-        return on_unit_circle(self.s, tol)
+    def modes_on_unit_circle(self):
+        """True if every eigenvalue of ``S`` has modulus within ``DEFAULT_RANK_TOL`` of 1."""
+        return on_unit_circle(self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,7 @@ def char_poly(m):
     return np.poly(m)[1:][::-1].astype(float)
 
 
-def build_internal_model(exo_or_s, p=None, beta_override=None, tol=1e-9):
+def build_internal_model(exo_or_s, p=None, beta_override=None):
     """Construct the minimal p-copy internal model for an exosystem.
 
     Parameters
@@ -141,8 +141,6 @@ def build_internal_model(exo_or_s, p=None, beta_override=None, tol=1e-9):
         the characteristic polynomial of ``beta`` must match the
         minimal polynomial of ``S`` coefficient-wise to ``1e-8``, and
         ``(beta, sigma)`` must be controllable.
-    tol : float, optional
-        Tolerance forwarded to the minimal-polynomial search.
 
     Returns
     -------
@@ -160,7 +158,7 @@ def build_internal_model(exo_or_s, p=None, beta_override=None, tol=1e-9):
     if p < 1:
         raise ConfigurationError(f"build_internal_model: p must be positive, got {p}")
 
-    min_coeffs = minimal_polynomial(s, tol=tol)
+    min_coeffs = minimal_polynomial(s)
 
     if beta_override is None:
         beta, sigma = companion_pair(min_coeffs)

@@ -46,7 +46,8 @@ __all__ = [
     "companion_pair",
 ]
 
-# Default tolerance for every rank decision in the package.
+# Tolerance of every rank, unit-circle and connectivity decision in the
+# package.
 DEFAULT_RANK_TOL = 1e-9
 
 # Margin used when declaring a matrix Schur: the spectral radius must be
@@ -54,8 +55,8 @@ DEFAULT_RANK_TOL = 1e-9
 SCHUR_MARGIN = 1e-9
 
 
-def as_matrix(a, name="matrix", dtype=float):
-    """Coerce ``a`` to a 2-D array and validate it.
+def as_matrix(a, name="matrix"):
+    """Coerce ``a`` to a 2-D float array and validate it.
 
     Parameters
     ----------
@@ -63,13 +64,11 @@ def as_matrix(a, name="matrix", dtype=float):
         Input data; anything ``numpy.asarray`` accepts.
     name : str, optional
         Label used in error messages.
-    dtype : type, optional
-        Target dtype, ``float`` by default.
 
     Returns
     -------
     ndarray
-        A fresh 2-D array of the requested dtype.
+        A fresh 2-D float array.
 
     Raises
     ------
@@ -77,7 +76,7 @@ def as_matrix(a, name="matrix", dtype=float):
         If the input is not 2-D or contains non-finite entries.
     """
     try:
-        m = np.array(a, dtype=dtype)
+        m = np.array(a, dtype=float)
     except (TypeError, ValueError) as ex:
         raise DimensionError(f"{name}: cannot interpret input as a numeric matrix ({ex})")
     if m.ndim == 1:
@@ -138,11 +137,11 @@ def is_schur(m, margin=SCHUR_MARGIN):
     return spectral_radius(m) < 1.0 - margin
 
 
-def on_unit_circle(m, tol=1e-9):
-    """True if every eigenvalue of ``m`` has modulus within ``tol`` of 1."""
+def on_unit_circle(m):
+    """True if every eigenvalue of ``m`` has modulus within ``DEFAULT_RANK_TOL`` of 1."""
     if m.shape[0] == 0:
         return True
-    return bool(np.max(np.abs(np.abs(eigenvalues(m)) - 1.0)) <= tol)
+    return bool(np.max(np.abs(np.abs(eigenvalues(m)) - 1.0)) <= DEFAULT_RANK_TOL)
 
 
 def kron(a, b):
@@ -165,18 +164,18 @@ def block_diag(mats):
     return out
 
 
-def numeric_rank(m, tol=DEFAULT_RANK_TOL):
+def numeric_rank(m):
     """Numerical rank via singular values.
 
     A singular value counts toward the rank when it exceeds
-    ``tol * max(1, s_max)``, which behaves like a relative threshold for
-    large matrices and an absolute one near the origin.
+    ``DEFAULT_RANK_TOL * max(1, s_max)``, which behaves like a relative
+    threshold for large matrices and an absolute one near the origin.
     """
     m = np.atleast_2d(np.asarray(m, dtype=m.dtype if hasattr(m, "dtype") else float))
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    cutoff = tol * max(1.0, float(s[0]))
+    cutoff = DEFAULT_RANK_TOL * max(1.0, float(s[0]))
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -191,13 +190,13 @@ def real_embedding(m):
     return np.block([[re, -im], [im, re]])
 
 
-def complex_rank(m, tol=DEFAULT_RANK_TOL):
+def complex_rank(m):
     """Rank of a complex matrix computed through :func:`real_embedding`.
 
     Keeping all rank decisions inside real SVDs means one code path and
     one tolerance convention for real and complex pencils alike.
     """
-    return numeric_rank(real_embedding(m), tol=tol) // 2
+    return numeric_rank(real_embedding(m)) // 2
 
 
 def controllability_matrix(a, b):
@@ -215,51 +214,46 @@ def controllability_matrix(a, b):
     return np.hstack(blocks)
 
 
-def _unstable_eigenvalues(a, tol):
-    """Eigenvalues of ``a`` with modulus >= 1 - tol (closed unit disk boundary and outside)."""
-    return [lam for lam in eigenvalues(a) if abs(lam) >= 1.0 - tol]
-
-
-def stabilizable(a, b, tol=DEFAULT_RANK_TOL):
+def stabilizable(a, b):
     """PBH stabilizability test for the pair ``(a, b)``.
 
     Checks that ``[lambda I - A, B]`` has full row rank for every
     eigenvalue ``lambda`` of ``A`` with ``|lambda| >= 1``.  Marginally
-    stable modes (modulus within ``tol`` of 1) are treated as unstable,
-    which is the conservative choice for synthesis.
+    stable modes (modulus within ``DEFAULT_RANK_TOL`` of 1) are treated
+    as unstable, which is the conservative choice for synthesis.
     """
     a = require_square(np.asarray(a, dtype=float), "a")
     b = np.atleast_2d(np.asarray(b, dtype=float))
     n = a.shape[0]
     eye = np.eye(n)
-    for lam in _unstable_eigenvalues(a, tol):
+    for lam in eigenvalues(a):
+        if abs(lam) < 1.0 - DEFAULT_RANK_TOL:
+            continue
         pencil = np.hstack([lam * eye - a, b]).astype(complex)
-        if complex_rank(pencil, tol=tol) < n:
+        if complex_rank(pencil) < n:
             return False
     return True
 
 
-def detectable(c, a, tol=DEFAULT_RANK_TOL):
+def detectable(c, a):
     """PBH detectability test for the pair ``(c, a)``; dual of :func:`stabilizable`."""
     a = require_square(np.asarray(a, dtype=float), "a")
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    return stabilizable(a.T, c.T, tol=tol)
+    return stabilizable(a.T, c.T)
 
 
-def minimal_polynomial(m, tol=DEFAULT_RANK_TOL):
+def minimal_polynomial(m):
     """Monic minimal polynomial of a square matrix.
 
     Searches for the smallest ``d`` such that ``m**d`` is a linear
     combination of ``I, m, ..., m**(d-1)``; the combination is found by
     least squares on the vectorized powers and accepted when the
-    relative residual drops below ``tol``.
+    relative residual drops below ``DEFAULT_RANK_TOL``.
 
     Parameters
     ----------
     m : ndarray
         Square matrix.
-    tol : float, optional
-        Relative residual threshold for declaring linear dependence.
 
     Returns
     -------
@@ -287,7 +281,7 @@ def minimal_polynomial(m, tol=DEFAULT_RANK_TOL):
         target = vecs[d]
         coef, _, _, _ = np.linalg.lstsq(basis, target, rcond=None)
         resid = np.linalg.norm(basis @ coef - target)
-        if resid <= tol * max(1.0, np.linalg.norm(target)):
+        if resid <= DEFAULT_RANK_TOL * max(1.0, np.linalg.norm(target)):
             return -coef
     raise NumericalError(
         "minimal_polynomial: no linear dependence found up to the matrix dimension; "

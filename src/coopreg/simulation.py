@@ -97,6 +97,10 @@ class FollowerUncertainty:
 
     def materialize(self, n, m, p, q):
         """Return concrete ``(dA, dB, dE, dC)`` arrays of the full shapes."""
+        return self._blocks(n, m, p, q, "uncertainty")
+
+    def _blocks(self, n, m, p, q, path):
+        """:meth:`materialize`, naming a bad block ``<path>.<field>``."""
         shapes = {"d_a": (n, n), "d_b": (n, m), "d_e": (n, q), "d_c": (p, n)}
         out = []
         for name, shape in shapes.items():
@@ -104,11 +108,9 @@ class FollowerUncertainty:
             if raw is None:
                 out.append(np.zeros(shape))
                 continue
-            arr = as_matrix(raw, f"uncertainty.{name}")
+            arr = as_matrix(raw, f"{path}.{name}")
             if arr.shape != shape:
-                raise DimensionError(
-                    f"uncertainty.{name}: expected shape {shape}, got {arr.shape}"
-                )
+                raise DimensionError(f"{path}.{name}: expected shape {shape}, got {arr.shape}")
             out.append(arr)
         return tuple(out)
 
@@ -138,7 +140,8 @@ class Scenario:
     init_low, init_high : float
         Bounds of the uniform initial-state distribution.
     init_states : dict, optional
-        Explicit overrides ``{"x": (N, n), "z": (N, n_z), "xi": (N, n)}``;
+        Explicit overrides ``{"x": (N, n), "z": (N, n_z), "xi": (N, n)}``,
+        each any array of that many numbers (it is reshaped row-major);
         missing keys are still drawn from the seeded stream.
     """
 
@@ -200,8 +203,8 @@ class Scenario:
                     f"scenario.uncertainties: expected {nfoll} entries, got {len(unc)}"
                 )
             unc = tuple(u if u is not None else FollowerUncertainty.zero() for u in unc)
-            for u in unc:
-                u.materialize(n, self.plant.m, self.plant.p, q)  # shape check only
+            for k, u in enumerate(unc):
+                u._blocks(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")  # shape check only
             object.__setattr__(self, "uncertainties", unc)
 
         if self.init_states is not None:
@@ -209,6 +212,17 @@ class Scenario:
             bad = set(self.init_states) - allowed
             if bad:
                 raise ConfigurationError(f"scenario.init_states: unknown keys {sorted(bad)}")
+            widths = {"x": n, "z": self.im.dim, "xi": n}
+            for key, val in self.init_states.items():
+                try:
+                    size = np.array(val, dtype=float).size
+                except (TypeError, ValueError):
+                    size = "a ragged or non-numeric array"
+                if size != nfoll * widths[key]:
+                    raise ConfigurationError(
+                        f"scenario.init_states.{key}: expected {nfoll * widths[key]} numbers "
+                        f"for shape ({nfoll}, {widths[key]}), got {size}"
+                    )
 
     @property
     def n_agents(self):

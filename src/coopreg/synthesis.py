@@ -46,6 +46,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, NumericalError, SynthesisError
 from .graphs import connectivity_spectral_check, h_matrix, has_leader_spanning_tree
 from .matrixops import (
+    DEFAULT_RANK_TOL,
     SCHUR_MARGIN,
     as_matrix,
     block_diag,
@@ -76,6 +77,9 @@ __all__ = [
     "synthesize_gains",
     "auto_tune_gamma",
 ]
+
+# Halvings of gamma that auto_tune_gamma tries before it gives up.
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +200,7 @@ class AssumptionReport:
         return iter(self.entries)
 
 
-def transmission_zeros_ok(plant, exo, tol=1e-9):
+def transmission_zeros_ok(plant, exo):
     """Check the non-resonance condition against the exosystem modes.
 
     For every eigenvalue ``lam`` of ``S`` the pencil::
@@ -213,12 +217,12 @@ def transmission_zeros_ok(plant, exo, tol=1e-9):
         pencil = np.block(
             [[plant.a - lam * np.eye(n), plant.b], [plant.c.astype(complex), zero]]
         )
-        if complex_rank(pencil, tol=tol) < n + p:
+        if complex_rank(pencil) < n + p:
             return False, complex(lam)
     return True, None
 
 
-def check_assumptions(plant, exo, g, tol=1e-9):
+def check_assumptions(plant, exo, g):
     """Evaluate the six structural conditions required by the design.
 
     Parameters
@@ -226,8 +230,6 @@ def check_assumptions(plant, exo, g, tol=1e-9):
     plant : NominalPlant
     exo : Exosystem
     g : Digraph
-    tol : float, optional
-        Rank / eigenvalue tolerance.
 
     Returns
     -------
@@ -239,7 +241,7 @@ def check_assumptions(plant, exo, g, tol=1e-9):
     rep = AssumptionReport()
 
     tree = has_leader_spanning_tree(g)
-    spectral = connectivity_spectral_check(g, tol=tol)
+    spectral = connectivity_spectral_check(g)
     h, _ = h_matrix(g)
     re_min = float(np.min(np.real(eigenvalues(h, "H")))) if h.size else float("nan")
     rep.add(
@@ -248,13 +250,13 @@ def check_assumptions(plant, exo, g, tol=1e-9):
         f"leader-rooted spanning tree: {tree}; min Re eig(H) = {re_min:.4f}",
     )
 
-    stab = stabilizable(plant.a, plant.b, tol=tol)
+    stab = stabilizable(plant.a, plant.b)
     rep.add("stabilizability", stab, "(A, B) passes the PBH test" if stab else "(A, B) fails the PBH test")
 
-    det = detectable(plant.c, plant.a, tol=tol)
+    det = detectable(plant.c, plant.a)
     rep.add("detectability", det, "(C, A) passes the PBH test" if det else "(C, A) fails the PBH test")
 
-    tz_ok, lam_bad = transmission_zeros_ok(plant, exo, tol=tol)
+    tz_ok, lam_bad = transmission_zeros_ok(plant, exo)
     rep.add(
         "transmission zeros",
         tz_ok,
@@ -263,7 +265,7 @@ def check_assumptions(plant, exo, g, tol=1e-9):
         else f"rank drop at exosystem mode {lam_bad:.4f}",
     )
 
-    exo_ok = exo.modes_on_unit_circle(tol=tol)
+    exo_ok = exo.modes_on_unit_circle()
     rep.add(
         "exosystem modes",
         exo_ok,
@@ -273,7 +275,7 @@ def check_assumptions(plant, exo, g, tol=1e-9):
     )
 
     rho_a = spectral_radius(plant.a)
-    a_ok = rho_a <= 1.0 + tol
+    a_ok = rho_a <= 1.0 + DEFAULT_RANK_TOL
     rep.add(
         "open-loop spectrum",
         a_ok,
@@ -356,6 +358,13 @@ def solve_parametric_dare(a, b, gamma):
     return p
 
 
+def _delay_power(caller, a, r):
+    """``A^(r+1)``, the delay-compensation factor, for a non-negative integer ``r``."""
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise ConfigurationError(f"{caller}: r must be a non-negative integer, got {r!r}")
+    return np.linalg.matrix_power(a, int(r) + 1)
+
+
 def state_feedback_gain(a, b, gamma, nu, r):
     """Delay-compensating low-gain state feedback.
 
@@ -371,11 +380,9 @@ def state_feedback_gain(a, b, gamma, nu, r):
     b = as_matrix(b, "b")
     if not np.isfinite(nu) or nu <= 0:
         raise ConfigurationError(f"state_feedback_gain: nu must be positive, got {nu}")
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ConfigurationError(f"state_feedback_gain: r must be a non-negative integer, got {r!r}")
+    a_pow = _delay_power("state_feedback_gain", a, r)
     p = solve_parametric_dare(a, b, gamma)
     rmat = np.eye(b.shape[1]) + b.T @ p @ b
-    a_pow = np.linalg.matrix_power(a, int(r) + 1)
     return -np.linalg.solve(rmat, b.T @ p @ a_pow) / float(nu)
 
 
@@ -390,7 +397,8 @@ def observer_gain(a, c, gamma_l, nu_l, r=0):
     in the networked closed loop is delay-free: the observer runs on
     locally available signals, so no delay compensation power is
     needed.  A nonzero ``r`` inserts the same ``A^{r+1}`` factor as the
-    state-feedback formula.
+    state-feedback formula; like there, ``r`` must be a non-negative
+    integer.
     """
     a = require_square(as_matrix(a, "a"), "a")
     c = as_matrix(c, "c")
@@ -398,9 +406,9 @@ def observer_gain(a, c, gamma_l, nu_l, r=0):
         raise DimensionError(f"observer_gain: A is {a.shape[0]} x {a.shape[0]} but C has {c.shape[1]} columns")
     if not np.isfinite(nu_l) or nu_l <= 0:
         raise ConfigurationError(f"observer_gain: nu_l must be positive, got {nu_l}")
+    a_pow = _delay_power("observer_gain", a, r)
     p = solve_parametric_dare(a.T, c.T, gamma_l)
     rmat = np.eye(c.shape[0]) + c @ p @ c.T
-    a_pow = np.linalg.matrix_power(a, int(r) + 1)
     return a_pow @ p @ c.T @ np.linalg.inv(rmat) / float(nu_l)
 
 
@@ -665,7 +673,6 @@ def auto_tune_gamma(
     nu_l=None,
     observer_r=0,
     margin=SCHUR_MARGIN,
-    max_halvings=40,
 ):
     """Halve ``gamma`` from ``gamma0`` until the closed loop certifies.
 
@@ -683,9 +690,9 @@ def auto_tune_gamma(
     Raises
     ------
     SynthesisError
-        If a precondition fails or no candidate certifies within
-        ``max_halvings`` halvings; the message names the smallest
-        finite radius reached and the last five candidates.
+        If a precondition fails or no candidate certifies within 40
+        halvings; the message names the smallest finite radius reached
+        and the last five candidates.
     """
     gamma0 = float(gamma0)
     if not (0.0 < gamma0 < 1.0):
@@ -701,7 +708,7 @@ def auto_tune_gamma(
     tried = []
     gamma = gamma0
     gamma_l = gamma_l0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         try:
             gains = synthesize_gains(
                 plant,
@@ -728,6 +735,6 @@ def auto_tune_gamma(
     finite = [(rk, gk) for gk, rk in tried if np.isfinite(rk)]
     best = "rho={:.6f} at gamma={:.3e}".format(*min(finite)) if finite else "none finite"
     raise SynthesisError(
-        f"auto_tune_gamma: no certified gain after {max_halvings} halvings from {gamma0}; "
+        f"auto_tune_gamma: no certified gain after {_MAX_HALVINGS} halvings from {gamma0}; "
         f"smallest radius: {best}; last candidates: {summary}"
     )

@@ -65,6 +65,28 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, field, value, mode, message",
+        [
+            pytest.param("check", ("graph", "edges"), [[0, 1, 1.0], [0, "x", 1.0]], "state",
+                         "graph.edges[1]: node indices must be integers", id="edge-node"),
+            pytest.param("check", ("graph", "edges"), [[0, 1, "heavy"]], "state",
+                         "graph.edges[0]: weight must be a real number", id="edge-weight"),
+            pytest.param("check", ("simulation", "init_states"), {"x": [[1.0, 2.0]]}, "state",
+                         "scenario.init_states.x: expected 8 numbers", id="init-state-size"),
+            pytest.param("synthesize", ("synthesis", "observer_r"), -2, "output",
+                         "synthesis.observer_r: must be a non-negative integer, got -2", id="observer-r"),
+        ],
+    )
+    def test_malformed_input_exits_two_with_dotted_path(
+        self, tmp_path, capsys, command, field, value, mode, message
+    ):
+        data = benchmark_config_dict(mode=mode)
+        data[field[0]][field[1]] = value
+        path = write_config(tmp_path, data)
+        assert cli.main([command, str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["check", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err

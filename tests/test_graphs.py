@@ -40,6 +40,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="duplicate"):
             Digraph(n_followers=2, edges=((0, 1, 1.0), (0, 1, 2.0)))
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            pytest.param((0, "x", 1.0), "node indices must be integers, got (0, 'x')", id="node-str"),
+            pytest.param((1.5, 2, 1.0), "node indices must be integers, got (1.5, 2)", id="node-float"),
+            pytest.param((True, 2, 1.0), "node indices must be integers, got (True, 2)", id="node-bool"),
+            pytest.param((0, 1, "heavy"), "weight must be a real number, got 'heavy'", id="weight-str"),
+            pytest.param((0, 1, True), "weight must be a real number, got True", id="weight-bool"),
+            pytest.param((0, 1, None), "weight must be a real number, got None", id="weight-none"),
+        ],
+    )
+    def test_malformed_edge_entries_rejected(self, edge, message):
+        # int()/float() used to raise a bare ValueError here, or truncate
+        # 1.5 and True to node 1
+        with pytest.raises(ConfigurationError) as info:
+            Digraph(n_followers=2, edges=((0, 2, 1.0), edge))
+        assert str(info.value) == f"graph.edges[1]: {message}"
+
+    def test_numpy_scalars_accepted(self):
+        g = Digraph(n_followers=2, edges=((np.int64(0), np.int32(1), np.float64(1.5)), (1, 2, 2)))
+        assert g.edges == ((0, 1, 1.5), (1, 2, 2.0))
+        assert all(type(v) is int for src, dst, _ in g.edges for v in (src, dst))
+
     def test_zero_followers_rejected(self):
         with pytest.raises(ConfigurationError):
             Digraph(n_followers=0)

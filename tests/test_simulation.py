@@ -190,6 +190,15 @@ class TestScenario:
             Scenario(**base, uncertainties=(FollowerUncertainty.zero(),) * 2)
         with pytest.raises(ConfigurationError, match="init_states"):
             Scenario(**base, init_states={"w": np.zeros(2)})
+        # overrides that initial_states() could not reshape are caught here
+        for key, value, got in (
+            ("x", [[1.0, 2.0]], "2"),
+            ("z", np.zeros((4, 3)), "12"),
+            ("xi", [[1.0], [1.0, 2.0]], "a ragged or non-numeric array"),
+        ):
+            with pytest.raises(ConfigurationError) as info:
+                Scenario(**base, init_states={key: value})
+            assert str(info.value) == f"scenario.init_states.{key}: expected 8 numbers for shape (4, 2), got {got}"
         with pytest.raises(DimensionError, match="outputs"):
             Scenario(
                 plant=plant,
@@ -233,6 +242,10 @@ class TestScenario:
         assert np.array_equal(b3, np.array([[1.3], [1.0]]))
         assert np.array_equal(c3, np.array([[1.0, 0.0]]))
         assert np.array_equal(e3, np.array([[0.0, 0.7], [0.0, 3.0]]))
+
+    def test_init_state_override_is_reshaped_row_major(self):
+        sc = replace(ref.reference_scenario(horizon=1), init_states={"x": np.arange(8.0)})
+        assert np.array_equal(sc.initial_states()[0], np.arange(8.0).reshape(4, 2))
 
     def test_initial_state_overrides_keep_stream(self):
         sc = ref.reference_scenario(horizon=1)

@@ -232,6 +232,11 @@ class TestObserverGain:
             observer_gain([[1.0]], [[1.0]], 0.1, -1.0)
         with pytest.raises(DimensionError):
             observer_gain(np.eye(2), np.ones((1, 3)), 0.1, 1.0)
+        # a negative r would apply A^-1 (L[0] 0.72 -> 0.5904 on the benchmark at r = -2)
+        for r in (-2, -1, 1.0, 0.5):
+            with pytest.raises(ConfigurationError) as info:
+                observer_gain([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0]], 0.18, 0.5, r)
+            assert str(info.value) == f"observer_gain: r must be a non-negative integer, got {r!r}"
 
 
 # ---------------------------------------------------------------------------
