@@ -63,7 +63,7 @@ class ExperimentConfig:
 # Field tables, in file order: (name, kind, default).  A "matrix" is a
 # list of equal-length rows of numbers, a "vector" a flat list of
 # numbers; "number" accepts int or float, "integer" only int (bool is
-# neither).  A required field must be present and not null; any other
+# neither), "count" only a non-negative int.  A required field must be present and not null; any other
 # field falls back to its default when absent or null.
 _REQUIRED = object()
 
@@ -76,7 +76,7 @@ _PLANT = _fields("matrix", "a b c") + _fields("matrix", "e", None)
 _EXOSYSTEM = _fields("matrix", "s f") + _fields("vector", "v0", None)
 _GRAPH = _fields("integer", "n_followers")
 _DELAYS = _fields("integer", "r_con r_com", 0)
-_SYNTHESIS = _fields("number", "gamma nu gamma_l nu_l", None) + _fields("integer", "observer_r", 0)
+_SYNTHESIS = _fields("number", "gamma nu gamma_l nu_l", None) + _fields("count", "observer_r", 0)
 _BETA_OVERRIDE = _fields("matrix", "beta sigma")
 _UNCERTAINTY = _fields("matrix", "d_a d_b d_e d_c", None)
 _SIMULATION = _fields("integer", "horizon", 100) + _fields("integer", "seed", 0)
@@ -85,8 +85,8 @@ _SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_hig
 # gamma_l and nu_l are read only beside it.
 _GAINS = _fields("matrix", "k_x k_z") + _fields("number", "gamma nu")
 _GAINS += _fields("matrix", "l_obs", None) + _fields("number", "gamma_l nu_l", None)
-_GAINS += _fields("integer", "observer_r", 0)
-_NOUN = {"matrix": "matrix", "vector": "vector", "number": "value", "integer": "value"}
+_GAINS += _fields("count", "observer_r", 0)
+_NOUN = {"matrix": "matrix", "vector": "vector", "number": "value", "integer": "value", "count": "value"}
 
 
 def _is_number(val):
@@ -99,9 +99,11 @@ def _check(kind, val, where):
         if not _is_number(val):
             raise ConfigurationError(f"{where}: expected a number, got {val!r}")
         return float(val)
-    if kind == "integer":
+    if kind in ("integer", "count"):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigurationError(f"{where}: expected an integer, got {val!r}")
+        if kind == "count" and val < 0:
+            raise ConfigurationError(f"{where}: must be a non-negative integer, got {val}")
         return val
     if kind == "vector":
         if not isinstance(val, list) or not all(map(_is_number, val)):
@@ -236,13 +238,9 @@ def config_from_dict(data):
         val = getattr(settings, name)
         if val is not None and not (0.0 < val < 1.0):
             raise ConfigurationError(f"synthesis.{name}: must lie in (0, 1), got {val}")
-    if settings.observer_r < 0:
-        raise ConfigurationError(f"synthesis.observer_r: must be a non-negative integer, got {settings.observer_r}")
     im = build_internal_model(exo, beta_override=beta_override)
 
-    per_agent_e = _items(
-        data, "per_agent_e", "matrices", lambda e, at: _read(_fields("matrix", "e"), {"e": e}, at)["e"]
-    )
+    per_agent_e = _items(data, "per_agent_e", "matrices", lambda e, at: _check("matrix", e, at))
     uncertainties = _items(data, "uncertainties", "mappings", _uncertainty)
 
     simulation = _section(data, "simulation", _SIMULATION)

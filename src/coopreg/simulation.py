@@ -13,7 +13,7 @@ Two independent execution routes are provided on purpose:
 
 The two share no stepping code, and only the oracle forms ``H``.  Both
 must produce the same trajectories; the test suite holds them against
-each other, which guards the shared block builder and the buffer
+each other, which guards the shared block builder and the history
 bookkeeping at the same time.
 
 Timing conventions
@@ -35,10 +35,17 @@ so the match can be set up exactly.
 
 One kernel
 ----------
-Both agentwise simulators run one time loop.  It steps all followers at
-once from their stacked matrices and couples neighbours through arrays
-built once from the edge list.  Modes and laws differ only in how many
-steps late each signal is read::
+Both agentwise simulators run one time loop.  Each step advances every
+follower's state ``s = [x | z | xi]`` with one stacked product of a
+fused matrix ``M_i``, built once per run, and the late signals it reads;
+the exosystem trajectory and its feeds ``F v`` and ``E_i v`` are
+computed before the loop.  The regulated error and the feedback state
+are coupled side by side in one edge-wise pass per step (index arrays
+built once from the edge list), and the coupled feedback is kept, not
+coupled again when it is read late.  Every signal lives in an array
+indexed by time with its pre-history in front, so a delayed read is a
+row some steps back.  Modes and laws differ only in how many steps late
+each signal is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -417,73 +424,54 @@ def edgewise_virtual_errors(g, e_all):
     checks that identity against the Kronecker route.  The simulators
     apply the same combination to stacked states and observer estimates.
     """
-    return _edge_coupling(g)(np.atleast_2d(e_all))
+    e_all = np.atleast_2d(e_all)
+    return _edge_coupling(g)(np.concatenate([np.zeros((1, e_all.shape[1])), e_all]))
 
 
 def _edge_coupling(g):
     """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
 
-    The edge list becomes index and weight arrays once, stably sorted by
-    receiver, so each follower's terms keep their edge-list order.  Each
-    follower's run starts with a head entry that reads the leader's zero
-    row on both ends, so every run sums ``((0 + t1) + t2) + ...`` with
-    one ``np.add.reduceat``: bit for bit what ``np.add.at`` into a zero
-    array gives, signed zeros included, and a zero row for a follower
-    with no in-edge.  No ``H`` matrix is involved, so the agentwise
-    route stays independent of the Kronecker oracle.
+    The returned ``couple(padded, out=None)`` takes an ``(N + 1, k)``
+    array whose row 0 is the leader's zero row and row ``i`` follower
+    ``i``'s signal.  The edge list becomes index and weight arrays once,
+    stably sorted by receiver, so each follower's terms keep their
+    edge-list order.  Each follower's run starts with a head entry that
+    reads the leader's zero row on both ends, so every run sums
+    ``((0 + t1) + t2) + ...`` with one ``np.add.reduceat``: bit for bit
+    what ``np.add.at`` into a zero array gives, signed zeros included,
+    and a zero row for a follower with no in-edge.  Columns never mix,
+    so coupling several signals side by side gives each the bits it gets
+    alone.  No ``H`` matrix is involved, so the agentwise route stays
+    independent of the Kronecker oracle.
     """
     heads = [(0, 0, 1.0, i) for i in range(1, g.n_followers + 1)]
     entries = sorted(heads + [(s, d, wt, d) for s, d, wt in g.edges], key=lambda entry: entry[3])
     src, dst, w, _ = (np.array(col) for col in zip(*entries))
+    ends = np.concatenate([dst, src])
     starts = np.flatnonzero(dst == 0)
     w = w[:, None]
 
-    def couple(rows):
-        padded = np.zeros((rows.shape[0] + 1, rows.shape[1]))
-        padded[1:] = rows
-        return np.add.reduceat(w * (padded.take(dst, axis=0) - padded.take(src, axis=0)), starts)
+    def couple(padded, out=None):
+        rows = padded.take(ends, axis=0)
+        terms = rows[: w.shape[0]] - rows[w.shape[0] :]
+        terms *= w
+        return np.add.reduceat(terms, starts, axis=0, out=out)
 
     return couple
 
 
-class _History:
-    """Fixed-depth ring buffer over stacked signal arrays.
+def _guard(step, state, *parts):
+    """Raise :class:`DivergenceError` once ``state`` leaves the guard.
 
-    ``depth`` past values plus the current one; ``ago(k)`` returns the
-    value ``k`` steps before the current one, so ``ago(0)`` is the
-    current value and ``ago(depth)`` the oldest.  Backed by an index into
-    a preallocated array rather than a deque so pushes are
-    allocation-free.  The returned rows are views: read them before the
-    next push.
+    One test on the whole stacked ``state`` per step.  Only when it fails
+    (or meets a nan) is the message built, from the first of the
+    last-axis slices ``parts`` (all of ``state`` if none are given)
+    that is out of bounds.
     """
-
-    def __init__(self, depth, first, past=None):
-        self.size = depth + 1
-        self.buf = np.repeat(np.asarray(first, dtype=float)[None], self.size, axis=0)
-        if past is not None:
-            past = np.asarray(past, dtype=float)
-            if past.shape != (depth,) + self.buf.shape[1:]:
-                raise DimensionError(
-                    f"history: expected shape {(depth,) + self.buf.shape[1:]}, got {past.shape}"
-                )
-            # past[k] is the value k+1 steps before t=0; oldest first in buf
-            self.buf[:depth] = past[::-1]
-        self.head = self.size - 1  # position of the current value
-
-    def ago(self, k):
-        return self.buf[(self.head - k) % self.size]
-
-    def push(self, value):
-        self.head = (self.head + 1) % self.size
-        self.buf[self.head] = value
-
-
-def _guard(step, *arrays):
-    worst = 0.0
-    for arr in arrays:
-        if arr is None or arr.size == 0:
-            continue
-        m = float(np.abs(arr).max())
+    if np.abs(state).max() <= DIVERGENCE_GUARD:
+        return
+    for part in parts or (slice(None),):
+        m = float(np.abs(state[..., part]).max(initial=0.0))
         if not m <= DIVERGENCE_GUARD:  # also catches nan
             raise DivergenceError(
                 f"simulation diverged at step {step} (state magnitude {m:.3e} "
@@ -491,26 +479,25 @@ def _guard(step, *arrays):
                 step=step,
                 norm=m,
             )
-        worst = max(worst, m)
-    return worst
 
 
-def _alloc_trace(scenario, with_observer):
-    T = scenario.horizon
-    nfoll = scenario.n_agents
-    n, m, p, q = scenario.plant.n, scenario.plant.m, scenario.plant.p, scenario.exo.q
-    nz = scenario.im.dim
-    return SimulationTrace(
-        t=np.arange(T, dtype=int),
-        v=np.zeros((T, q)),
-        x=np.zeros((T, nfoll, n)),
-        z=np.zeros((T, nfoll, nz)),
-        u=np.zeros((T, nfoll, m)),
-        y=np.zeros((T, nfoll, p)),
-        e=np.zeros((T, nfoll, p)),
-        e_v=np.zeros((T, nfoll, p)),
-        xi=np.zeros((T, nfoll, n)) if with_observer else None,
-    )
+def _exo_trajectory(exo, horizon):
+    """``v(t)`` for ``t = 0..horizon-1``, stepped as :func:`exo_step` does."""
+    v = np.empty((horizon, exo.q))
+    v[:1] = exo.v0
+    for t in range(1, horizon):
+        v[t] = exo.s @ v[t - 1]
+    return v
+
+
+def _fill_past(rows, past):
+    """Write ``past`` (newest first) into the history ``rows`` (oldest first)."""
+    if past is None:
+        return
+    past = np.asarray(past, dtype=float)
+    if past.shape != rows.shape:
+        raise DimensionError(f"history: expected shape {rows.shape}, got {past.shape}")
+    rows[:] = past[::-1]
 
 
 def _check_law(caller, law, history_given, history_rule):
@@ -520,73 +507,91 @@ def _check_law(caller, law, history_given, history_rule):
         raise ConfigurationError(f"{caller}: {history_rule} to the transformed law only")
 
 
-def _apply(mats, rows):
-    """Row ``i`` of the result is ``mats[i] @ rows[i]``."""
-    return np.matmul(mats, rows[..., None])[..., 0]
-
-
 def _simulate(scenario, gains, law, controller_past, observer_past, output):
     """The one time loop behind both agentwise simulators.
 
     Mode and law differ only in how late each signal is read (the table
     in the module docstring); ``output`` adds the observer and makes its
-    estimate, not the plant state, the coupled feedback state.
+    estimate, not the plant state, the coupled feedback state.  Every
+    history is an array whose row ``depth + t`` holds time ``t``, with
+    the pre-history in the rows before it.
     """
     r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
     d_z = r_com if law == "transformed" else 0
     d_ev = r_com - d_z
     d_fb = d_z if output else r_com
+    depth, T = r_con + r_com, scenario.horizon
     a, b, c, e_in = (np.stack(mats) for mats in zip(*scenario.agent_matrices()))
+    nfoll, n, m, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.m, scenario.plant.p, scenario.im.dim
+    k_x, k_z = gains.k_x.T, gains.k_z.T
     couple = _edge_coupling(scenario.graph)
-    f, g1, g2 = scenario.exo.f, scenario.im.g1, scenario.im.g2
-    a_nom, b_nom, c_nom, l_obs = scenario.plant.a, scenario.plant.b, scenario.plant.c, gains.l_obs
 
-    x, z, xi = scenario.initial_states()
-    if not output:
-        xi = None
-    v = scenario.exo.v0.copy()
-    trace = _alloc_trace(scenario, with_observer=output)
-    fb_hist = _History(d_fb, xi if output else x, past=observer_past)
-    z_hist = _History(d_z, z, past=controller_past)
+    # One fused update per follower: s(t+1) = M_i d(t) + E_i v(t) with
+    # s = [x | z | xi] and d = [s | u(t - r_con) | e_v(t - d_ev)], in
+    # output mode followed by the observer's [u(t - r_con - d_ev) | coupled xi(t)].
+    ns = 2 * n + nz if output else n + nz
+    x_, z_, xi_ = slice(0, n), slice(n, n + nz), slice(n + nz, ns)
+    u_, ev_ = slice(ns, ns + m), slice(ns + m, ns + m + p)
+    fused = np.zeros((nfoll, ns, ev_.stop + (m + n if output else 0)))
+    fused[:, x_, x_], fused[:, x_, u_] = a, b
+    fused[:, z_, z_], fused[:, z_, ev_] = scenario.im.g1, scenario.im.g2
+    if output:
+        fused[:, xi_, xi_], fused[:, xi_, ev_] = scenario.plant.a, gains.l_obs
+        fused[:, xi_, ev_.stop : ev_.stop + m] = scenario.plant.b
+        fused[:, xi_, ev_.stop + m :] = -gains.l_obs @ scenario.plant.c
+    fb_ = xi_ if output else x_
 
-    for t in range(scenario.horizon):
-        y = _apply(c, x)
-        e = y + f @ v
-        ev = couple(e)
-        u = couple(fb_hist.ago(d_fb)) @ gains.k_x.T + z_hist.ago(d_z) @ gains.k_z.T
-        if t == 0:
-            u_hist = _History(r_con + d_ev, u)
-            ev_hist = _History(d_ev, ev)
-        else:
-            u_hist.push(u)
-            ev_hist.push(ev)
+    # Row k + 1 of s_hist starts as the exosystem feed E_i v(t) (zero
+    # outside x); step t adds M_i d(t) to it.
+    v = _exo_trajectory(scenario.exo, T)
+    f_v = np.matmul(scenario.exo.f, v[:, :, None])[:, :, 0]
+    s_hist = np.zeros((depth + T + 1, nfoll, ns))
+    s_hist[: depth + 1] = np.concatenate(scenario.initial_states()[: 3 if output else 2], axis=1)
+    np.matmul(e_in, v[:, None, :, None], out=s_hist[depth + 1 :, :, x_, None])
+    _fill_past(s_hist[depth - r_com : depth, :, z_], controller_past)
+    if output:
+        _fill_past(s_hist[depth - r_com : depth, :, xi_], observer_past)
+    u_hist = np.empty((depth + T, nfoll, m))
+    y = np.empty((T, nfoll, p))
+    # [e_v | coupled feedback state], one coupling per step; row 0 of
+    # ``padded`` is the leader's zero row.
+    cpl = np.empty((depth + T, nfoll, p + n))
+    padded = np.zeros((nfoll + 1, p + n))
+    for k in range(depth):
+        padded[1:, p:] = s_hist[k, :, fb_]
+        couple(padded, out=cpl[k])
 
-        trace.v[t] = v
-        trace.x[t] = x
-        trace.z[t] = z
-        trace.u[t] = u
-        trace.y[t] = y
-        trace.e[t] = e
-        trace.e_v[t] = ev
+    for t in range(T):
+        k = depth + t
+        s = s_hist[k]
+        np.matmul(c, s[:, x_, None], out=y[t, :, :, None])
+        np.add(y[t], f_v[t], out=padded[1:, :p])
+        padded[1:, p:] = s[:, fb_]
+        couple(padded, out=cpl[k])
+        u = np.matmul(cpl[k - d_fb, :, p:], k_x, out=u_hist[k])
+        u += s_hist[k - d_z, :, z_] @ k_z
+        if t == 0:  # e_v and u before t = 0 are their values at t = 0
+            cpl[:depth, :, :p] = cpl[depth, :, :p]
+            u_hist[:depth] = u
+        drive = [s, u_hist[k - r_con], cpl[k - d_ev, :, :p]]
         if output:
-            trace.xi[t] = xi
+            drive += [u_hist[k - r_con - d_ev], cpl[k, :, p:]]
+        nxt = s_hist[k + 1]
+        nxt += np.matmul(fused, np.concatenate(drive, axis=1)[:, :, None])[:, :, 0]
+        _guard(t + 1, nxt, x_, z_, xi_)
 
-        ev_late = ev_hist.ago(d_ev)
-        if output:
-            xi = (
-                xi @ a_nom.T
-                + u_hist.ago(r_con + d_ev) @ b_nom.T
-                - couple(xi) @ c_nom.T @ l_obs.T
-                + ev_late @ l_obs.T
-            )
-        x = _apply(a, x) + _apply(b, u_hist.ago(r_con)) + e_in @ v
-        z = z @ g1.T + ev_late @ g2.T
-        fb_hist.push(xi if output else x)
-        z_hist.push(z)
-        v = exo_step(scenario.exo, v)
-        _guard(t + 1, x, z, xi)
-
-    return trace
+    rows = slice(depth, depth + T)
+    return SimulationTrace(
+        t=np.arange(T, dtype=int),
+        v=v,
+        x=s_hist[rows, :, x_],
+        z=s_hist[rows, :, z_],
+        u=u_hist[rows],
+        y=y,
+        e=y + f_v[:, None, :],
+        e_v=cpl[rows, :, :p],
+        xi=s_hist[rows, :, xi_] if output else None,
+    )
 
 
 def simulate_state_feedback(scenario, gains, law="transformed", controller_past=None):
@@ -677,34 +682,34 @@ def simulate_compact_oracle(scenario, gains):
 
     states = scenario.initial_states()[: 2 if mode == "state" else 3]
     w = np.concatenate([s.reshape(-1) for s in states])
-    v = scenario.exo.v0.copy()
 
-    trace = _alloc_trace(scenario, with_observer=(mode == "output"))
-    whist = _History(r_total, w)
+    v = _exo_trajectory(scenario.exo, T)
+    whist = np.empty((r_total + T + 1, w.size))
+    whist[: r_total + 1] = w
+    u, y, e, e_v = (np.empty((T, nfoll * width)) for width in (m, p, p, p))
     f_exo = scenario.exo.f
 
     for t in range(T):
+        k = r_total + t
+        w = whist[k]
         x_flat = w[: nfoll * n]
-        z_flat = w[nfoll * n : nfoll * n + nfoll * nz]
-        y_flat = c_blk @ x_flat
-        e_flat = y_flat + np.tile(f_exo @ v, nfoll)
-        ev_flat = c_bar @ x_flat + f_bar @ v
-        u_flat = u_map @ whist.ago(r_com)
+        y[t] = c_blk @ x_flat
+        e[t] = y[t] + np.tile(f_exo @ v[t], nfoll)
+        e_v[t] = c_bar @ x_flat + f_bar @ v[t]
+        u[t] = u_map @ whist[k - r_com]
+        whist[k + 1] = a0 @ w + a1 @ whist[k - r_total] + b_in @ v[t]
+        _guard(t + 1, whist[k + 1])
 
-        trace.v[t] = v
-        trace.x[t] = x_flat.reshape(nfoll, n)
-        trace.z[t] = z_flat.reshape(nfoll, nz)
-        trace.u[t] = u_flat.reshape(nfoll, m)
-        trace.y[t] = y_flat.reshape(nfoll, p)
-        trace.e[t] = e_flat.reshape(nfoll, p)
-        trace.e_v[t] = ev_flat.reshape(nfoll, p)
-        if mode == "output":
-            trace.xi[t] = w[nfoll * (n + nz) :].reshape(nfoll, n)
-
-        w = a0 @ w + a1 @ whist.ago(r_total) + b_in @ v
-        whist.push(w)
-        v = exo_step(scenario.exo, v)
-        _guard(t + 1, w)
-
-    return trace
+    rows = whist[r_total : r_total + T]
+    return SimulationTrace(
+        t=np.arange(T, dtype=int),
+        v=v,
+        x=rows[:, : nfoll * n].reshape(T, nfoll, n),
+        z=rows[:, nfoll * n : nfoll * (n + nz)].reshape(T, nfoll, nz),
+        u=u.reshape(T, nfoll, m),
+        y=y.reshape(T, nfoll, p),
+        e=e.reshape(T, nfoll, p),
+        e_v=e_v.reshape(T, nfoll, p),
+        xi=rows[:, nfoll * (n + nz) :].reshape(T, nfoll, n) if mode == "output" else None,
+    )
 

@@ -196,8 +196,8 @@ MALFORMED_CONFIGS = [
      "plant.e: row 0 contains a non-numeric entry None"),
     ("beta-missing", "synthesis.beta_override.beta", DEL, CE,
      "synthesis.beta_override.beta: missing required matrix"),
-    ("per_agent_e-flat", "per_agent_e.1", [0.0, 1.0], CE, "per_agent_e[1].e: expected a list of rows"),
-    ("per_agent_e-null", "per_agent_e.2", None, CE, "per_agent_e[2].e: missing required matrix"),
+    ("per_agent_e-flat", "per_agent_e.1", [0.0, 1.0], CE, "per_agent_e[1]: expected a list of rows"),
+    ("per_agent_e-null", "per_agent_e.2", None, CE, "per_agent_e[2]: expected a list of rows"),
     ("uncertainty-ragged", "uncertainties.1.d_a", [[0.0, 0.2], [0.0]], CE,
      "uncertainties[1].d_a: row 1 has 1 entries, expected 2"),
     ("init_state-null", "simulation.init_states", {"x": None}, CE,
@@ -303,6 +303,7 @@ MALFORMED_GAINS = [
     ("number-str", "gamma_l", "x", "gains.gamma_l: expected a number, got 'x'"),
     ("number-list", "nu_l", [0.5], "gains.nu_l: expected a number, got [0.5]"),
     ("integer-str", "observer_r", "2", "gains.observer_r: expected an integer, got '2'"),
+    ("observer_r-negative", "observer_r", -1, "gains.observer_r: must be a non-negative integer, got -1"),
 ]
 
 

@@ -331,15 +331,29 @@ class TestBasicRuns:
                 expect = a @ trace.x[t, i] + b @ u_eff[i] + e_mats[i] @ trace.v[t]
                 assert np.max(np.abs(trace.x[t + 1, i] - expect)) <= 1e-13
 
-    def test_divergence_guard_raises(self):
-        sc = ref.reference_scenario(horizon=50)
+    @pytest.mark.parametrize(
+        "mode, law, step, norm",
+        [
+            ("state", "transformed", 4, 5.408456028852427e12),
+            ("state", "delayed", 4, 5.408456028852427e12),
+            ("output", "transformed", 4, 8.614752247812051e12),
+            ("output", "delayed", 3, 8.61473922661937e12),
+        ],
+    )
+    def test_divergence_guard_raises(self, mode, law, step, norm, target_gains):
+        sc = ref.reference_scenario(mode=mode, horizon=50)
         wild = GainSet(
-            k_x=np.array([[1e6, 1e6]]), k_z=np.array([[0.0, 0.0]]), gamma=0.1, nu=1.0
+            k_x=np.array([[1e6, 1e6]]), k_z=np.array([[0.0, 0.0]]), gamma=0.1, nu=1.0,
+            l_obs=target_gains.l_obs if mode == "output" else None,
         )
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
         with pytest.raises(DivergenceError) as exc:
-            simulate_state_feedback(sc, wild)
-        assert exc.value.step is not None
-        assert exc.value.norm > 1e12
+            run(sc, wild, law=law)
+        assert exc.value.step == step
+        assert exc.value.norm == pytest.approx(norm, rel=1e-9)
+        assert str(exc.value) == (
+            f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
+        )
 
     def test_law_and_history_validation(self, target_gains):
         sc = ref.reference_scenario(horizon=5)
@@ -398,6 +412,35 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
         check_schur_case(seed, sc, gains, agentwise, oracle)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_tree64_distinct_followers_agreement(self, mode, target_gains):
+        # 64 followers on a random tree, each with its own small
+        # uncertainty and disturbance matrix, so a follower stepped with
+        # another's matrices shows up against the oracle.
+        rng = np.random.default_rng(0)
+        edges = tuple((int(rng.integers(0, i)), i, float(rng.uniform(0.5, 1.5))) for i in range(1, 65))
+        uncertainties = tuple(
+            FollowerUncertainty(
+                d_a=rng.uniform(-0.01, 0.01, (2, 2)),
+                d_b=rng.uniform(-0.01, 0.01, (2, 1)),
+                d_e=rng.uniform(-0.01, 0.01, (2, 2)),
+                d_c=rng.uniform(-0.01, 0.01, (1, 2)),
+            )
+            for _ in range(64)
+        )
+        per_agent_e = tuple(rng.uniform(-0.1, 0.1, (2, 2)) for _ in range(64))
+        sc = replace(
+            ref.reference_scenario(mode=mode, horizon=200),
+            graph=Digraph(n_followers=64, edges=edges),
+            uncertainties=uncertainties,
+            per_agent_e=per_agent_e,
+        )
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        agentwise = run(sc, target_gains)
+        oracle = simulate_compact_oracle(sc, target_gains)
+        assert np.max(np.abs(agentwise.x)) < 1e3
+        assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
 
 def matched_transformed_run(sc, gains, run, delayed_trace):
