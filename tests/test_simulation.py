@@ -339,6 +339,7 @@ class TestBasicRuns:
             ("output", "transformed", 4, 8.614752247812051e12),
             ("output", "delayed", 3, 8.61473922661937e12),
         ],
+        ids=["state-transformed", "state-delayed", "output-transformed", "output-delayed"],
     )
     def test_divergence_guard_raises(self, mode, law, step, norm, target_gains):
         sc = ref.reference_scenario(mode=mode, horizon=50)
