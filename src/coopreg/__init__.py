@@ -41,7 +41,6 @@ from .simulation import (
     Scenario,
     SimulationTrace,
     edgewise_virtual_errors,
-    exo_step,
     load_trace_csv,
     simulate_compact_oracle,
     simulate_output_feedback,
@@ -62,6 +61,7 @@ from .synthesis import (
     observer_gain,
     solve_parametric_dare,
     state_feedback_gain,
+    synthesize_and_certify,
     synthesize_gains,
     transmission_zeros_ok,
 )
@@ -107,11 +107,11 @@ __all__ = [
     "delay_lift",
     "certify_closed_loop",
     "synthesize_gains",
+    "synthesize_and_certify",
     "auto_tune_gamma",
     "FollowerUncertainty",
     "Scenario",
     "SimulationTrace",
-    "exo_step",
     "edgewise_virtual_errors",
     "simulate_state_feedback",
     "simulate_output_feedback",

@@ -34,6 +34,7 @@ from .synthesis import (
     auto_tune_gamma,
     certify_closed_loop,
     check_assumptions,
+    synthesize_and_certify,
     synthesize_gains,
 )
 
@@ -67,48 +68,31 @@ def cmd_check(args):
     return 1
 
 
-def _synthesize_from_config(cfg, gamma=None):
-    """Synthesize gains for the configured problem at ``gamma`` (default: the file's)."""
+def _problem(cfg):
+    """The configured design problem: ``(plant, g, im, delays)`` and the synthesis settings."""
     sc, st = cfg.scenario, cfg.synthesis
-    if gamma is None:
-        if st.gamma is None:
-            raise ConfigurationError("synthesis.gamma: required for gain synthesis")
-        gamma = st.gamma
-    return synthesize_gains(
-        sc.plant,
-        sc.graph,
-        sc.im,
-        sc.delays,
-        gamma=gamma,
-        nu=st.nu,
-        mode=sc.mode,
-        gamma_l=st.gamma_l,
-        nu_l=st.nu_l,
-        observer_r=st.observer_r,
-    )
+    settings = dict(nu=st.nu, mode=sc.mode, gamma_l=st.gamma_l, nu_l=st.nu_l, observer_r=st.observer_r)
+    return (sc.plant, sc.graph, sc.im, sc.delays), settings
+
+
+def _file_gamma(cfg, purpose):
+    """The file's ``gamma``; ``purpose`` completes the error raised when it is missing."""
+    if cfg.synthesis.gamma is None:
+        raise ConfigurationError(f"synthesis.gamma: required {purpose}")
+    return cfg.synthesis.gamma
 
 
 def cmd_synthesize(args):
     cfg = load_config(args.config)
-    sc, st = cfg.scenario, cfg.synthesis
+    sc = cfg.scenario
+    problem, settings = _problem(cfg)
     if args.auto_tune:
-        if st.gamma is None:
-            raise ConfigurationError("synthesis.gamma: required as the auto-tune starting point")
-        gains = auto_tune_gamma(
-            sc.plant,
-            sc.graph,
-            sc.im,
-            sc.delays,
-            gamma0=st.gamma,
-            nu=st.nu,
-            mode=sc.mode,
-            gamma_l0=st.gamma_l,
-            nu_l=st.nu_l,
-            observer_r=st.observer_r,
-        )
+        gamma0 = _file_gamma(cfg, "as the auto-tune starting point")
+        settings["gamma_l0"] = settings.pop("gamma_l")
+        gains = auto_tune_gamma(*problem, gamma0, **settings)
+        stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
     else:
-        gains = _synthesize_from_config(cfg)
-    stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
+        gains, stable, rho = synthesize_and_certify(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)
 
     print(f"mode: {sc.mode}   gamma = {gains.gamma:.4f}   nu = {gains.nu:.4f}")
     _print_matrix("K_x", gains.k_x)
@@ -139,7 +123,8 @@ def cmd_simulate(args):
     if args.gains:
         gains, _ = load_gains(args.gains)
     else:
-        gains = _synthesize_from_config(cfg)
+        problem, settings = _problem(cfg)
+        gains = synthesize_gains(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)
     if sc.mode == "state":
         trace = simulate_state_feedback(sc, gains, law=args.law)
     else:
@@ -178,13 +163,11 @@ def _gamma_list(text):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    sc = cfg.scenario
+    problem, settings = _problem(load_config(args.config))
     rows = []
     print(f"{'gamma':>10}  {'||K||_F':>10}  {'radius':>10}  stable")
     for gamma in args.gammas:
-        gains = _synthesize_from_config(cfg, gamma)
-        stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
+        gains, stable, rho = synthesize_and_certify(*problem, gamma, **settings)
         knorm = float(np.linalg.norm(np.hstack([gains.k_x, gains.k_z])))
         rows.append((gamma, knorm, rho, stable))
         print(f"{gamma:>10.4f}  {knorm:>10.4f}  {rho:>10.4f}  {'yes' if stable else 'no'}")

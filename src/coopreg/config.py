@@ -178,7 +178,7 @@ def _items(data, key, what, read):
 
 def _uncertainty(entry, path):
     if entry is None:
-        return FollowerUncertainty.zero()
+        return FollowerUncertainty()
     unknown = set(_mapping(entry, path)) - {name for name, _, _ in _UNCERTAINTY}
     if unknown:
         raise ConfigurationError(f"{path}: unknown fields {sorted(unknown)}")

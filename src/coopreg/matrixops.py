@@ -5,14 +5,13 @@ helpers fall into four groups:
 
 * validation and construction (:func:`as_matrix`, :func:`require_square`),
 * spectral utilities (:func:`eigenvalues`, :func:`spectral_radius`,
-  :func:`is_schur`, :func:`on_unit_circle`),
+  :func:`on_unit_circle`),
 * rank machinery with an explicit tolerance, including ranks of complex
   matrices computed through a real embedding so that only real SVDs are
   ever taken (:func:`numeric_rank`, :func:`complex_rank`,
   :func:`stabilizable`, :func:`detectable`),
 * polynomial tools used to build internal models
-  (:func:`minimal_polynomial`, :func:`companion_pair`,
-  :func:`polyval_matrix`).
+  (:func:`minimal_polynomial`, :func:`companion_pair`).
 
 Monic polynomials are represented by their non-leading coefficients in
 ascending order: ``coeffs = [c0, c1, ..., c_{d-1}]`` stands for
@@ -31,7 +30,6 @@ __all__ = [
     "require_square",
     "eigenvalues",
     "spectral_radius",
-    "is_schur",
     "on_unit_circle",
     "kron",
     "block_diag",
@@ -42,7 +40,6 @@ __all__ = [
     "stabilizable",
     "detectable",
     "minimal_polynomial",
-    "polyval_matrix",
     "companion_pair",
 ]
 
@@ -130,11 +127,6 @@ def spectral_radius(m):
     if m.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(eigenvalues(m))))
-
-
-def is_schur(m, margin=SCHUR_MARGIN):
-    """True if every eigenvalue modulus is below ``1 - margin``."""
-    return spectral_radius(m) < 1.0 - margin
 
 
 def on_unit_circle(m):
@@ -287,18 +279,6 @@ def minimal_polynomial(m):
         "minimal_polynomial: no linear dependence found up to the matrix dimension; "
         "input is likely badly scaled"
     )
-
-
-def polyval_matrix(coeffs, m):
-    """Evaluate a monic polynomial (ascending non-leading coeffs) at a matrix."""
-    m = require_square(np.asarray(m, dtype=float), "matrix")
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    n = m.shape[0]
-    out = np.eye(n)  # accumulates m**d by Horner from the leading 1
-    for c in coeffs[::-1]:
-        out = out @ m
-        out = out + c * np.eye(n)
-    return out
 
 
 def companion_pair(coeffs):

@@ -71,7 +71,6 @@ __all__ = [
     "FollowerUncertainty",
     "Scenario",
     "SimulationTrace",
-    "exo_step",
     "edgewise_virtual_errors",
     "simulate_state_feedback",
     "simulate_output_feedback",
@@ -98,16 +97,11 @@ class FollowerUncertainty:
     d_e: np.ndarray = None
     d_c: np.ndarray = None
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    def materialize(self, n, m, p, q, path="uncertainty"):
+        """Return concrete ``(dA, dB, dE, dC)`` arrays of the full shapes.
 
-    def materialize(self, n, m, p, q):
-        """Return concrete ``(dA, dB, dE, dC)`` arrays of the full shapes."""
-        return self._blocks(n, m, p, q, "uncertainty")
-
-    def _blocks(self, n, m, p, q, path):
-        """:meth:`materialize`, naming a bad block ``<path>.<field>``."""
+        A block of the wrong shape raises, naming it ``<path>.<field>``.
+        """
         shapes = {"d_a": (n, n), "d_b": (n, m), "d_e": (n, q), "d_c": (p, n)}
         out = []
         for name, shape in shapes.items():
@@ -209,9 +203,9 @@ class Scenario:
                 raise ConfigurationError(
                     f"scenario.uncertainties: expected {nfoll} entries, got {len(unc)}"
                 )
-            unc = tuple(u if u is not None else FollowerUncertainty.zero() for u in unc)
+            unc = tuple(u if u is not None else FollowerUncertainty() for u in unc)
             for k, u in enumerate(unc):
-                u._blocks(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")  # shape check only
+                u.materialize(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")  # shape check only
             object.__setattr__(self, "uncertainties", unc)
 
         if self.init_states is not None:
@@ -251,7 +245,7 @@ class Scenario:
     def agent_matrices(self):
         """Effective per-follower ``(A_i, B_i, C_i, E_i)`` with uncertainty applied."""
         n, m, p, q = self.plant.n, self.plant.m, self.plant.p, self.exo.q
-        unc = self.uncertainties or (FollowerUncertainty.zero(),) * self.n_agents
+        unc = self.uncertainties or (FollowerUncertainty(),) * self.n_agents
         out = []
         for u, e in zip(unc, self.e_list()):
             da, db, de, dc = u.materialize(n, m, p, q)
@@ -406,11 +400,6 @@ def load_trace_csv(path):
     )
 
 
-def exo_step(exo, v):
-    """One exosystem step ``v(t+1) = S v(t)``."""
-    return exo.s @ np.asarray(v, dtype=float)
-
-
 def edgewise_virtual_errors(g, e_all):
     """Virtual errors computed edge by edge from regulated errors.
 
@@ -482,7 +471,7 @@ def _guard(step, state, *parts):
 
 
 def _exo_trajectory(exo, horizon):
-    """``v(t)`` for ``t = 0..horizon-1``, stepped as :func:`exo_step` does."""
+    """``v(t)`` for ``t = 0..horizon-1``, stepped by ``v(t+1) = S v(t)``."""
     v = np.empty((horizon, exo.q))
     v[:1] = exo.v0
     for t in range(1, horizon):
@@ -661,8 +650,6 @@ def simulate_compact_oracle(scenario, gains):
     forms ``H``, which they never do, so it checks the builder too.
     """
     mode = scenario.mode
-    if mode == "output" and gains.l_obs is None:
-        raise ConfigurationError("simulate_compact_oracle: output mode needs an observer gain")
     nfoll = scenario.n_agents
     n, m, p = scenario.plant.n, scenario.plant.m, scenario.plant.p
     nz = scenario.im.dim

@@ -22,9 +22,10 @@ and communication delay ``r_com``:
    one eigenvalue ``lam`` of ``H`` at a time, through
    :func:`closed_loop_blocks`: the lifted spectrum is the union of the
    spectra of the ``lam``-slice lifts, so every slice lift must be Schur.
-5. :func:`auto_tune_gamma` halves ``gamma`` until the certificate
-   accepts, which is the standard way to pick the parameter in
-   practice.
+5. :func:`synthesize_and_certify` designs at one ``gamma`` and
+   certifies the result; :func:`auto_tune_gamma` repeats it, halving
+   ``gamma`` until the certificate accepts, which is the standard way
+   to pick the parameter in practice.
 
 The Riccati equation solved throughout is, for a pair ``(A, B)`` and
 ``0 < gamma < 1``::
@@ -75,6 +76,7 @@ __all__ = [
     "delay_lift",
     "certify_closed_loop",
     "synthesize_gains",
+    "synthesize_and_certify",
     "auto_tune_gamma",
 ]
 
@@ -153,10 +155,9 @@ class GainSet:
     """Synthesized controller gains plus the parameters that produced them.
 
     ``k_x`` acts on relative plant states, ``k_z`` on the internal-model
-    state.  In the output-feedback law the same two matrices appear as
-    ``k_1 = k_z`` (internal model) and ``k_2 = k_x`` (observer
-    estimates); the aliases are provided to keep call sites readable.
-    ``l_obs`` is ``None`` for pure state-feedback designs.
+    state; in the output-feedback law ``k_x`` acts on the observer
+    estimates instead.  ``l_obs`` is ``None`` for pure state-feedback
+    designs.
     """
 
     k_x: np.ndarray
@@ -167,14 +168,6 @@ class GainSet:
     gamma_l: float = None
     nu_l: float = None
     observer_r: int = 0
-
-    @property
-    def k_1(self):
-        return self.k_z
-
-    @property
-    def k_2(self):
-        return self.k_x
 
 
 @dataclass
@@ -441,13 +434,6 @@ def build_augmented(plant, im):
     return a_c, b_c
 
 
-def _check_loop(caller, mode, gains):
-    if mode not in ("state", "output"):
-        raise ConfigurationError(f"{caller}: unknown mode {mode!r}")
-    if mode == "output" and gains.l_obs is None:
-        raise ConfigurationError(f"{caller}: output mode requires an observer gain")
-
-
 def closed_loop_blocks(plant, h, im, gains, mode):
     """Nominal networked closed-loop pair ``(A0, A1)``.
 
@@ -458,7 +444,6 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     computed.  The blocks are those of :func:`network_blocks` with every
     follower at the nominal model.
     """
-    _check_loop("closed_loop_blocks", mode, gains)
     nominal = [(plant.a, plant.b, plant.c)] * len(np.atleast_2d(h))
     a0, b_u, u_map, _ = network_blocks(plant, h, im, gains, mode, nominal)
     return a0, b_u @ u_map
@@ -481,7 +466,10 @@ def network_blocks(plant, h, im, gains, mode, agents):
     ``(H (x) I_p) diag(C_i) x + (H 1 (x) F) v`` enters ``w``; its plant
     part is already in ``A0``.  Returns ``(A0, B, U, D)``.
     """
-    _check_loop("network_blocks", mode, gains)
+    if mode not in ("state", "output"):
+        raise ConfigurationError(f"network_blocks: unknown mode {mode!r}")
+    if mode == "output" and gains.l_obs is None:
+        raise ConfigurationError("network_blocks: output mode requires an observer gain")
     h = np.atleast_2d(np.asarray(h))
     nn = h.shape[0]
     if len(agents) != nn:
@@ -539,12 +527,16 @@ def delay_lift(a0, a1, r):
 def _coupling_slices(h):
     """Distinct eigenvalues of ``H``, one per conjugate pair.
 
-    Values within ``1e-12 * max(1, |lam|)`` of one already kept are
-    merged; real values come back as floats so their slices stay real.
+    The eigenvalues come sorted by (real, imag), so a value within
+    ``1e-12 * max(1, |lam|)`` of the last one kept is merged into it:
+    one comparison per value.  A near-duplicate that the sort does not
+    place next to its twin is kept as a slice of its own, which adds a
+    lift but never drops one.  Real values come back as floats so their
+    slices stay real.
     """
     kept = []
     for lam in eigenvalues(h, "H"):
-        if lam.imag < 0 or any(abs(lam - mu) <= 1e-12 * max(1.0, abs(lam)) for mu in kept):
+        if lam.imag < 0 or (kept and abs(lam - kept[-1]) <= 1e-12 * max(1.0, abs(lam))):
             continue
         kept.append(lam)
     return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
@@ -576,17 +568,6 @@ def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
         for lam in _coupling_slices(h)
     )
     return bool(rho < 1.0 - margin), rho
-
-
-def _min_real_coupling(g):
-    h, _ = h_matrix(g)
-    re_min = float(np.min(np.real(eigenvalues(h, "H"))))
-    if re_min <= 0:
-        raise SynthesisError(
-            f"coupling matrix H has an eigenvalue with non-positive real part ({re_min:.4e}); "
-            "the graph lacks a leader-rooted spanning tree"
-        )
-    return re_min
 
 
 def synthesize_gains(
@@ -634,7 +615,13 @@ def synthesize_gains(
     """
     if mode not in ("state", "output"):
         raise ConfigurationError(f"synthesize_gains: unknown mode {mode!r}")
-    re_min = _min_real_coupling(g)
+    h, _ = h_matrix(g)
+    re_min = float(np.min(np.real(eigenvalues(h, "H"))))
+    if re_min <= 0:
+        raise SynthesisError(
+            f"coupling matrix H has an eigenvalue with non-positive real part ({re_min:.4e}); "
+            "the graph lacks a leader-rooted spanning tree"
+        )
     if nu is None:
         nu = re_min
     a_c, b_c = build_augmented(plant, im)
@@ -659,6 +646,18 @@ def synthesize_gains(
         nu_l=None if nu_l is None or mode == "state" else float(nu_l),
         observer_r=int(observer_r),
     )
+
+
+def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", margin=SCHUR_MARGIN, **settings):
+    """Synthesize at ``gamma`` and certify: returns ``(gains, stable, rho)``.
+
+    ``settings`` (``nu``, ``gamma_l``, ``nu_l``, ``observer_r``) go to
+    :func:`synthesize_gains`, ``margin`` to :func:`certify_closed_loop`.
+    A :class:`NumericalError` of the Riccati solve propagates.
+    """
+    gains = synthesize_gains(plant, g, im, delays, gamma, mode=mode, **settings)
+    stable, rho = certify_closed_loop(plant, g, im, gains, delays, mode, margin=margin)
+    return gains, stable, rho
 
 
 def auto_tune_gamma(
@@ -703,31 +702,20 @@ def auto_tune_gamma(
             f"auto_tune_gamma: open-loop spectral radius {rho_a:.4f} exceeds 1; "
             "the low-gain family cannot stabilize exponentially unstable modes through a delay"
         )
-    _min_real_coupling(g)  # raises if the graph is not rooted
 
     tried = []
     gamma = gamma0
     gamma_l = gamma_l0
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            gains = synthesize_gains(
-                plant,
-                g,
-                im,
-                delays,
-                gamma,
-                nu=nu,
-                mode=mode,
-                gamma_l=gamma_l,
-                nu_l=nu_l,
-                observer_r=observer_r,
+            gains, stable, rho = synthesize_and_certify(
+                plant, g, im, delays, gamma, mode, margin, nu=nu, gamma_l=gamma_l, nu_l=nu_l, observer_r=observer_r
             )
-            stable, rho = certify_closed_loop(plant, g, im, gains, delays, mode, margin=margin)
-            tried.append((gamma, rho))
-            if stable:
-                return gains
         except NumericalError:
-            tried.append((gamma, float("nan")))
+            stable, rho = False, float("nan")
+        tried.append((gamma, rho))
+        if stable:
+            return gains
         gamma = gamma / 2.0
         if gamma_l is not None:
             gamma_l = gamma_l / 2.0

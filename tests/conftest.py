@@ -22,7 +22,7 @@ from coopreg import (
 )
 from coopreg import delay_lift, h_matrix, network_blocks
 from coopreg import reference as ref
-from coopreg.matrixops import spectral_radius
+from coopreg.matrixops import eigenvalues, spectral_radius
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,29 @@ def fixed_point_dare(a, b, gamma, tol=1e-12, max_iter=100000):
     threshold = (100.0 if stalled else 1.0) * tol * max(1.0, float(np.linalg.norm(p, "fro")))
     assert res <= threshold, f"fixed point: residual {res:.3e} above {threshold:.3e} (gamma={gamma})"
     return p
+
+
+def horner_polyval(coeffs, m):
+    """A monic polynomial (ascending non-leading ``coeffs``) at the matrix ``m``,
+    by Horner's rule from the leading 1: a test oracle."""
+    out = np.eye(m.shape[0])
+    for c in np.asarray(coeffs, dtype=float)[::-1]:
+        out = out @ m + c * np.eye(m.shape[0])
+    return out
+
+
+def quadratic_coupling_slices(h):
+    """Distinct eigenvalues of ``h``, one per conjugate pair: a test oracle.
+
+    This is the merge ``synthesis._coupling_slices`` replaced: each value
+    is compared with every value kept so far, not only the last one.
+    """
+    kept = []
+    for lam in eigenvalues(h, "H"):
+        if lam.imag < 0 or any(abs(lam - mu) <= 1e-12 * max(1.0, abs(lam)) for mu in kept):
+            continue
+        kept.append(lam)
+    return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
 
 
 def reference_trace_csv(trace, path):

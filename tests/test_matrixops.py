@@ -12,15 +12,15 @@ from coopreg.matrixops import (
     controllability_matrix,
     detectable,
     eigenvalues,
-    is_schur,
     kron,
     minimal_polynomial,
     numeric_rank,
-    polyval_matrix,
     real_embedding,
     spectral_radius,
     stabilizable,
 )
+
+from conftest import horner_polyval
 
 C1, S1 = np.cos(1.0), np.sin(1.0)
 ROT1 = np.array([[C1, S1], [-S1, C1]])
@@ -72,17 +72,6 @@ class TestEigenvalues:
         assert np.isclose(spectral_radius(m), 0.8, atol=1e-12)
 
 
-class TestSchur:
-    def test_contractive_is_schur(self):
-        assert is_schur(np.diag([0.5, -0.9]))
-
-    def test_margin_is_strict(self):
-        # radius exactly 1 - margin must NOT pass the strict inequality
-        assert not is_schur(np.diag([1.0 - 1e-9]))
-        assert not is_schur(np.eye(2))
-        assert is_schur(np.diag([1.0 - 1e-6]))
-
-
 class TestRank:
     def test_numeric_rank_outer_product(self):
         u = np.array([[1.0], [2.0], [3.0]])
@@ -132,7 +121,7 @@ class TestMinimalPolynomial:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4))
         coeffs = minimal_polynomial(m)
-        assert np.allclose(polyval_matrix(coeffs, m), 0.0, atol=1e-8)
+        assert np.allclose(horner_polyval(coeffs, m), 0.0, atol=1e-8)
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(7)

@@ -21,7 +21,6 @@ from coopreg import (
     Scenario,
     build_internal_model,
     edgewise_virtual_errors,
-    exo_step,
     load_trace_csv,
     simulate_compact_oracle,
     simulate_output_feedback,
@@ -81,24 +80,24 @@ def zero_gains(mode="state"):
 
 
 class TestExoStep:
+    """The exosystem rows ``trace.v`` of a simulation: ``v(t+1) = S v(t)``."""
+
     def test_identity_keeps_state(self):
         exo = Exosystem(s=np.eye(2), f=np.zeros((1, 2)), v0=[0.3, -0.7])
-        v = exo.v0
-        for _ in range(5):
-            v = exo_step(exo, v)
-        assert np.array_equal(v, exo.v0)
+        im = build_internal_model(exo)
+        sc = replace(ref.reference_scenario(horizon=6), exo=exo, im=im)
+        gains = GainSet(k_x=np.zeros((1, 2)), k_z=np.zeros((1, im.dim)), gamma=0.1, nu=1.0)
+        v = simulate_state_feedback(sc, gains).v
+        assert np.array_equal(v, np.tile(exo.v0, (6, 1)))
 
     def test_benchmark_first_step(self):
-        exo = ref.reference_exosystem()
-        v1 = exo_step(exo, exo.v0)
-        assert np.max(np.abs(v1 - np.array([np.cos(1.0), -np.sin(1.0)]))) <= 1e-15
+        v = simulate_state_feedback(ref.reference_scenario(horizon=2), zero_gains()).v
+        assert np.array_equal(v[0], [1.0, 0.0])
+        assert np.max(np.abs(v[1] - np.array([np.cos(1.0), -np.sin(1.0)]))) <= 1e-15
 
     def test_rotation_preserves_norm(self):
-        exo = ref.reference_exosystem()
-        v = exo.v0
-        for _ in range(1000):
-            v = exo_step(exo, v)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
+        v = simulate_state_feedback(ref.reference_scenario(horizon=1001), zero_gains()).v
+        assert abs(np.linalg.norm(v[-1]) - 1.0) <= 1e-9
 
 
 def kronecker_virtual_errors(g, e_all):
@@ -187,7 +186,7 @@ class TestScenario:
         with pytest.raises(DimensionError, match="per_agent_e"):
             Scenario(**base, per_agent_e=(np.zeros((3, 2)),) * 4)
         with pytest.raises(ConfigurationError, match="uncertainties"):
-            Scenario(**base, uncertainties=(FollowerUncertainty.zero(),) * 2)
+            Scenario(**base, uncertainties=(FollowerUncertainty(),) * 2)
         with pytest.raises(ConfigurationError, match="init_states"):
             Scenario(**base, init_states={"w": np.zeros(2)})
         # overrides that initial_states() could not reshape are caught here
@@ -371,6 +370,8 @@ class TestBasicRuns:
         sc_out = ref.reference_scenario(mode="output", horizon=5)
         with pytest.raises(ConfigurationError, match="observer gain"):
             simulate_output_feedback(sc_out, zero_gains("state"))
+        with pytest.raises(ConfigurationError, match="observer gain"):
+            simulate_compact_oracle(sc_out, zero_gains("state"))
         with pytest.raises(ConfigurationError, match="transformed law only"):
             simulate_output_feedback(
                 sc_out, target_gains, law="delayed", observer_past=np.zeros((1, 4, 2))

@@ -34,6 +34,7 @@ from coopreg.errors import (
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import eigenvalues, spectral_radius
 from coopreg.synthesis import (
+    _coupling_slices,
     build_augmented,
     closed_loop_blocks,
     delay_lift,
@@ -42,12 +43,26 @@ from coopreg.synthesis import (
 )
 from coopreg import reference as ref
 
-from conftest import fixed_point_dare, random_connected_digraph, random_unit_circle_pair
+from conftest import (
+    NET12,
+    fixed_point_dare,
+    quadratic_coupling_slices,
+    random_connected_digraph,
+    random_digraph,
+    random_unit_circle_pair,
+)
 
 
 def unit_chain(n):
     """Leader -> 1 -> 2 -> ... -> n: H is lower bidiagonal, every eigenvalue 1."""
     return Digraph(n_followers=n, edges=tuple((i, i + 1, 1.0) for i in range(n)))
+
+
+def random_tree(n):
+    """Leader -> 1, then each follower i >= 2 hears one uniformly drawn earlier node."""
+    rng = np.random.default_rng(0)
+    edges = [(0, 1, 1.0)] + [(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0))) for i in range(2, n + 1)]
+    return Digraph(n_followers=n, edges=tuple(edges))
 
 
 def slice_radius(plant, h, im, gains, r, mode):
@@ -375,8 +390,8 @@ class TestClosedLoopBlocks:
                 [np.kron(h, lc), np.zeros((8, 8)), np.kron(eye, plant.a) - np.kron(h, lc)],
             ]
         )
-        bk1 = np.kron(eye, plant.b @ target_gains.k_1)
-        bk2 = np.kron(h, plant.b @ target_gains.k_2)
+        bk1 = np.kron(eye, plant.b @ target_gains.k_z)
+        bk2 = np.kron(h, plant.b @ target_gains.k_x)
         expect_a1 = np.block(
             [
                 [np.zeros((8, 8)), bk1, bk2],
@@ -617,6 +632,38 @@ class TestCertifyClosedLoop:
             assert abs(rho - slice_radius(plant, h, im, gains, delays.r, "state")) <= 1e-12
             assert abs(rho - dense_radius(plant, h, im, gains, delays.r, "state")) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "graph",
+        [ref.reference_graph(), NET12, random_tree(64), unit_chain(64)]
+        + [random_digraph(np.random.default_rng(seed)) for seed in range(8)],
+        ids=["reference", "net12", "tree64", "chain64"] + [f"random{seed}" for seed in range(8)],
+    )
+    def test_slices_match_the_quadratic_merge(self, graph):
+        # The neighbour merge keeps exactly the slices of the all-pairs
+        # merge, so the certified radius is the same to the bit.
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        h, _ = h_matrix(graph)
+        slices = quadratic_coupling_slices(h)
+        assert _coupling_slices(h) == slices
+        for mode in ("state", "output"):
+            gains = ref.reference_gains(mode)
+            _, rho = certify_closed_loop(plant, graph, im, gains, delays, mode)
+            assert rho == max(
+                spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
+                for lam in slices
+            )
+
+    def test_margin_is_strict(self):
+        # A radius exactly at 1 - margin must NOT pass the strict inequality.
+        args = (
+            ref.reference_plant(), ref.reference_graph(), ref.reference_internal_model(),
+            ref.reference_gains("state"), ref.reference_delays(), "state",
+        )
+        stable, rho = certify_closed_loop(*args)
+        assert stable and rho < 1.0
+        assert certify_closed_loop(*args, margin=1.0 - rho) == (False, rho)
+        assert certify_closed_loop(*args, margin=1.0 - rho - 1e-6) == (True, rho)
+
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_unit_chain_radius_is_the_unit_slice(self, n):
         # All N eigenvalues of a chain's H sit in one N x N Jordan block
@@ -665,9 +712,6 @@ class TestSynthesizeGains:
         assert gains.gamma_l == ref.GAMMA_L
         assert gains.nu_l == ref.NU_L
         assert gains.observer_r == 0
-        # aliases used by the output-feedback law
-        assert gains.k_1 is gains.k_z
-        assert gains.k_2 is gains.k_x
 
     def test_split_matches_full_gain(self):
         a_c, b_c = build_augmented(ref.reference_plant(), ref.reference_internal_model())
