@@ -5,6 +5,7 @@ import pytest
 
 from coopreg.errors import DimensionError, NumericalError
 from coopreg.matrixops import (
+    SCHUR_MARGIN,
     as_matrix,
     block_diag,
     companion_pair,
@@ -70,6 +71,22 @@ class TestEigenvalues:
     def test_triangular_spectral_radius(self):
         m = np.array([[0.5, 3.0, 1.0], [0.0, -0.25, 2.0], [0.0, 0.0, 0.8]])
         assert np.isclose(spectral_radius(m), 0.8, atol=1e-12)
+
+
+def is_schur(m):
+    """The Schur rule of ``certify_closed_loop`` at its default margin."""
+    return spectral_radius(m) < 1.0 - SCHUR_MARGIN
+
+
+class TestSchur:
+    def test_contractive_is_schur(self):
+        assert is_schur(np.diag([0.5, -0.9]))
+
+    def test_margin_is_strict(self):
+        # radius exactly 1 - margin must NOT pass the strict inequality
+        assert not is_schur(np.diag([1.0 - 1e-9]))
+        assert not is_schur(np.eye(2))
+        assert is_schur(np.diag([1.0 - 1e-6]))
 
 
 class TestRank:
