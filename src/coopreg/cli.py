@@ -42,12 +42,8 @@ _USAGE_ERRORS = (ConfigurationError, DimensionError, FileNotFoundError)
 _OPERATION_ERRORS = (SynthesisError, NumericalError, DivergenceError)
 
 
-def _fmt(arr):
-    return np.array2string(np.asarray(arr, dtype=float), precision=4, floatmode="fixed")
-
-
 def _print_matrix(label, arr):
-    text = _fmt(arr)
+    text = np.array2string(np.asarray(arr, dtype=float), precision=4, floatmode="fixed")
     if "\n" in text:
         pad = " " * (len(label) + 3)
         text = text.replace("\n", "\n" + pad)
@@ -103,12 +99,7 @@ def cmd_synthesize(args):
     verdict = "stable" if stable else "NOT stable"
     print(f"delay-lifted closed loop: {verdict} (spectral radius {rho:.4f}, delay {sc.delays.r})")
     if args.out:
-        cert = {
-            "mode": sc.mode,
-            "stable": bool(stable),
-            "spectral_radius": float(rho),
-            "delay": int(sc.delays.r),
-        }
+        cert = {"mode": sc.mode, "stable": stable, "spectral_radius": rho, "delay": sc.delays.r}
         save_gains(gains, args.out, certificate=cert)
         print(f"gains written to {args.out}")
     if not stable and not args.allow_unstable:
@@ -125,10 +116,8 @@ def cmd_simulate(args):
     else:
         problem, settings = _problem(cfg)
         gains = synthesize_gains(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)
-    if sc.mode == "state":
-        trace = simulate_state_feedback(sc, gains, law=args.law)
-    else:
-        trace = simulate_output_feedback(sc, gains, law=args.law)
+    run = simulate_state_feedback if sc.mode == "state" else simulate_output_feedback
+    trace = run(sc, gains, law=args.law)
 
     tail = min(200, sc.horizon)
     per_agent = trace.tail_max_error_per_agent(tail)

@@ -185,12 +185,19 @@ def _uncertainty(entry, path):
     return FollowerUncertainty(**_read(_UNCERTAINTY, entry, path))
 
 
+# libyaml scans and emits where PyYAML has it; the resolver, constructor
+# and representer stay PyYAML's safe ones, so values and bytes match.
 def _load_yaml(path):
     with open(path) as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as ex:
             raise ConfigurationError(f"{path}: not valid YAML ({ex})")
+
+
+def _save_yaml(data, path):
+    with open(path, "w") as fh:
+        yaml.dump(data, fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
 
 
 def load_config(path):
@@ -293,8 +300,7 @@ def config_to_dict(cfg):
 
 def save_config(cfg, path):
     """Write a scenario file; deterministic layout, full precision."""
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
+    _save_yaml(config_to_dict(cfg), path)
 
 
 def save_gains(gains, path, certificate=None):
@@ -311,8 +317,7 @@ def save_gains(gains, path, certificate=None):
         if "stable" in cert:
             cert["stable"] = bool(cert["stable"])
         data["certificate"] = cert
-    with open(path, "w") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)
+    _save_yaml(data, path)
 
 
 def load_gains(path):

@@ -17,6 +17,7 @@ rather than assumed.
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,13 @@ class Digraph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "n_followers", int(self.n_followers))
 
+    @cached_property
+    def _h_spectrum(self):
+        """Sorted, read-only eigenvalues of ``H``, computed once per (frozen) graph."""
+        lam = eigenvalues(h_matrix(self)[0], "H")
+        lam.flags.writeable = False
+        return lam
+
     def in_edges(self, i):
         """List of ``(source, weight)`` pairs feeding node ``i`` (leader included)."""
         return [(src, w) for (src, dst, w) in self.edges if dst == i]
@@ -170,5 +178,4 @@ def connectivity_spectral_check(g):
     Equivalent to :func:`has_leader_spanning_tree` in exact arithmetic;
     computed from the spectrum so the equivalence is testable.
     """
-    h, _ = h_matrix(g)
-    return bool(np.min(np.real(eigenvalues(h, "H"))) > DEFAULT_RANK_TOL)
+    return bool(np.min(np.real(g._h_spectrum)) > DEFAULT_RANK_TOL)

@@ -35,17 +35,18 @@ so the match can be set up exactly.
 
 One kernel
 ----------
-Both agentwise simulators run one time loop.  Each step advances every
-follower's state ``s = [x | z | xi]`` with one stacked product of a
-fused matrix ``M_i``, built once per run, and the late signals it reads;
-the exosystem trajectory and its feeds ``F v`` and ``E_i v`` are
-computed before the loop.  The regulated error and the feedback state
-are coupled side by side in one edge-wise pass per step (index arrays
-built once from the edge list), and the coupled feedback is kept, not
-coupled again when it is read late.  Every signal lives in an array
-indexed by time with its pre-history in front, so a delayed read is a
-row some steps back.  Modes and laws differ only in how many steps late
-each signal is read::
+Both agentwise simulators run one time loop over one history array:
+row ``depth + t`` holds time ``t`` with the pre-history in front, so a
+delayed read is a row some steps back.  A row holds the leader's zero
+row, then each follower's ``[z | x | xi | e]``, the regulated error
+stored beside the feedback state (``x``, or ``xi`` in output mode).  A
+step couples that ``[feedback | e]`` block in one edge-wise pass and
+advances every follower with one stacked product of a fused matrix
+``M_i``, whose ``e`` rows are ``C_i`` times its ``x`` rows.  The feeds
+``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill the history before
+the loop, ``y = C_i x`` is formed after it, and the divergence guard
+walks each block of steps once.  Modes and laws differ only in how many
+steps late each signal is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -81,6 +82,8 @@ __all__ = [
 # Max-norm bound on any simulated state; beyond this the run is
 # declared divergent and aborted with a DivergenceError.
 DIVERGENCE_GUARD = 1e12
+# Steps run between two guard checks; a check walks its block in order.
+_GUARD_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,34 +452,36 @@ def _edge_coupling(g):
     return couple
 
 
-def _guard(step, state, *parts):
-    """Raise :class:`DivergenceError` once ``state`` leaves the guard.
+def _guard(step, states, *parts):
+    """Raise :class:`DivergenceError` at the first of ``states`` to leave the guard.
 
-    One test on the whole stacked ``state`` per step.  Only when it fails
-    (or meets a nan) is the message built, from the first of the
-    last-axis slices ``parts`` (all of ``state`` if none are given)
-    that is out of bounds.
+    ``states[j]`` is the state at step ``step + j``.  One test covers the
+    whole block.  Only when it fails (or meets a nan) are the rows walked
+    in order, and the message built from the first of the last-axis
+    slices ``parts`` (all of the row if none are given) that is out of
+    bounds, so a block raises what a per-step check would have.
     """
-    if np.abs(state).max() <= DIVERGENCE_GUARD:
+    if np.abs(states).max(initial=0.0) <= DIVERGENCE_GUARD:
         return
-    for part in parts or (slice(None),):
-        m = float(np.abs(state[..., part]).max(initial=0.0))
-        if not m <= DIVERGENCE_GUARD:  # also catches nan
-            raise DivergenceError(
-                f"simulation diverged at step {step} (state magnitude {m:.3e} "
-                f"exceeds guard {DIVERGENCE_GUARD:.1e})",
-                step=step,
-                norm=m,
-            )
+    for j, state in enumerate(states):
+        for part in parts or (slice(None),):
+            m = float(np.abs(state[..., part]).max(initial=0.0))
+            if not m <= DIVERGENCE_GUARD:  # also catches nan
+                raise DivergenceError(
+                    f"simulation diverged at step {step + j} (state magnitude {m:.3e} "
+                    f"exceeds guard {DIVERGENCE_GUARD:.1e})",
+                    step=step + j,
+                    norm=m,
+                )
 
 
 def _exo_trajectory(exo, horizon):
-    """``v(t)`` for ``t = 0..horizon-1``, stepped by ``v(t+1) = S v(t)``."""
+    """``v(t)`` and ``F v(t)`` for ``t = 0..horizon-1``, stepped by ``v(t+1) = S v(t)``."""
     v = np.empty((horizon, exo.q))
     v[:1] = exo.v0
     for t in range(1, horizon):
         v[t] = exo.s @ v[t - 1]
-    return v
+    return v, np.matmul(exo.f, v[:, :, None])[:, :, 0]
 
 
 def _fill_past(rows, past):
@@ -515,71 +520,69 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     k_x, k_z = gains.k_x.T, gains.k_z.T
     couple = _edge_coupling(scenario.graph)
 
-    # One fused update per follower: s(t+1) = M_i d(t) + E_i v(t) with
-    # s = [x | z | xi] and d = [s | u(t - r_con) | e_v(t - d_ev)], in
-    # output mode followed by the observer's [u(t - r_con - d_ev) | coupled xi(t)].
-    ns = 2 * n + nz if output else n + nz
-    x_, z_, xi_ = slice(0, n), slice(n, n + nz), slice(n + nz, ns)
+    # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t) with
+    # s = [z | x | xi] and d = [s | u(t - r_con) | e_v(t - d_ev)], in output
+    # mode followed by the observer's [u(t - r_con - d_ev) | coupled xi(t)].
+    ns = nz + 2 * n if output else nz + n
+    z_, x_, xi_, e_ = slice(0, nz), slice(nz, nz + n), slice(nz + n, ns), slice(ns, ns + p)
     u_, ev_ = slice(ns, ns + m), slice(ns + m, ns + m + p)
-    fused = np.zeros((nfoll, ns, ev_.stop + (m + n if output else 0)))
-    fused[:, x_, x_], fused[:, x_, u_] = a, b
+    fused = np.zeros((nfoll, ns + p, ev_.stop + (m + n if output else 0)))
     fused[:, z_, z_], fused[:, z_, ev_] = scenario.im.g1, scenario.im.g2
+    fused[:, x_, x_], fused[:, x_, u_] = a, b
     if output:
         fused[:, xi_, xi_], fused[:, xi_, ev_] = scenario.plant.a, gains.l_obs
         fused[:, xi_, ev_.stop : ev_.stop + m] = scenario.plant.b
         fused[:, xi_, ev_.stop + m :] = -gains.l_obs @ scenario.plant.c
-    fb_ = xi_ if output else x_
+    fused[:, e_] = c @ fused[:, x_]
+    fb_e = slice(ns - n, ns + p)  # the feedback state ends s, just before e
 
-    # Row k + 1 of s_hist starts as the exosystem feed E_i v(t) (zero
-    # outside x); step t adds M_i d(t) to it.
-    v = _exo_trajectory(scenario.exo, T)
-    f_v = np.matmul(scenario.exo.f, v[:, :, None])[:, :, 0]
-    s_hist = np.zeros((depth + T + 1, nfoll, ns))
-    s_hist[: depth + 1] = np.concatenate(scenario.initial_states()[: 3 if output else 2], axis=1)
-    np.matmul(e_in, v[:, None, :, None], out=s_hist[depth + 1 :, :, x_, None])
-    _fill_past(s_hist[depth - r_com : depth, :, z_], controller_past)
+    # Follower row 0 is the leader's zero row; row k + 1 starts as the feed.
+    v, f_v = _exo_trajectory(scenario.exo, T + 1)
+    x0, z0, xi0 = scenario.initial_states()
+    hist = np.zeros((depth + T + 1, nfoll + 1, ns + p))
+    hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
+    hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + f_v[0]
+    feed = hist[depth + 1 :, 1:]
+    np.matmul(e_in, v[:T, None, :, None], out=feed[:, :, x_, None])
+    np.matmul(c @ e_in, v[:T, None, :, None], out=feed[:, :, e_, None])
+    feed[:, :, e_] += f_v[1:, None]
+    _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
     if output:
-        _fill_past(s_hist[depth - r_com : depth, :, xi_], observer_past)
+        _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
     u_hist = np.empty((depth + T, nfoll, m))
-    y = np.empty((T, nfoll, p))
-    # [e_v | coupled feedback state], one coupling per step; row 0 of
-    # ``padded`` is the leader's zero row.
-    cpl = np.empty((depth + T, nfoll, p + n))
-    padded = np.zeros((nfoll + 1, p + n))
+    # [coupled feedback state | e_v], one coupling per step; e(t) before
+    # t = 0 is e(0), so e_v there is e_v(0).
+    cpl = np.empty((depth + T, nfoll, n + p))
     for k in range(depth):
-        padded[1:, p:] = s_hist[k, :, fb_]
-        couple(padded, out=cpl[k])
+        couple(hist[k, :, fb_e], out=cpl[k])
 
-    for t in range(T):
-        k = depth + t
-        s = s_hist[k]
-        np.matmul(c, s[:, x_, None], out=y[t, :, :, None])
-        np.add(y[t], f_v[t], out=padded[1:, :p])
-        padded[1:, p:] = s[:, fb_]
-        couple(padded, out=cpl[k])
-        u = np.matmul(cpl[k - d_fb, :, p:], k_x, out=u_hist[k])
-        u += s_hist[k - d_z, :, z_] @ k_z
-        if t == 0:  # e_v and u before t = 0 are their values at t = 0
-            cpl[:depth, :, :p] = cpl[depth, :, :p]
-            u_hist[:depth] = u
-        drive = [s, u_hist[k - r_con], cpl[k - d_ev, :, :p]]
-        if output:
-            drive += [u_hist[k - r_con - d_ev], cpl[k, :, p:]]
-        nxt = s_hist[k + 1]
-        nxt += np.matmul(fused, np.concatenate(drive, axis=1)[:, :, None])[:, :, 0]
-        _guard(t + 1, nxt, x_, z_, xi_)
+    for t0 in range(0, T, _GUARD_BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
+            for k in range(depth + t0, depth + min(t0 + _GUARD_BLOCK, T)):
+                row = hist[k]
+                couple(row[:, fb_e], out=cpl[k])
+                u = np.matmul(cpl[k - d_fb, :, :n], k_x, out=u_hist[k])
+                u += hist[k - d_z, 1:, z_] @ k_z
+                if k == depth:  # u before t = 0 is u(0)
+                    u_hist[:depth] = u
+                drive = [row[1:, :ns], u_hist[k - r_con], cpl[k - d_ev, :, n:]]
+                if output:
+                    drive += [u_hist[k - r_con - d_ev], cpl[k, :, :n]]
+                nxt = hist[k + 1, 1:]
+                nxt += np.matmul(fused, np.concatenate(drive, axis=1)[:, :, None])[:, :, 0]
+        _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
-    rows = slice(depth, depth + T)
+    rows = hist[depth : depth + T, 1:]
     return SimulationTrace(
         t=np.arange(T, dtype=int),
-        v=v,
-        x=s_hist[rows, :, x_],
-        z=s_hist[rows, :, z_],
-        u=u_hist[rows],
-        y=y,
-        e=y + f_v[:, None, :],
-        e_v=cpl[rows, :, :p],
-        xi=s_hist[rows, :, xi_] if output else None,
+        v=v[:T],
+        x=rows[:, :, x_],
+        z=rows[:, :, z_],
+        u=u_hist[depth:],
+        y=np.matmul(c, rows[:, :, x_, None])[:, :, :, 0],
+        e=rows[:, :, e_],
+        e_v=cpl[depth:, :, n:],
+        xi=rows[:, :, xi_] if output else None,
     )
 
 
@@ -648,13 +651,15 @@ def simulate_compact_oracle(scenario, gains):
     B_v v(t)`` directly.  Serves as the independent cross-check for the
     agentwise simulators: it shares no stepping code with them, and it
     forms ``H``, which they never do, so it checks the builder too.
+    The feed ``B_v v(t)`` fills the history before the loop, a step is
+    the two delay products, and ``y``, ``e``, ``e_v`` and ``u`` are
+    formed over the whole horizon after it.
     """
     mode = scenario.mode
     nfoll = scenario.n_agents
     n, m, p = scenario.plant.n, scenario.plant.m, scenario.plant.p
     nz = scenario.im.dim
-    r_total = scenario.delays.r
-    r_com = scenario.delays.r_com
+    r, r_com = scenario.delays.r, scenario.delays.r_com
     T = scenario.horizon
 
     mats = scenario.agent_matrices()
@@ -662,41 +667,34 @@ def simulate_compact_oracle(scenario, gains):
     a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, mode, mats)
     a1 = b_u @ u_map
     c_blk = block_diag([mat[2] for mat in mats])
-    c_bar = kron(h, np.eye(p)) @ c_blk
     f_bar = kron(h @ np.ones((nfoll, 1)), scenario.exo.f)
     b_in = drive @ f_bar
     b_in[: nfoll * n] = np.vstack([mat[3] for mat in mats])
 
+    v, f_v = _exo_trajectory(scenario.exo, T)
     states = scenario.initial_states()[: 2 if mode == "state" else 3]
-    w = np.concatenate([s.reshape(-1) for s in states])
+    whist = np.empty((r + T + 1, b_in.shape[0]))
+    whist[: r + 1] = np.concatenate([s.reshape(-1) for s in states])
+    np.matmul(v, b_in.T, out=whist[r + 1 :])
+    for t0 in range(0, T, _GUARD_BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
+            for k in range(r + t0, r + min(t0 + _GUARD_BLOCK, T)):
+                nxt = whist[k + 1]
+                nxt += a0 @ whist[k]
+                nxt += a1 @ whist[k - r]
+        _guard(t0 + 1, whist[r + t0 + 1 : r + t0 + _GUARD_BLOCK + 1])
 
-    v = _exo_trajectory(scenario.exo, T)
-    whist = np.empty((r_total + T + 1, w.size))
-    whist[: r_total + 1] = w
-    u, y, e, e_v = (np.empty((T, nfoll * width)) for width in (m, p, p, p))
-    f_exo = scenario.exo.f
-
-    for t in range(T):
-        k = r_total + t
-        w = whist[k]
-        x_flat = w[: nfoll * n]
-        y[t] = c_blk @ x_flat
-        e[t] = y[t] + np.tile(f_exo @ v[t], nfoll)
-        e_v[t] = c_bar @ x_flat + f_bar @ v[t]
-        u[t] = u_map @ whist[k - r_com]
-        whist[k + 1] = a0 @ w + a1 @ whist[k - r_total] + b_in @ v[t]
-        _guard(t + 1, whist[k + 1])
-
-    rows = whist[r_total : r_total + T]
+    rows = whist[r : r + T]
+    x = rows[:, : nfoll * n]
+    y = (x @ c_blk.T).reshape(T, nfoll, p)
     return SimulationTrace(
         t=np.arange(T, dtype=int),
         v=v,
-        x=rows[:, : nfoll * n].reshape(T, nfoll, n),
+        x=x.reshape(T, nfoll, n),
         z=rows[:, nfoll * n : nfoll * (n + nz)].reshape(T, nfoll, nz),
-        u=u.reshape(T, nfoll, m),
-        y=y.reshape(T, nfoll, p),
-        e=e.reshape(T, nfoll, p),
-        e_v=e_v.reshape(T, nfoll, p),
+        u=(whist[r - r_com : r - r_com + T] @ u_map.T).reshape(T, nfoll, m),
+        y=y,
+        e=y + f_v[:, None],
+        e_v=(x @ (kron(h, np.eye(p)) @ c_blk).T + v @ f_bar.T).reshape(T, nfoll, p),
         xi=rows[:, nfoll * (n + nz) :].reshape(T, nfoll, n) if mode == "output" else None,
     )
-

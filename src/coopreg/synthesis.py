@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericalError, SynthesisError
-from .graphs import connectivity_spectral_check, h_matrix, has_leader_spanning_tree
+from .graphs import connectivity_spectral_check, has_leader_spanning_tree
 from .matrixops import (
     DEFAULT_RANK_TOL,
     SCHUR_MARGIN,
@@ -235,8 +235,7 @@ def check_assumptions(plant, exo, g):
 
     tree = has_leader_spanning_tree(g)
     spectral = connectivity_spectral_check(g)
-    h, _ = h_matrix(g)
-    re_min = float(np.min(np.real(eigenvalues(h, "H")))) if h.size else float("nan")
+    re_min = float(np.min(np.real(g._h_spectrum)))
     rep.add(
         "connectivity",
         tree and spectral,
@@ -524,8 +523,8 @@ def delay_lift(a0, a1, r):
     return lift
 
 
-def _coupling_slices(h):
-    """Distinct eigenvalues of ``H``, one per conjugate pair.
+def _coupling_slices(g):
+    """Distinct eigenvalues of ``H`` for graph ``g``, one per conjugate pair.
 
     The eigenvalues come sorted by (real, imag), so a value within
     ``1e-12 * max(1, |lam|)`` of the last one kept is merged into it:
@@ -535,7 +534,7 @@ def _coupling_slices(h):
     slices stay real.
     """
     kept = []
-    for lam in eigenvalues(h, "H"):
+    for lam in g._h_spectrum:
         if lam.imag < 0 or (kept and abs(lam - kept[-1]) <= 1e-12 * max(1.0, abs(lam))):
             continue
         kept.append(lam)
@@ -550,8 +549,9 @@ def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
     the lifted loop: its spectrum is the union, over the eigenvalues
     ``lam`` of ``H``, of the spectra of the small slice lifts
     ``delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), r)``.
-    The certificate takes the eigenvalues of ``H`` from
-    :func:`~coopreg.matrixops.eigenvalues` and lifts one slice per
+    The certificate takes the eigenvalues of ``H`` from the graph, which
+    eigensolves ``H`` once and shares the spectrum with
+    :func:`synthesize_gains`, and lifts one slice per
     distinct value (one per conjugate pair, since conjugate slices have
     conjugate spectra), never the network-sized ``(r+1) N w`` matrix.
 
@@ -562,10 +562,9 @@ def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
     rho : float
         The lifted spectral radius: the largest slice radius.
     """
-    h, _ = h_matrix(g)
     rho = max(
         spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
-        for lam in _coupling_slices(h)
+        for lam in _coupling_slices(g)
     )
     return bool(rho < 1.0 - margin), rho
 
@@ -615,8 +614,7 @@ def synthesize_gains(
     """
     if mode not in ("state", "output"):
         raise ConfigurationError(f"synthesize_gains: unknown mode {mode!r}")
-    h, _ = h_matrix(g)
-    re_min = float(np.min(np.real(eigenvalues(h, "H"))))
+    re_min = float(np.min(np.real(g._h_spectrum)))
     if re_min <= 0:
         raise SynthesisError(
             f"coupling matrix H has an eigenvalue with non-positive real part ({re_min:.4e}); "

@@ -9,6 +9,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import yaml
 
 from coopreg import (
     Digraph,
@@ -21,6 +22,7 @@ from coopreg import (
     build_internal_model,
 )
 from coopreg import delay_lift, h_matrix, network_blocks
+from coopreg import config, graphs, synthesis
 from coopreg import reference as ref
 from coopreg.matrixops import eigenvalues, spectral_radius
 
@@ -44,6 +46,36 @@ def bench_output():
 def target_gains():
     """The benchmark's calibrated design (``CALIBRATED_K``) packaged as a GainSet."""
     return ref.target_gains()
+
+
+@pytest.fixture
+def h_eigensolves(monkeypatch):
+    """A list that records one entry per eigensolve of ``H`` by the library."""
+    calls = []
+
+    def counting(m, name="matrix"):
+        if name == "H":
+            calls.append(m.shape)
+        return eigenvalues(m, name)
+
+    for module in (graphs, synthesis):
+        monkeypatch.setattr(module, "eigenvalues", counting)
+    return calls
+
+
+@pytest.fixture
+def yaml_parity(monkeypatch):
+    """Parse every file ``coopreg.config`` reads a second time with PyYAML's
+    pure-Python ``SafeLoader`` and require the same data."""
+    load = config._load_yaml
+
+    def checked(path):
+        data = load(path)
+        with open(path) as fh:
+            assert yaml.load(fh, Loader=yaml.SafeLoader) == data, path
+        return data
+
+    monkeypatch.setattr(config, "_load_yaml", checked)
 
 
 def benchmark_config_dict(mode="state", horizon=300, seed=0):

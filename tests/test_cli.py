@@ -21,6 +21,9 @@ from coopreg.synthesis import GainSet
 
 from conftest import benchmark_config_dict
 
+# Every file these tests read is also parsed by the pure-Python loader.
+pytestmark = pytest.mark.usefixtures("yaml_parity")
+
 
 # Design-command output of the benchmark configuration, pinned byte for
 # byte (``<out>`` stands for the output path).
@@ -275,6 +278,10 @@ class TestSweep:
         assert code == 0
         assert capsys.readouterr().out.replace(str(out_path), "<out>") == SWEEP_STDOUT
         assert out_path.read_bytes() == SWEEP_CSV
+
+    def test_h_is_eigensolved_once(self, config_path, h_eigensolves):
+        assert cli.main(["sweep", str(config_path), "--gammas", "0.32,0.16,0.08,0.04"]) == 0
+        assert h_eigensolves == [(4, 4)]
 
     def test_failed_solve_stops_the_table(self, config_path, capsys):
         # The rows before the failing gamma are printed; the Riccati

@@ -25,6 +25,10 @@ from coopreg import reference as ref
 
 from conftest import benchmark_config_dict
 
+# Every file these tests read is also parsed by the pure-Python loader.
+pytestmark = pytest.mark.usefixtures("yaml_parity")
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "benchmark_scenario.yaml"
+
 
 @pytest.fixture
 def bench_dict():
@@ -375,10 +379,9 @@ class TestConfigRoundTrip:
         assert d1 == d2
 
     def test_benchmark_file_is_rewritten_byte_for_byte(self, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "demos" / "benchmark_scenario.yaml"
         out = tmp_path / "c.yaml"
-        save_config(load_config(src), out)
-        assert out.read_bytes() == src.read_bytes()
+        save_config(load_config(DEMO), out)
+        assert out.read_bytes() == DEMO.read_bytes()
 
     def test_full_precision_survives(self, tmp_path, bench_dict):
         # cos(1) is not exactly representable in short decimal form;
@@ -482,3 +485,26 @@ class TestGainFiles:
         )
         with pytest.raises(ConfigurationError, match=r"gains\.gamma"):
             load_gains(path)
+
+
+# ---------------------------------------------------------------------------
+# YAML backends
+
+
+class TestYamlBackends:
+    """Files go through libyaml where PyYAML has it, and the pure-Python
+    scanner and emitter otherwise; values and bytes must not change."""
+
+    def test_pure_python_fallback(self, tmp_path, monkeypatch, target_gains):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        out = tmp_path / "c.yaml"
+        save_config(load_config(DEMO), out)
+        assert out.read_bytes() == DEMO.read_bytes()
+        cert = {"mode": "output", "stable": True, "spectral_radius": 0.9385157, "delay": 2}
+        save_gains(target_gains, out, certificate=cert)
+        assert out.read_bytes() == TARGET_GAIN_FILE.encode()
+        assert load_gains(out)[1] == cert
+        out.write_text("plant: {a: [[1, 1]\n")
+        with pytest.raises(ConfigurationError, match="not valid YAML"):
+            load_config(out)

@@ -6,7 +6,9 @@ recursions, and against each other across the transformed/delayed law
 pair with matched initial histories.
 """
 
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from coopreg import (
     GainSet,
     NominalPlant,
     Scenario,
+    SimulationTrace,
     build_internal_model,
     edgewise_virtual_errors,
     load_trace_csv,
@@ -61,6 +64,12 @@ def check_schur_case(case, sc, gains, *traces):
         for name in ("x", "z", "xi", "u", "y", "e", "e_v"):
             arr = getattr(trace, name)
             assert arr is None or np.max(np.abs(arr)) < 1e3, name
+
+
+# 60-step agentwise traces of ``reference_scenario`` with ``target_gains``,
+# keyed ``<mode>-<law>-<signal>``, recorded from the kernel that stepped
+# ``[x | z | xi]`` and formed ``e = y + F v`` each step.
+GOLDEN_TRACES = Path(__file__).with_name("reference_traces_60.npz")
 
 
 def zero_gains(mode="state"):
@@ -355,6 +364,45 @@ class TestBasicRuns:
             f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
         )
 
+    @pytest.mark.parametrize(
+        "mode, law, k_x, horizon, step, norm",
+        [
+            ("state", "transformed", 1e6, 50, 4, 5.408456028852427e12),
+            ("output", "delayed", 1e6, 50, 3, 8.61473922661937e12),
+            ("state", "transformed", 1e50, 64, 1, 2.2619972172846628e50),
+            ("output", "delayed", 1e50, 64, 1, 3.2552967068802737e50),
+            ("state", "transformed", 0.2, 90, 90, 1.2229157030854873e12),
+            ("output", "delayed", 0.2, 100, 100, 1.214608353727484e12),
+            ("state", "transformed", 0.2, 300, 90, 1.2229157030854873e12),
+            ("output", "delayed", 0.2, 300, 100, 1.214608353727484e12),
+        ],
+        ids=["first-block-state", "first-block-output", "overflow-state", "overflow-output",
+             "last-step-state", "last-step-output", "second-block-state", "second-block-output"],
+    )
+    def test_block_guard_stops_at_the_first_step_out(self, mode, law, k_x, horizon, step, norm, target_gains):
+        # The guard checks blocks of steps.  A run that leaves it in the
+        # first block, on its very last step (t = T - 1 makes step T), or
+        # in a later block raises the step, norm and message a check after
+        # every step gives.  The steps run after it inside the block stay
+        # silent, also where they overflow (the 1e50 gains).
+        sc = ref.reference_scenario(mode=mode, horizon=horizon)
+        gains = GainSet(
+            k_x=np.full((1, 2), k_x), k_z=np.zeros((1, 2)) if k_x > 1 else target_gains.k_z, gamma=0.1, nu=1.0,
+            l_obs=target_gains.l_obs if mode == "output" else None,
+        )
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                run(sc, gains, law=law)
+        assert exc.value.step == step
+        assert exc.value.norm == pytest.approx(norm, rel=1e-9)
+        assert str(exc.value) == (
+            f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
+        )
+        if step == horizon:  # one step shorter never leaves the guard
+            run(replace(sc, horizon=horizon - 1), gains, law=law)
+
     def test_law_and_history_validation(self, target_gains):
         sc = ref.reference_scenario(horizon=5)
         with pytest.raises(ConfigurationError, match="law"):
@@ -443,6 +491,64 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, target_gains)
         assert np.max(np.abs(agentwise.x)) < 1e3
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("law", ["transformed", "delayed"])
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_reference_traces_match_the_recorded_ones(self, mode, law, target_gains):
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        trace = run(ref.reference_scenario(mode=mode, horizon=60), target_gains, law=law)
+        with np.load(GOLDEN_TRACES) as golden:
+            recorded = {name: golden.get(f"{mode}-{law}-{name}") for name in ("v", "x", "z", "xi", "u", "y", "e", "e_v")}
+        assert (recorded["xi"] is None) == (mode == "state")
+        assert trace.max_relative_deviation(SimulationTrace(t=trace.t, **recorded)) <= 1e-12
+
+
+class TestOracleOutputs:
+    """The oracle forms ``y``, ``e``, ``e_v`` and ``u`` in bulk after its loop."""
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_error_is_output_plus_exosystem_feed(self, mode, target_gains):
+        sc = ref.reference_scenario(mode=mode, horizon=300)
+        trace = simulate_compact_oracle(sc, target_gains)
+        for t in range(trace.horizon):
+            assert np.array_equal(trace.e[t], trace.y[t] + sc.exo.f @ trace.v[t])
+
+    @pytest.mark.parametrize("case", ["reference", 101, "net12"])
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_virtual_error_is_the_edgewise_coupling_of_e(self, case, mode, target_gains):
+        if case == "reference":
+            sc, gains = ref.reference_scenario(mode=mode, horizon=300), target_gains
+        else:
+            sc, gains = case_scenario(case, mode, horizon=150)
+        trace = simulate_compact_oracle(sc, gains)
+        for t in range(trace.horizon):
+            edgewise = edgewise_virtual_errors(sc.graph, trace.e[t])
+            scale = np.maximum(1.0, np.abs(edgewise))
+            assert np.max(np.abs(trace.e_v[t] - edgewise) / scale) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "mode, k_x, step, norm",
+        [
+            ("state", 1e6, 4, 5.408456028852428e12),
+            ("output", 1e6, 4, 8.61475224781205e12),
+            ("state", 1e50, 1, 2.261997217284663e50),
+            ("output", 1e50, 1, 3.255296706880274e50),
+        ],
+    )
+    def test_divergence_guard_raises(self, mode, k_x, step, norm, target_gains):
+        sc = ref.reference_scenario(mode=mode, horizon=64)
+        wild = GainSet(
+            k_x=np.full((1, 2), k_x), k_z=np.array([[0.0, 0.0]]), gamma=0.1, nu=1.0,
+            l_obs=target_gains.l_obs if mode == "output" else None,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                simulate_compact_oracle(sc, wild)
+        assert exc.value.step == step
+        assert exc.value.norm == pytest.approx(norm, rel=1e-9)
 
 
 def matched_transformed_run(sc, gains, run, delayed_trace):

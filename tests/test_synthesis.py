@@ -644,7 +644,7 @@ class TestCertifyClosedLoop:
         plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
         h, _ = h_matrix(graph)
         slices = quadratic_coupling_slices(h)
-        assert _coupling_slices(h) == slices
+        assert _coupling_slices(graph) == slices
         for mode in ("state", "output"):
             gains = ref.reference_gains(mode)
             _, rho = certify_closed_loop(plant, graph, im, gains, delays, mode)
@@ -739,6 +739,14 @@ class TestAutoTuneGamma:
             gains, ref.reference_delays(), "state",
         )
         assert stable
+
+    def test_h_is_eigensolved_once_per_call(self, h_eigensolves):
+        # Five designs are tried on TREE(64) from gamma = 0.5; each one's
+        # default nu and certificate slices read one shared spectrum.
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        gains = auto_tune_gamma(plant, random_tree(64), im, delays, 0.5)
+        assert gains.gamma == 0.03125
+        assert h_eigensolves == [(64, 64)]
 
     def test_unit_chain64_accepts_first_stable_gamma(self):
         # On the unit slice gamma = 0.25 gives radius 1.094 and 0.125
