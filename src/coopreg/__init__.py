@@ -19,109 +19,23 @@ known communication delay.  The package provides
 * a fully worked four-follower benchmark (:mod:`coopreg.reference`).
 """
 
-from .errors import (
-    ConfigurationError,
-    CoopregError,
-    DimensionError,
-    DivergenceError,
-    NumericalError,
-    SynthesisError,
-)
-from .graphs import (
-    Digraph,
-    adjacency,
-    connectivity_spectral_check,
-    h_matrix,
-    has_leader_spanning_tree,
-    laplacian,
-)
-from .internal_model import Exosystem, InternalModel, build_internal_model
-from .simulation import (
-    FollowerUncertainty,
-    Scenario,
-    SimulationTrace,
-    edgewise_virtual_errors,
-    load_trace_csv,
-    simulate_compact_oracle,
-    simulate_output_feedback,
-    simulate_state_feedback,
-)
-from .synthesis import (
-    AssumptionReport,
-    DelaySpec,
-    GainSet,
-    NominalPlant,
-    auto_tune_gamma,
-    build_augmented,
-    certify_closed_loop,
-    check_assumptions,
-    closed_loop_blocks,
-    network_blocks,
-    delay_lift,
-    observer_gain,
-    solve_parametric_dare,
-    state_feedback_gain,
-    synthesize_and_certify,
-    synthesize_gains,
-    transmission_zeros_ok,
-)
-from .config import (
-    ExperimentConfig,
-    SynthesisSettings,
-    load_config,
-    load_gains,
-    save_config,
-    save_gains,
-)
+from . import config, errors, graphs, internal_model, simulation, synthesis
+from .errors import *
+from .graphs import *
+from .internal_model import *
+from .synthesis import *
+from .simulation import *
+from .config import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "CoopregError",
-    "DimensionError",
-    "ConfigurationError",
-    "NumericalError",
-    "SynthesisError",
-    "DivergenceError",
-    "Digraph",
-    "adjacency",
-    "laplacian",
-    "h_matrix",
-    "has_leader_spanning_tree",
-    "connectivity_spectral_check",
-    "Exosystem",
-    "InternalModel",
-    "build_internal_model",
-    "NominalPlant",
-    "DelaySpec",
-    "GainSet",
-    "AssumptionReport",
-    "check_assumptions",
-    "transmission_zeros_ok",
-    "solve_parametric_dare",
-    "state_feedback_gain",
-    "observer_gain",
-    "build_augmented",
-    "closed_loop_blocks",
-    "network_blocks",
-    "delay_lift",
-    "certify_closed_loop",
-    "synthesize_gains",
-    "synthesize_and_certify",
-    "auto_tune_gamma",
-    "FollowerUncertainty",
-    "Scenario",
-    "SimulationTrace",
-    "edgewise_virtual_errors",
-    "simulate_state_feedback",
-    "simulate_output_feedback",
-    "simulate_compact_oracle",
-    "load_trace_csv",
-    "ExperimentConfig",
-    "SynthesisSettings",
-    "load_config",
-    "save_config",
-    "load_gains",
-    "save_gains",
+    *errors.__all__,
+    *graphs.__all__,
+    *internal_model.__all__,
+    *synthesis.__all__,
+    *simulation.__all__,
+    *config.__all__,
     "__version__",
 ]

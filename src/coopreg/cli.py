@@ -21,14 +21,7 @@ import numpy as np
 
 from . import reference
 from .config import load_config, load_gains, save_gains
-from .errors import (
-    ConfigurationError,
-    CoopregError,
-    DimensionError,
-    DivergenceError,
-    NumericalError,
-    SynthesisError,
-)
+from .errors import ConfigurationError, CoopregError, DimensionError
 from .simulation import simulate_compact_oracle, simulate_output_feedback, simulate_state_feedback
 from .synthesis import (
     auto_tune_gamma,
@@ -39,7 +32,6 @@ from .synthesis import (
 )
 
 _USAGE_ERRORS = (ConfigurationError, DimensionError, FileNotFoundError)
-_OPERATION_ERRORS = (SynthesisError, NumericalError, DivergenceError)
 
 
 def _print_matrix(label, arr):
@@ -84,7 +76,6 @@ def cmd_synthesize(args):
     problem, settings = _problem(cfg)
     if args.auto_tune:
         gamma0 = _file_gamma(cfg, "as the auto-tune starting point")
-        settings["gamma_l0"] = settings.pop("gamma_l")
         gains = auto_tune_gamma(*problem, gamma0, **settings)
         stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
     else:
@@ -307,9 +298,6 @@ def main(argv=None):
     except _USAGE_ERRORS as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except _OPERATION_ERRORS as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
     except CoopregError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ of the offending field (``plant.a``, ``graph.edges[2]``, ...).  Writing
 is deterministic and round-trips floats at full precision.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import yaml
 
@@ -32,32 +34,24 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class SynthesisSettings:
     """Parameters of the gain synthesis stage of a scenario file."""
 
-    def __init__(
-        self,
-        gamma=None,
-        nu=None,
-        gamma_l=None,
-        nu_l=None,
-        observer_r=0,
-        beta_override=None,
-    ):
-        self.gamma = None if gamma is None else float(gamma)
-        self.nu = None if nu is None else float(nu)
-        self.gamma_l = None if gamma_l is None else float(gamma_l)
-        self.nu_l = None if nu_l is None else float(nu_l)
-        self.observer_r = int(observer_r)
-        self.beta_override = beta_override
+    gamma: float = None
+    nu: float = None
+    gamma_l: float = None
+    nu_l: float = None
+    observer_r: int = 0
+    beta_override: tuple = None
 
 
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A parsed scenario file: the scenario plus synthesis settings."""
 
-    def __init__(self, scenario, synthesis):
-        self.scenario = scenario
-        self.synthesis = synthesis
+    scenario: Scenario
+    synthesis: SynthesisSettings
 
 
 # Field tables, in file order: (name, kind, default).  A "matrix" is a

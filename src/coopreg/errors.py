@@ -7,6 +7,15 @@ bad shapes, bad configuration data, failed numerics, failed synthesis
 preconditions, and diverging simulations.
 """
 
+__all__ = [
+    "CoopregError",
+    "DimensionError",
+    "ConfigurationError",
+    "NumericalError",
+    "SynthesisError",
+    "DivergenceError",
+]
+
 
 class CoopregError(Exception):
     """Base class for all errors raised by coopreg."""

@@ -123,6 +123,10 @@ class FollowerUncertainty:
 class Scenario:
     """Everything needed to run one closed-loop experiment.
 
+    Construction validates every field and resolves each follower's
+    effective ``(A_i, B_i, C_i, E_i)`` once; :meth:`agent_matrices`
+    returns that stack.
+
     Parameters
     ----------
     plant : NominalPlant
@@ -188,18 +192,25 @@ class Scenario:
         n, q = self.plant.n, self.exo.q
 
         if self.per_agent_e is not None:
-            mats = [as_matrix(e, f"per_agent_e[{k}]") for k, e in enumerate(self.per_agent_e)]
-            if len(mats) != nfoll:
+            e_mats = [as_matrix(e, f"per_agent_e[{k}]") for k, e in enumerate(self.per_agent_e)]
+            if len(e_mats) != nfoll:
                 raise ConfigurationError(
-                    f"scenario.per_agent_e: expected {nfoll} entries, got {len(mats)}"
+                    f"scenario.per_agent_e: expected {nfoll} entries, got {len(e_mats)}"
                 )
-            for k, e in enumerate(mats):
+            for k, e in enumerate(e_mats):
                 if e.shape != (n, q):
                     raise DimensionError(
                         f"per_agent_e[{k}]: expected shape ({n}, {q}), got {e.shape}"
                     )
-            object.__setattr__(self, "per_agent_e", tuple(mats))
+            object.__setattr__(self, "per_agent_e", tuple(e_mats))
+        elif self.plant.e is not None:
+            if self.plant.e.shape != (n, q):
+                raise DimensionError(f"plant.e: expected shape ({n}, {q}), got {self.plant.e.shape}")
+            e_mats = [self.plant.e] * nfoll
+        else:
+            e_mats = [np.zeros((n, q))] * nfoll
 
+        unc = (FollowerUncertainty(),) * nfoll
         if self.uncertainties is not None:
             unc = list(self.uncertainties)
             if len(unc) != nfoll:
@@ -207,9 +218,12 @@ class Scenario:
                     f"scenario.uncertainties: expected {nfoll} entries, got {len(unc)}"
                 )
             unc = tuple(u if u is not None else FollowerUncertainty() for u in unc)
-            for k, u in enumerate(unc):
-                u.materialize(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")  # shape check only
             object.__setattr__(self, "uncertainties", unc)
+        agents = []
+        for k, (u, e) in enumerate(zip(unc, e_mats)):
+            da, db, de, dc = u.materialize(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")
+            agents.append((self.plant.a + da, self.plant.b + db, self.plant.c + dc, e + de))
+        object.__setattr__(self, "_agents", tuple(agents))
 
         if self.init_states is not None:
             allowed = {"x", "z", "xi"}
@@ -232,28 +246,12 @@ class Scenario:
     def n_agents(self):
         return self.graph.n_followers
 
-    def e_list(self):
-        """Per-follower disturbance input matrices with fallbacks applied."""
-        n, q = self.plant.n, self.exo.q
-        if self.per_agent_e is not None:
-            return list(self.per_agent_e)
-        if self.plant.e is not None:
-            if self.plant.e.shape != (n, q):
-                raise DimensionError(
-                    f"plant.e: expected shape ({n}, {q}), got {self.plant.e.shape}"
-                )
-            return [self.plant.e] * self.n_agents
-        return [np.zeros((n, q))] * self.n_agents
-
     def agent_matrices(self):
-        """Effective per-follower ``(A_i, B_i, C_i, E_i)`` with uncertainty applied."""
-        n, m, p, q = self.plant.n, self.plant.m, self.plant.p, self.exo.q
-        unc = self.uncertainties or (FollowerUncertainty(),) * self.n_agents
-        out = []
-        for u, e in zip(unc, self.e_list()):
-            da, db, de, dc = u.materialize(n, m, p, q)
-            out.append((self.plant.a + da, self.plant.b + db, self.plant.c + dc, e + de))
-        return out
+        """Effective per-follower ``(A_i, B_i, C_i, E_i)`` with uncertainty applied.
+
+        ``E_i`` is ``per_agent_e[i]``, else ``plant.e``, else zeros.
+        """
+        return self._agents
 
     def initial_states(self):
         """Seeded initial states ``(x0, z0, xi0)`` with overrides applied.
@@ -508,8 +506,14 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     in the module docstring); ``output`` adds the observer and makes its
     estimate, not the plant state, the coupled feedback state.  Every
     history is an array whose row ``depth + t`` holds time ``t``, with
-    the pre-history in the rows before it.
+    the pre-history in the rows before it.  A scenario meant for the
+    other mode is rejected.
     """
+    mode = "output" if output else "state"
+    if scenario.mode != mode:
+        raise ConfigurationError(
+            f"simulate_{mode}_feedback: scenario.mode is {scenario.mode!r}, expected {mode!r}"
+        )
     r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
     d_z = r_com if law == "transformed" else 0
     d_ev = r_com - d_z
@@ -592,6 +596,7 @@ def simulate_state_feedback(scenario, gains, law="transformed", controller_past=
     Parameters
     ----------
     scenario : Scenario
+        A scenario with ``mode == "state"``.
     gains : GainSet
     law : {"transformed", "delayed"}
         ``"transformed"`` updates the internal model on the current
@@ -626,9 +631,10 @@ def simulate_output_feedback(
     itself is driven by the virtual error and by coupled estimates, and
     injects the input the plant actually received.
 
-    Parameters mirror :func:`simulate_state_feedback`;
-    ``controller_past``/``observer_past`` give pre-``t=0`` histories
-    (shape ``(r_com, N, dim)``, newest first) for the transformed law.
+    Parameters mirror :func:`simulate_state_feedback`, for a scenario
+    with ``mode == "output"``; ``controller_past``/``observer_past``
+    give pre-``t=0`` histories (shape ``(r_com, N, dim)``, newest
+    first) for the transformed law.
     """
     if gains.l_obs is None:
         raise ConfigurationError("simulate_output_feedback: gain set has no observer gain")

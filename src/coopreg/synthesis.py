@@ -11,11 +11,11 @@ and communication delay ``r_com``:
    unstable open-loop modes).
 2. :func:`build_augmented` forms the cascade of the agent with the
    internal model.
-3. :func:`state_feedback_gain` / :func:`observer_gain` solve a
-   parametric algebraic Riccati equation whose low-gain parameter
-   ``gamma`` shrinks the feedback aggressiveness until the delayed loop
-   can absorb it; the delay enters through an extra factor ``A**(r+1)``
-   in the gain formula.
+3. :func:`state_feedback_gain` solves a parametric algebraic Riccati
+   equation whose low-gain parameter ``gamma`` shrinks the feedback
+   aggressiveness until the delayed loop can absorb it; the delay
+   enters through an extra factor ``A**(r+1)`` in the gain formula.
+   :func:`observer_gain` is its dual, ``L = -K(A', C')'``.
 4. :func:`network_blocks` builds the delayed networked loop for any
    per-follower ``(A_i, B_i, C_i)`` stack; the compact simulation oracle
    uses it too.  :func:`certify_closed_loop` certifies the nominal loop
@@ -350,11 +350,10 @@ def solve_parametric_dare(a, b, gamma):
     return p
 
 
-def _delay_power(caller, a, r):
-    """``A^(r+1)``, the delay-compensation factor, for a non-negative integer ``r``."""
+def _require_delay(caller, r):
+    """Reject a delay ``r`` that is not a non-negative integer, naming ``caller``."""
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ConfigurationError(f"{caller}: r must be a non-negative integer, got {r!r}")
-    return np.linalg.matrix_power(a, int(r) + 1)
 
 
 def state_feedback_gain(a, b, gamma, nu, r):
@@ -372,18 +371,19 @@ def state_feedback_gain(a, b, gamma, nu, r):
     b = as_matrix(b, "b")
     if not np.isfinite(nu) or nu <= 0:
         raise ConfigurationError(f"state_feedback_gain: nu must be positive, got {nu}")
-    a_pow = _delay_power("state_feedback_gain", a, r)
+    _require_delay("state_feedback_gain", r)
     p = solve_parametric_dare(a, b, gamma)
     rmat = np.eye(b.shape[1]) + b.T @ p @ b
-    return -np.linalg.solve(rmat, b.T @ p @ a_pow) / float(nu)
+    return -np.linalg.solve(rmat, b.T @ p @ np.linalg.matrix_power(a, int(r) + 1)) / float(nu)
 
 
 def observer_gain(a, c, gamma_l, nu_l, r=0):
     """Low-gain observer injection ``L`` for the pair ``(C, A)``.
 
-    Solves the dual parametric Riccati equation
-    ``A P A' - P - A P C'(I + C P C')^{-1} C P A' = -gamma_l P`` and
-    returns ``L = (1/nu_l) A^{r+1} P C' (I + C P C')^{-1}`` (``n x p``).
+    The dual of :func:`state_feedback_gain`: ``L = -K(A', C')'``, that
+    is ``L = (1/nu_l) A^{r+1} P C' (I + C P C')^{-1}`` (``n x p``) with
+    ``P`` the solution of the dual parametric Riccati equation
+    ``A P A' - P - A P C'(I + C P C')^{-1} C P A' = -gamma_l P``.
 
     The default ``r = 0`` reflects that the estimation-error recursion
     in the networked closed loop is delay-free: the observer runs on
@@ -398,10 +398,8 @@ def observer_gain(a, c, gamma_l, nu_l, r=0):
         raise DimensionError(f"observer_gain: A is {a.shape[0]} x {a.shape[0]} but C has {c.shape[1]} columns")
     if not np.isfinite(nu_l) or nu_l <= 0:
         raise ConfigurationError(f"observer_gain: nu_l must be positive, got {nu_l}")
-    a_pow = _delay_power("observer_gain", a, r)
-    p = solve_parametric_dare(a.T, c.T, gamma_l)
-    rmat = np.eye(c.shape[0]) + c @ p @ c.T
-    return a_pow @ p @ c.T @ np.linalg.inv(rmat) / float(nu_l)
+    _require_delay("observer_gain", r)
+    return -state_feedback_gain(a.T, c.T, gamma_l, nu_l, r).T
 
 
 def build_augmented(plant, im):
@@ -504,21 +502,18 @@ def delay_lift(a0, a1, r):
 
     Stacks ``z(t) = (w(t), w(t-1), ..., w(t-r))``; the lifted matrix has
     ``A0`` and ``A1`` in the first block row and shift identities below.
-    For ``r = 0`` this is simply ``A0 + A1``.
+    ``A1`` is added onto its block, so for ``r = 0`` the lift is ``A0 + A1``.
     """
     a0 = np.atleast_2d(a0)
     a1 = np.atleast_2d(a1)
     if a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionError(f"delay_lift: expected equal square blocks, got {a0.shape} and {a1.shape}")
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ConfigurationError(f"delay_lift: r must be a non-negative integer, got {r!r}")
-    if r == 0:
-        return a0 + a1
+    _require_delay("delay_lift", r)
     nb = a0.shape[0]
     dtype = np.result_type(a0.dtype, a1.dtype)
     lift = np.zeros(((r + 1) * nb, (r + 1) * nb), dtype=dtype)
     lift[:nb, :nb] = a0
-    lift[:nb, r * nb :] = a1
+    lift[:nb, r * nb :] += a1
     lift[nb:, : r * nb] = np.eye(r * nb, dtype=dtype)
     return lift
 
@@ -541,7 +536,7 @@ def _coupling_slices(g):
     return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
 
 
-def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
+def certify_closed_loop(plant, g, im, gains, delays, mode):
     """Schur certificate for the delayed networked closed loop.
 
     Both closed-loop blocks are Kronecker products against ``I`` or
@@ -558,7 +553,7 @@ def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
     Returns
     -------
     stable : bool
-        True when the radius is below ``1 - margin``.
+        True when the radius is below ``1 - SCHUR_MARGIN``.
     rho : float
         The lifted spectral radius: the largest slice radius.
     """
@@ -566,7 +561,7 @@ def certify_closed_loop(plant, g, im, gains, delays, mode, margin=SCHUR_MARGIN):
         spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
         for lam in _coupling_slices(g)
     )
-    return bool(rho < 1.0 - margin), rho
+    return bool(rho < 1.0 - SCHUR_MARGIN), rho
 
 
 def synthesize_gains(
@@ -646,43 +641,32 @@ def synthesize_gains(
     )
 
 
-def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", margin=SCHUR_MARGIN, **settings):
+def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", **settings):
     """Synthesize at ``gamma`` and certify: returns ``(gains, stable, rho)``.
 
     ``settings`` (``nu``, ``gamma_l``, ``nu_l``, ``observer_r``) go to
-    :func:`synthesize_gains`, ``margin`` to :func:`certify_closed_loop`.
-    A :class:`NumericalError` of the Riccati solve propagates.
+    :func:`synthesize_gains`.  A :class:`NumericalError` of the Riccati
+    solve propagates.
     """
     gains = synthesize_gains(plant, g, im, delays, gamma, mode=mode, **settings)
-    stable, rho = certify_closed_loop(plant, g, im, gains, delays, mode, margin=margin)
+    stable, rho = certify_closed_loop(plant, g, im, gains, delays, mode)
     return gains, stable, rho
 
 
-def auto_tune_gamma(
-    plant,
-    g,
-    im,
-    delays,
-    gamma0,
-    nu=None,
-    mode="state",
-    gamma_l0=None,
-    nu_l=None,
-    observer_r=0,
-    margin=SCHUR_MARGIN,
-):
+def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
     """Halve ``gamma`` from ``gamma0`` until the closed loop certifies.
 
     The low-gain theory guarantees that a sufficiently small ``gamma``
     stabilizes the delayed loop whenever the structural assumptions
-    hold, so a geometric search is enough.  Observer-side parameters
-    are halved in lockstep.
+    hold, so a geometric search is enough.  ``settings`` are those of
+    :func:`synthesize_and_certify`; a given ``gamma_l`` is halved in
+    lockstep with ``gamma``.
 
     Returns
     -------
     GainSet
         The first gain set whose lifted closed loop is Schur with the
-        requested margin.
+        margin ``SCHUR_MARGIN``.
 
     Raises
     ------
@@ -703,20 +687,17 @@ def auto_tune_gamma(
 
     tried = []
     gamma = gamma0
-    gamma_l = gamma_l0
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            gains, stable, rho = synthesize_and_certify(
-                plant, g, im, delays, gamma, mode, margin, nu=nu, gamma_l=gamma_l, nu_l=nu_l, observer_r=observer_r
-            )
+            gains, stable, rho = synthesize_and_certify(plant, g, im, delays, gamma, mode, **settings)
         except NumericalError:
             stable, rho = False, float("nan")
         tried.append((gamma, rho))
         if stable:
             return gains
         gamma = gamma / 2.0
-        if gamma_l is not None:
-            gamma_l = gamma_l / 2.0
+        if settings.get("gamma_l") is not None:
+            settings["gamma_l"] /= 2.0
     summary = ", ".join(f"gamma={gk:.3e} -> rho={rk:.6f}" for gk, rk in tried[-5:])
     finite = [(rk, gk) for gk, rk in tried if np.isfinite(rk)]
     best = "rho={:.6f} at gamma={:.3e}".format(*min(finite)) if finite else "none finite"

@@ -47,6 +47,16 @@ K_z = [[-0.0681 -0.1624]]
 delay-lifted closed loop: stable (spectral radius 0.9378, delay 2)
 gains written to <out>
 """
+# Output mode from gamma = 0.9: gamma_l = 0.18 halves with gamma, three times.
+AUTO_TUNE_OUTPUT_STDOUT = """\
+mode: output   gamma = 0.1125   nu = 1.0000
+K_x = [[ 0.1321 -0.1840]]
+K_z = [[-0.0681 -0.1624]]
+gamma_l = 0.0225   nu_l = 0.5000
+L = [[0.0900]
+     [0.0010]]
+delay-lifted closed loop: stable (spectral radius 0.9868, delay 2)
+"""
 AUTO_TUNE_GAINS = b"""\
 gains:
   k_x:
@@ -134,6 +144,17 @@ class TestCheck:
         assert cli.main(["check", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    def test_wrong_shape_plant_e_is_usage_error(self, tmp_path, capsys, command):
+        # Without per_agent_e every follower takes plant.e, so its shape
+        # is checked when the file loads, not first by simulate.
+        data = benchmark_config_dict()
+        del data["per_agent_e"]
+        data["plant"]["e"] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path = write_config(tmp_path, data)
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: plant.e: expected shape (2, 2), got (2, 3)\n"
+
 
 # ---------------------------------------------------------------------------
 # synthesize
@@ -201,6 +222,13 @@ class TestSynthesize:
         ) == 0
         assert capsys.readouterr().out.replace(str(out_path), "<out>") == AUTO_TUNE_STDOUT
         assert out_path.read_bytes() == AUTO_TUNE_GAINS
+
+    def test_auto_tune_halves_gamma_l_in_lockstep(self, tmp_path, capsys):
+        data = benchmark_config_dict(mode="output")
+        data["synthesis"]["gamma"] = 0.9
+        path = write_config(tmp_path, data)
+        assert cli.main(["synthesize", str(path), "--auto-tune"]) == 0
+        assert capsys.readouterr().out == AUTO_TUNE_OUTPUT_STDOUT
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +354,33 @@ class TestSelftest:
 
 # ---------------------------------------------------------------------------
 # runtime dependencies
+
+
+# Every name the package exported while __init__.py kept its own list;
+# building the list from the modules' __all__ must keep each of them.
+EXPORTED_BEFORE = """
+CoopregError DimensionError ConfigurationError NumericalError SynthesisError DivergenceError
+Digraph adjacency laplacian h_matrix has_leader_spanning_tree connectivity_spectral_check
+Exosystem InternalModel build_internal_model
+NominalPlant DelaySpec GainSet AssumptionReport check_assumptions transmission_zeros_ok
+solve_parametric_dare state_feedback_gain observer_gain build_augmented closed_loop_blocks
+network_blocks delay_lift certify_closed_loop synthesize_gains synthesize_and_certify auto_tune_gamma
+FollowerUncertainty Scenario SimulationTrace edgewise_virtual_errors simulate_state_feedback
+simulate_output_feedback simulate_compact_oracle load_trace_csv
+ExperimentConfig SynthesisSettings load_config save_config load_gains save_gains __version__
+""".split()
+
+
+def test_package_exports_each_module_list_once():
+    from coopreg import config, errors, graphs, internal_model, simulation, synthesis
+
+    modules = (errors, graphs, internal_model, synthesis, simulation, config)
+    assert coopreg.__all__ == [name for mod in modules for name in mod.__all__] + ["__version__"]
+    assert len(set(coopreg.__all__)) == len(coopreg.__all__)
+    for name in coopreg.__all__:
+        assert hasattr(coopreg, name), name
+    assert len(EXPORTED_BEFORE) == 47
+    assert set(EXPORTED_BEFORE) <= set(coopreg.__all__)
 
 
 def test_import_loads_no_scipy():

@@ -222,8 +222,8 @@ class TestScenario:
         im = ref.reference_internal_model()
 
         # explicit per-agent matrices win
-        sc = ref.reference_scenario(horizon=1)
-        assert np.array_equal(sc.e_list()[2], np.array([[0.0, 0.0], [0.0, 3.0]]))
+        sc = ref.reference_scenario(horizon=1, uncertain=False)
+        assert np.array_equal(sc.agent_matrices()[2][3], np.array([[0.0, 0.0], [0.0, 3.0]]))
 
         # plant-level e replicated to all agents
         plant_e = NominalPlant(
@@ -231,14 +231,14 @@ class TestScenario:
             e=[[0.5, 0.0], [0.0, 0.5]],
         )
         sc2 = Scenario(plant=plant_e, exo=exo, graph=g, delays=DelaySpec(0, 0), im=im)
-        assert len(sc2.e_list()) == 4
-        assert all(np.array_equal(e, plant_e.e) for e in sc2.e_list())
+        assert len(sc2.agent_matrices()) == 4
+        assert all(np.array_equal(mats[3], plant_e.e) for mats in sc2.agent_matrices())
 
         # neither given: zeros
         sc3 = Scenario(
             plant=ref.reference_plant(), exo=exo, graph=g, delays=DelaySpec(0, 0), im=im
         )
-        assert all(np.array_equal(e, np.zeros((2, 2))) for e in sc3.e_list())
+        assert all(np.array_equal(mats[3], np.zeros((2, 2))) for mats in sc3.agent_matrices())
 
     def test_agent_matrices_apply_uncertainty(self):
         sc = ref.reference_scenario(horizon=1)
@@ -332,11 +332,11 @@ class TestBasicRuns:
         )
         trace = simulate_state_feedback(sc, rng_gains)
         a, b = sc.plant.a, sc.plant.b
-        e_mats = sc.e_list()
+        mats = sc.agent_matrices()
         for t in range(5):
             u_eff = trace.u[max(t - 2, 0)]
             for i in range(4):
-                expect = a @ trace.x[t, i] + b @ u_eff[i] + e_mats[i] @ trace.v[t]
+                expect = a @ trace.x[t, i] + b @ u_eff[i] + mats[i][3] @ trace.v[t]
                 assert np.max(np.abs(trace.x[t + 1, i] - expect)) <= 1e-13
 
     @pytest.mark.parametrize(
@@ -424,6 +424,18 @@ class TestBasicRuns:
             simulate_output_feedback(
                 sc_out, target_gains, law="delayed", observer_past=np.zeros((1, 4, 2))
             )
+
+    @pytest.mark.parametrize(
+        "mode, run, expected",
+        [("state", simulate_output_feedback, "output"), ("output", simulate_state_feedback, "state")],
+    )
+    def test_scenario_of_the_other_mode_is_rejected(self, mode, run, expected, target_gains):
+        # The two modes run different closed loops: an output-mode run of
+        # the 2000-step state scenario left that scenario's oracle trace by
+        # a relative deviation of 1.99.
+        with pytest.raises(ConfigurationError) as info:
+            run(ref.reference_scenario(mode=mode, horizon=5), target_gains)
+        assert str(info.value) == f"{run.__name__}: scenario.mode is {mode!r}, expected {expected!r}"
 
 
 class TestObserverConsistency:

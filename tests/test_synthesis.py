@@ -31,6 +31,7 @@ from coopreg.errors import (
     NumericalError,
     SynthesisError,
 )
+from coopreg import synthesis
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import eigenvalues, spectral_radius
 from coopreg.synthesis import (
@@ -653,16 +654,18 @@ class TestCertifyClosedLoop:
                 for lam in slices
             )
 
-    def test_margin_is_strict(self):
-        # A radius exactly at 1 - margin must NOT pass the strict inequality.
+    def test_margin_is_strict(self, monkeypatch):
+        # A radius exactly at 1 - SCHUR_MARGIN must NOT pass the strict inequality.
         args = (
             ref.reference_plant(), ref.reference_graph(), ref.reference_internal_model(),
             ref.reference_gains("state"), ref.reference_delays(), "state",
         )
         stable, rho = certify_closed_loop(*args)
         assert stable and rho < 1.0
-        assert certify_closed_loop(*args, margin=1.0 - rho) == (False, rho)
-        assert certify_closed_loop(*args, margin=1.0 - rho - 1e-6) == (True, rho)
+        monkeypatch.setattr(synthesis, "SCHUR_MARGIN", 1.0 - rho)
+        assert certify_closed_loop(*args) == (False, rho)
+        monkeypatch.setattr(synthesis, "SCHUR_MARGIN", 1.0 - rho - 1e-6)
+        assert certify_closed_loop(*args) == (True, rho)
 
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_unit_chain_radius_is_the_unit_slice(self, n):
@@ -760,13 +763,14 @@ class TestAutoTuneGamma:
             assert gains.gamma == 0.125
             assert slice_radius(plant, np.eye(1), im, gains, delays.r, mode) < 1.0
 
-    def test_reports_unresolvable_gammas_as_nan(self):
-        # margin 0.5 is out of reach, so all 40 halvings run; the last
+    def test_reports_unresolvable_gammas_as_nan(self, monkeypatch):
+        # A margin of 0.5 is out of reach, so all 40 halvings run; the last
         # ones fall below what double precision resolves and must be
         # recorded as failed solves, not as overflow warnings or guesses.
+        monkeypatch.setattr(synthesis, "SCHUR_MARGIN", 0.5)
         sc = ref.reference_scenario("state")
         with pytest.raises(SynthesisError, match="after 40 halvings") as info:
-            auto_tune_gamma(sc.plant, sc.graph, sc.im, sc.delays, 0.5, margin=0.5)
+            auto_tune_gamma(sc.plant, sc.graph, sc.im, sc.delays, 0.5)
         last = str(info.value).split("last candidates: ")[1].split(", ")
         assert len(last) == 5
         assert all(c.endswith("rho=nan") for c in last)
@@ -775,7 +779,7 @@ class TestAutoTuneGamma:
         # minimum of the halving sequence
         def rho_at(gamma):
             gains = synthesize_gains(sc.plant, sc.graph, sc.im, sc.delays, gamma)
-            return certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, "state", margin=0.5)[1]
+            return certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, "state")[1]
 
         best = str(info.value).split("smallest radius: ")[1].split(";")[0]
         assert best == f"rho={rho_at(0.125):.6f} at gamma=1.250e-01"
