@@ -13,7 +13,7 @@ Run:  python3 demos/02_internal_model.py
 
 import numpy as np
 
-from coopreg import build_internal_model
+from coopreg import Exosystem, build_internal_model
 from coopreg.matrixops import (
     companion_pair,
     controllability_matrix,
@@ -93,7 +93,8 @@ def main():
     s_big = np.block(
         [[rot, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]]
     )
-    im3 = build_internal_model(s_big, p=2)
+    # Two error channels: F has p = 2 rows; its entries do not enter the model.
+    im3 = build_internal_model(Exosystem(s=s_big, f=np.zeros((2, 3))))
     print(f"S modes           : {np.sort_complex(np.linalg.eigvals(s_big))}")
     print(f"degree            : {im3.degree} (one factor per distinct mode)")
     print(f"state dimension   : {im3.dim} = p * degree")

@@ -136,16 +136,17 @@ def h_matrix(g):
     Notes
     -----
     By construction each row of ``h`` sums to the corresponding leader
-    weight, i.e. ``h @ ones == delta @ ones``.  The identity is verified
-    numerically and a violation raises :class:`NumericalError`, since it
-    would indicate an internal assembly bug rather than bad user input.
+    weight, i.e. ``h @ ones == delta @ ones``.  The identity is verified to
+    ``1e-12`` times the largest in-weight sum, and a violation raises
+    :class:`NumericalError`, since it would indicate an internal assembly
+    bug rather than bad user input.
     """
-    lap = laplacian(g)
-    h = lap[1:, 1:].copy()
     a = adjacency(g)
-    delta = np.diag(a[1:, 0].copy())
+    in_weight = a[1:].sum(axis=1)
+    h = np.diag(in_weight) - a[1:, 1:]
+    delta = np.diag(a[1:, 0])
     ones = np.ones(g.n_followers)
-    if not np.allclose(h @ ones, delta @ ones, rtol=0.0, atol=1e-12):
+    if not np.allclose(h @ ones, delta @ ones, rtol=0.0, atol=1e-12 * max(1.0, in_weight.max())):
         raise NumericalError("h_matrix: row-sum identity H 1 == delta 1 failed")
     return h, delta
 

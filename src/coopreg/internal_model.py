@@ -124,17 +124,15 @@ def char_poly(m):
     return np.poly(m)[1:][::-1].astype(float)
 
 
-def build_internal_model(exo_or_s, p=None, beta_override=None):
+def build_internal_model(exo, beta_override=None):
     """Construct the minimal p-copy internal model for an exosystem.
 
     Parameters
     ----------
-    exo_or_s : Exosystem or array_like
-        The exosystem, or its dynamics matrix ``S`` directly (in which
-        case ``p`` must be given).
-    p : int, optional
-        Number of error channels; defaults to ``exo.p`` when an
-        :class:`Exosystem` is passed.
+    exo : Exosystem
+        The exosystem; its ``S`` fixes the replicated polynomial and its
+        ``F`` the number of error channels ``p = exo.p``.  To model a bare
+        ``S``, pass ``Exosystem(s=S, f=np.zeros((p, q)))``.
     beta_override : tuple of array_like, optional
         A pair ``(beta, sigma)`` replacing the companion realization.
         It must satisfy two checks, each reported separately on failure:
@@ -146,19 +144,11 @@ def build_internal_model(exo_or_s, p=None, beta_override=None):
     -------
     InternalModel
     """
-    if isinstance(exo_or_s, Exosystem):
-        s = exo_or_s.s
-        if p is None:
-            p = exo_or_s.p
-    else:
-        s = require_square(as_matrix(exo_or_s, "S"), "S")
-        if p is None:
-            raise ConfigurationError("build_internal_model: p is required when passing S directly")
-    p = int(p)
+    p = exo.p
     if p < 1:
         raise ConfigurationError(f"build_internal_model: p must be positive, got {p}")
 
-    min_coeffs = minimal_polynomial(s)
+    min_coeffs = minimal_polynomial(exo.s)
 
     if beta_override is None:
         beta, sigma = companion_pair(min_coeffs)

@@ -77,8 +77,8 @@ def as_matrix(a, name="matrix"):
     except (TypeError, ValueError) as ex:
         raise DimensionError(f"{name}: cannot interpret input as a numeric matrix ({ex})")
     if m.ndim == 1:
-        # Accept flat vectors as single-column matrices only on request;
-        # ambiguity here has caused silent transposition bugs elsewhere.
+        # A flat list could mean a row or a column; guessing would let a
+        # transposed input pass silently, so the caller must say which.
         raise DimensionError(f"{name}: expected a 2-D array, got a 1-D array of length {m.size}")
     if m.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array, got {m.ndim}-D")

@@ -65,7 +65,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .matrixops import as_matrix, block_diag, kron
 from .graphs import h_matrix
-from .synthesis import network_blocks
+from .synthesis import _check_gains, network_blocks
 
 __all__ = [
     "DIVERGENCE_GUARD",
@@ -84,6 +84,8 @@ __all__ = [
 DIVERGENCE_GUARD = 1e12
 # Steps run between two guard checks; a check walks its block in order.
 _GUARD_BLOCK = 64
+# Per-follower trace signals in CSV column order: (attribute, column prefix).
+_SIGNALS = (("x", "x"), ("z", "z"), ("xi", "xi"), ("u", "u"), ("y", "y"), ("e", "e"), ("e_v", "ev"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +125,9 @@ class FollowerUncertainty:
 class Scenario:
     """Everything needed to run one closed-loop experiment.
 
-    Construction validates every field and resolves each follower's
-    effective ``(A_i, B_i, C_i, E_i)`` once; :meth:`agent_matrices`
-    returns that stack.
+    Construction validates every field and resolves, once, each
+    follower's effective ``(A_i, B_i, C_i, E_i)`` and the initial
+    states; :meth:`agent_matrices` and :meth:`initial_states` return them.
 
     Parameters
     ----------
@@ -191,24 +193,18 @@ class Scenario:
         nfoll = self.graph.n_followers
         n, q = self.plant.n, self.exo.q
 
+        # Every disturbance input given must be n x q, used or not.
+        e_mats = [np.zeros((n, q)) if self.plant.e is None else self.plant.e] * nfoll
+        given = [] if self.plant.e is None else [("plant.e", self.plant.e)]
         if self.per_agent_e is not None:
             e_mats = [as_matrix(e, f"per_agent_e[{k}]") for k, e in enumerate(self.per_agent_e)]
             if len(e_mats) != nfoll:
-                raise ConfigurationError(
-                    f"scenario.per_agent_e: expected {nfoll} entries, got {len(e_mats)}"
-                )
-            for k, e in enumerate(e_mats):
-                if e.shape != (n, q):
-                    raise DimensionError(
-                        f"per_agent_e[{k}]: expected shape ({n}, {q}), got {e.shape}"
-                    )
+                raise ConfigurationError(f"scenario.per_agent_e: expected {nfoll} entries, got {len(e_mats)}")
             object.__setattr__(self, "per_agent_e", tuple(e_mats))
-        elif self.plant.e is not None:
-            if self.plant.e.shape != (n, q):
-                raise DimensionError(f"plant.e: expected shape ({n}, {q}), got {self.plant.e.shape}")
-            e_mats = [self.plant.e] * nfoll
-        else:
-            e_mats = [np.zeros((n, q))] * nfoll
+            given += [(f"per_agent_e[{k}]", e) for k, e in enumerate(e_mats)]
+        for name, e in given:
+            if e.shape != (n, q):
+                raise DimensionError(f"{name}: expected shape ({n}, {q}), got {e.shape}")
 
         unc = (FollowerUncertainty(),) * nfoll
         if self.uncertainties is not None:
@@ -225,22 +221,30 @@ class Scenario:
             agents.append((self.plant.a + da, self.plant.b + db, self.plant.c + dc, e + de))
         object.__setattr__(self, "_agents", tuple(agents))
 
-        if self.init_states is not None:
-            allowed = {"x", "z", "xi"}
-            bad = set(self.init_states) - allowed
-            if bad:
-                raise ConfigurationError(f"scenario.init_states: unknown keys {sorted(bad)}")
-            widths = {"x": n, "z": self.im.dim, "xi": n}
-            for key, val in self.init_states.items():
-                try:
-                    size = np.array(val, dtype=float).size
-                except (TypeError, ValueError):
-                    size = "a ragged or non-numeric array"
-                if size != nfoll * widths[key]:
-                    raise ConfigurationError(
-                        f"scenario.init_states.{key}: expected {nfoll * widths[key]} numbers "
-                        f"for shape ({nfoll}, {widths[key]}), got {size}"
-                    )
+        # All three blocks are always drawn, in a fixed order, so that
+        # overriding one of them (or ignoring xi in state-feedback mode)
+        # never shifts the random stream of the others.
+        rng = np.random.default_rng(self.seed)
+        widths = {"x": n, "z": self.im.dim, "xi": n}
+        states = {key: rng.uniform(self.init_low, self.init_high, (nfoll, w)) for key, w in widths.items()}
+        bad = set(self.init_states or ()) - set(widths)
+        if bad:
+            raise ConfigurationError(f"scenario.init_states: unknown keys {sorted(bad)}")
+        for key, val in (self.init_states or {}).items():
+            try:
+                arr = np.array(val, dtype=float)
+                size = arr.size
+            except (TypeError, ValueError):
+                size = "a ragged or non-numeric array"
+            if size != nfoll * widths[key]:
+                raise ConfigurationError(
+                    f"scenario.init_states.{key}: expected {nfoll * widths[key]} numbers "
+                    f"for shape ({nfoll}, {widths[key]}), got {size}"
+                )
+            states[key] = arr.reshape(nfoll, widths[key])
+        for arr in states.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "_initial", tuple(states.values()))  # x, z, xi
 
     @property
     def n_agents(self):
@@ -254,25 +258,8 @@ class Scenario:
         return self._agents
 
     def initial_states(self):
-        """Seeded initial states ``(x0, z0, xi0)`` with overrides applied.
-
-        All three blocks are always drawn, in a fixed order, so that
-        overriding one of them (or ignoring ``xi0`` in state-feedback
-        mode) never shifts the random stream of the others.
-        """
-        rng = np.random.default_rng(self.seed)
-        nfoll, n, nz = self.n_agents, self.plant.n, self.im.dim
-        x0 = rng.uniform(self.init_low, self.init_high, (nfoll, n))
-        z0 = rng.uniform(self.init_low, self.init_high, (nfoll, nz))
-        xi0 = rng.uniform(self.init_low, self.init_high, (nfoll, n))
-        if self.init_states:
-            if "x" in self.init_states:
-                x0 = np.array(self.init_states["x"], dtype=float).reshape(nfoll, n)
-            if "z" in self.init_states:
-                z0 = np.array(self.init_states["z"], dtype=float).reshape(nfoll, nz)
-            if "xi" in self.init_states:
-                xi0 = np.array(self.init_states["xi"], dtype=float).reshape(nfoll, n)
-        return x0, z0, xi0
+        """Read-only initial states ``(x0, z0, xi0)``, drawn from ``seed`` with overrides applied."""
+        return self._initial
 
 
 @dataclass(eq=False)
@@ -315,7 +302,7 @@ class SimulationTrace:
         relative error for large signals and an absolute one near zero.
         """
         worst = 0.0
-        for name in ("v", "x", "z", "xi", "u", "y", "e", "e_v"):
+        for name in ("v", *(name for name, _ in _SIGNALS)):
             a, b = getattr(self, name), getattr(other, name)
             if a is None or b is None:
                 continue
@@ -341,10 +328,7 @@ class SimulationTrace:
         T = self.horizon
         nfoll = self.x.shape[1]
         names = ["t"] + [f"v{k}" for k in range(self.v.shape[1])]
-        blocks = [("x", self.x), ("z", self.z)]
-        if self.xi is not None:
-            blocks.append(("xi", self.xi))
-        blocks += [("u", self.u), ("y", self.y), ("e", self.e), ("ev", self.e_v)]
+        blocks = [(pre, getattr(self, name)) for name, pre in _SIGNALS if getattr(self, name) is not None]
         names += [f"{pre}{i + 1}_{k}" for pre, arr in blocks for i in range(nfoll) for k in range(arr.shape[2])]
         cols = [arr.reshape(T, nfoll * arr.shape[2]) for _, arr in blocks]
         data = np.concatenate([self.v, *cols], axis=1, dtype=float)
@@ -391,13 +375,7 @@ def load_trace_csv(path):
     return SimulationTrace(
         t=data[:, index["t"]].astype(int),
         v=data[:, [k for k, name in enumerate(header) if re.match(r"^v\d+$", name)]],
-        x=grab("x"),
-        z=grab("z"),
-        u=grab("u"),
-        y=grab("y"),
-        e=grab("e"),
-        e_v=grab("ev"),
-        xi=grab("xi"),
+        **{name: grab(pre) for name, pre in _SIGNALS},
     )
 
 
@@ -492,13 +470,6 @@ def _fill_past(rows, past):
     rows[:] = past[::-1]
 
 
-def _check_law(caller, law, history_given, history_rule):
-    if law not in ("transformed", "delayed"):
-        raise ConfigurationError(f"{caller}: unknown law {law!r}")
-    if law == "delayed" and history_given:
-        raise ConfigurationError(f"{caller}: {history_rule} to the transformed law only")
-
-
 def _simulate(scenario, gains, law, controller_past, observer_past, output):
     """The one time loop behind both agentwise simulators.
 
@@ -507,13 +478,18 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     estimate, not the plant state, the coupled feedback state.  Every
     history is an array whose row ``depth + t`` holds time ``t``, with
     the pre-history in the rows before it.  A scenario meant for the
-    other mode is rejected.
+    other mode, an unknown law, a history given to the delayed law and a
+    gain set that does not fit the scenario are rejected.
     """
     mode = "output" if output else "state"
+    caller = f"simulate_{mode}_feedback"
     if scenario.mode != mode:
-        raise ConfigurationError(
-            f"simulate_{mode}_feedback: scenario.mode is {scenario.mode!r}, expected {mode!r}"
-        )
+        raise ConfigurationError(f"{caller}: scenario.mode is {scenario.mode!r}, expected {mode!r}")
+    if law not in ("transformed", "delayed"):
+        raise ConfigurationError(f"{caller}: unknown law {law!r}")
+    if law == "delayed" and (controller_past is not None or observer_past is not None):
+        raise ConfigurationError(f"{caller}: history overrides apply to the transformed law only")
+    _check_gains(scenario.plant, scenario.im, gains, mode, caller)
     r_con, r_com = scenario.delays.r_con, scenario.delays.r_com
     d_z = r_com if law == "transformed" else 0
     d_ev = r_com - d_z
@@ -614,9 +590,6 @@ def simulate_state_feedback(scenario, gains, law="transformed", controller_past=
     -------
     SimulationTrace
     """
-    _check_law(
-        "simulate_state_feedback", law, controller_past is not None, "controller_past applies"
-    )
     return _simulate(scenario, gains, law, controller_past, None, output=False)
 
 
@@ -636,14 +609,6 @@ def simulate_output_feedback(
     give pre-``t=0`` histories (shape ``(r_com, N, dim)``, newest
     first) for the transformed law.
     """
-    if gains.l_obs is None:
-        raise ConfigurationError("simulate_output_feedback: gain set has no observer gain")
-    _check_law(
-        "simulate_output_feedback",
-        law,
-        controller_past is not None or observer_past is not None,
-        "history overrides apply",
-    )
     return _simulate(scenario, gains, law, controller_past, observer_past, output=True)
 
 

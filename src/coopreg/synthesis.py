@@ -90,7 +90,8 @@ class NominalPlant:
 
     ``e`` is the nominal disturbance input matrix and may be omitted
     when per-agent disturbance maps are supplied elsewhere; synthesis
-    itself only uses ``(A, B, C)``.
+    itself only uses ``(A, B, C)``, so a ``Scenario``, which knows
+    the exosystem, checks the shape of ``e``.
     """
 
     a: np.ndarray
@@ -107,11 +108,7 @@ class NominalPlant:
             raise DimensionError(f"plant.b: expected {n} rows, got {b.shape[0]}")
         if c.shape[1] != n:
             raise DimensionError(f"plant.c: expected {n} columns, got {c.shape[1]}")
-        e = self.e
-        if e is not None:
-            e = as_matrix(e, "plant.e")
-            if e.shape[0] != n:
-                raise DimensionError(f"plant.e: expected {n} rows, got {e.shape[0]}")
+        e = None if self.e is None else as_matrix(self.e, "plant.e")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -446,6 +443,19 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     return a0, b_u @ u_map
 
 
+def _check_gains(plant, im, gains, mode, caller):
+    """Reject a gain set whose fields do not fit ``plant``, ``im`` and ``mode``, naming the field."""
+    shapes = {"k_x": (plant.m, plant.n), "k_z": (plant.m, im.dim)}
+    if mode == "output":
+        if gains.l_obs is None:
+            raise ConfigurationError(f"{caller}: output mode requires an observer gain")
+        shapes["l_obs"] = (plant.n, plant.p)
+    for name, shape in shapes.items():
+        got = np.shape(getattr(gains, name))
+        if got != shape:
+            raise DimensionError(f"gains.{name}: expected shape {shape}, got {got}")
+
+
 def network_blocks(plant, h, im, gains, mode, agents):
     """Networked closed loop of the followers ``agents`` coupled through ``h``.
 
@@ -465,8 +475,7 @@ def network_blocks(plant, h, im, gains, mode, agents):
     """
     if mode not in ("state", "output"):
         raise ConfigurationError(f"network_blocks: unknown mode {mode!r}")
-    if mode == "output" and gains.l_obs is None:
-        raise ConfigurationError("network_blocks: output mode requires an observer gain")
+    _check_gains(plant, im, gains, mode, "network_blocks")
     h = np.atleast_2d(np.asarray(h))
     nn = h.shape[0]
     if len(agents) != nn:

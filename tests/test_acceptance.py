@@ -19,6 +19,7 @@ import pytest
 
 from coopreg import (
     DelaySpec,
+    Exosystem,
     certify_closed_loop,
     connectivity_spectral_check,
     has_leader_spanning_tree,
@@ -281,7 +282,7 @@ def test_08_internal_model_correctness():
     for _ in range(10):
         s, poly_known = random_exosystem_with_known_minpoly(rng)
         for p in (1, 2):
-            im = build_internal_model(s, p=p)
+            im = build_internal_model(Exosystem(s=s, f=np.zeros((p, s.shape[0]))))
             deg = poly_known.size - 1
             assert im.degree == deg
 

@@ -155,6 +155,24 @@ class TestCheck:
         assert cli.main([command, str(path)]) == 2
         assert capsys.readouterr().err == "error: plant.e: expected shape (2, 2), got (2, 3)\n"
 
+    def test_wrong_shape_plant_e_beside_per_agent_e_is_usage_error(self, tmp_path, capsys):
+        # per_agent_e overrides plant.e for every follower, but a plant.e
+        # that is given is still checked rather than silently ignored.
+        data = benchmark_config_dict()
+        data["plant"]["e"] = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert cli.main(["check", str(write_config(tmp_path, data))]) == 2
+        assert capsys.readouterr().err == "error: plant.e: expected shape (2, 2), got (2, 3)\n"
+
+    def test_heavy_in_weights_pass(self, tmp_path, capsys):
+        # A row sum of 133334.1 rounds off by 5.8e-12; the H row-sum
+        # identity check scales its tolerance with the in-weights.
+        data = benchmark_config_dict()
+        data["graph"]["edges"] = [[0, 1, 0.1], [0, 2, 1.0], [2, 1, 1e5], [3, 1, 33334.0], [1, 3, 1.0], [1, 4, 1.0]]
+        assert cli.main(["check", str(write_config(tmp_path, data))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("all assumptions satisfied\n")
+
 
 # ---------------------------------------------------------------------------
 # synthesize
@@ -283,6 +301,25 @@ class TestSimulate:
         save_gains(wild, gains_path)
         assert cli.main(["simulate", str(config_path), "--gains", str(gains_path)]) == 1
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            pytest.param("k_x", [[0.1, 0.2, 0.3]], "expected shape (1, 2), got (1, 3)", id="k_x"),
+            pytest.param("k_z", [[0.1], [0.2]], "expected shape (1, 2), got (2, 1)", id="k_z"),
+            pytest.param("l_obs", [[0.7, 0.06]], "expected shape (2, 1), got (1, 2)", id="l_obs"),
+        ],
+    )
+    def test_wrong_shape_gain_file_is_usage_error(self, tmp_path, capsys, field, value, expected):
+        path = write_config(tmp_path, benchmark_config_dict(mode="output", horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        data = yaml.safe_load(gains_path.read_text())
+        data["gains"][field] = value
+        gains_path.write_text(yaml.safe_dump(data))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
+        assert capsys.readouterr().err == f"error: gains.{field}: {expected}\n"
 
     def test_zero_horizon_trace_is_header_only(self, tmp_path, capsys):
         data = benchmark_config_dict(horizon=0)

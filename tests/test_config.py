@@ -383,6 +383,30 @@ class TestConfigRoundTrip:
         save_config(load_config(DEMO), out)
         assert out.read_bytes() == DEMO.read_bytes()
 
+    def test_init_states_round_trip(self, tmp_path, bench_dict):
+        x0 = [[0.1 * k, -0.2 * k] for k in range(4)]
+        bench_dict["simulation"]["init_states"] = {"x": x0}
+        path = tmp_path / "c.yaml"
+        save_config(config_from_dict(bench_dict), path)
+        assert yaml.safe_load(path.read_text())["simulation"]["init_states"] == {"x": x0}
+        sc, sc2 = config_from_dict(bench_dict).scenario, load_config(path).scenario
+        for s1, s2 in zip(sc.initial_states(), sc2.initial_states()):
+            assert np.array_equal(s1, s2)
+        assert np.array_equal(sc2.initial_states()[0], np.array(x0))
+
+    def test_null_uncertainty_entry_round_trip(self, tmp_path, bench_dict):
+        # a null entry means a nominal follower; it is written back as {}
+        bench_dict["uncertainties"][1] = None
+        path = tmp_path / "c.yaml"
+        save_config(config_from_dict(bench_dict), path)
+        assert yaml.safe_load(path.read_text())["uncertainties"][1] == {}
+        cfg = load_config(path)
+        nominal = cfg.scenario.agent_matrices()[1]
+        assert np.array_equal(nominal[0], cfg.scenario.plant.a)
+        assert np.array_equal(nominal[1], cfg.scenario.plant.b)
+        assert np.array_equal(nominal[3], np.array(bench_dict["per_agent_e"][1]))
+        assert cfg.scenario.uncertainties[1].d_a is None
+
     def test_full_precision_survives(self, tmp_path, bench_dict):
         # cos(1) is not exactly representable in short decimal form;
         # the round-trip must preserve it bit for bit.

@@ -17,6 +17,10 @@ from coopreg.matrixops import eigenvalues
 from coopreg.reference import reference_graph
 
 
+# A valid graph whose in-weights reach 1e5 (follower 1 hears 0.1, 1e5 and 33334).
+HEAVY_EDGES = ((0, 1, 0.1), (0, 2, 1.0), (2, 1, 1e5), (3, 1, 33334.0), (1, 3, 1.0), (1, 4, 1.0))
+
+
 class TestValidation:
     def test_edge_into_leader_rejected(self):
         with pytest.raises(ConfigurationError, match=r"edges\[0\].*leader"):
@@ -106,6 +110,17 @@ class TestMatrices:
         assert np.array_equal(delta, np.diag([1.0, 1.0, 0.0, 0.0]))
         # its spectrum is {1, 1, 1, 1}
         assert np.allclose(eigenvalues(h), np.ones(4), atol=1e-12)
+
+    def test_row_sum_identity_scales_with_in_weight(self):
+        # Follower 1's in-weights sum to 133334.1; its row sum rounds off
+        # by 5.8e-12, past an absolute 1e-12 but far inside 1e-12 times
+        # the in-weight sum.
+        g = Digraph(4, HEAVY_EDGES)
+        h, delta = h_matrix(g)
+        assert np.array_equal(h, laplacian(g)[1:, 1:])
+        assert np.array_equal(delta, np.diag([0.1, 1.0, 0.0, 0.0]))
+        residual = h @ np.ones(4) - delta @ np.ones(4)
+        assert 1e-12 < np.max(np.abs(residual)) <= 1e-12 * 133334.1
 
     def test_row_sum_identity_random(self):
         rng = np.random.default_rng(1)

@@ -35,7 +35,7 @@ class TestExosystem:
 class TestDefaultBuild:
     def test_scalar_constant_exosystem(self):
         # S = [1]: minimal polynomial l - 1, so beta = [1], sigma = [1].
-        im = build_internal_model(np.array([[1.0]]), p=1)
+        im = build_internal_model(Exosystem(s=[[1.0]], f=np.zeros((1, 1))))
         assert np.array_equal(im.beta, [[1.0]])
         assert np.array_equal(im.sigma, [[1.0]])
         assert np.array_equal(im.g1, [[1.0]])
@@ -58,7 +58,7 @@ class TestDefaultBuild:
         # S = diag(1, -1): minimal polynomial l**2 - 1 (oracle: S @ S = I).
         s = np.diag([1.0, -1.0])
         assert np.array_equal(s @ s, np.eye(2))
-        im = build_internal_model(s, p=2)
+        im = build_internal_model(Exosystem(s=s, f=np.zeros((2, 2))))
         assert im.degree == 2 and im.dim == 4
         # G1 = I_2 (x) beta: two identical diagonal blocks, zero off-diagonal
         assert np.array_equal(im.g1[:2, :2], im.beta)
@@ -73,12 +73,13 @@ class TestDefaultBuild:
         s = np.zeros((4, 4))
         s[:2, :2] = [[C1, S1], [-S1, C1]]
         s[2:, 2:] = [[C1, S1], [-S1, C1]]
-        im = build_internal_model(s, p=1)
+        im = build_internal_model(Exosystem(s=s, f=np.zeros((1, 4))))
         assert im.degree == 2
 
-    def test_p_required_for_raw_matrix(self):
-        with pytest.raises(ConfigurationError, match="p is required"):
-            build_internal_model(np.eye(2))
+    def test_exosystem_without_error_channels_rejected(self):
+        # an F with zero rows passes Exosystem but leaves nothing to replicate
+        with pytest.raises(ConfigurationError, match="p must be positive, got 0"):
+            build_internal_model(Exosystem(s=np.eye(2), f=np.zeros((0, 2))))
 
 
 class TestOverride:
@@ -122,7 +123,7 @@ class TestRandomizedConstruction:
         for trial in range(12):
             s, poly_desc = random_exosystem_with_known_minpoly(rng)
             p = int(rng.integers(1, 3))
-            im = build_internal_model(s, p=p)
+            im = build_internal_model(Exosystem(s=s, f=np.zeros((p, s.shape[0]))))
             deg = poly_desc.size - 1
             assert im.degree == deg
             # characteristic polynomial of beta vs the factor-product oracle

@@ -255,6 +255,17 @@ class TestScenario:
         sc = replace(ref.reference_scenario(horizon=1), init_states={"x": np.arange(8.0)})
         assert np.array_equal(sc.initial_states()[0], np.arange(8.0).reshape(4, 2))
 
+    def test_initial_states_are_resolved_once_read_only(self):
+        sc = ref.reference_scenario(horizon=1, mode="output")
+        first, again = sc.initial_states(), sc.initial_states()
+        assert all(a is b for a, b in zip(first, again))
+        # the same seeded draw, in the order x, z, xi
+        rng = np.random.default_rng(sc.seed)
+        for arr in first:
+            assert np.array_equal(arr, rng.uniform(sc.init_low, sc.init_high, arr.shape))
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
     def test_initial_state_overrides_keep_stream(self):
         sc = ref.reference_scenario(horizon=1)
         x0, z0, xi0 = sc.initial_states()
@@ -424,6 +435,22 @@ class TestBasicRuns:
             simulate_output_feedback(
                 sc_out, target_gains, law="delayed", observer_past=np.zeros((1, 4, 2))
             )
+
+    @pytest.mark.parametrize(
+        "mode, run, past",
+        [("state", simulate_state_feedback, "controller_past"), ("output", simulate_output_feedback, "observer_past")],
+    )
+    def test_both_simulators_word_their_checks_alike(self, mode, run, past, target_gains):
+        sc = ref.reference_scenario(mode=mode, horizon=5)
+        with pytest.raises(ConfigurationError) as info:
+            run(sc, target_gains, law="direct")
+        assert str(info.value) == f"{run.__name__}: unknown law 'direct'"
+        with pytest.raises(ConfigurationError) as info:
+            run(sc, target_gains, law="delayed", **{past: np.zeros((1, 4, 2))})
+        assert str(info.value) == f"{run.__name__}: history overrides apply to the transformed law only"
+        with pytest.raises(DimensionError) as info:
+            run(sc, replace(target_gains, k_x=np.zeros((1, 3))))
+        assert str(info.value) == "gains.k_x: expected shape (1, 2), got (1, 3)"
 
     @pytest.mark.parametrize(
         "mode, run, expected",

@@ -6,6 +6,8 @@ route (scipy's Riccati solver on the scaled system, the matrix-inversion
 form of the equation), or a frozen regression value stated in the test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -479,6 +481,16 @@ class TestNetworkBlocks:
                 plant, np.eye(4), ref.reference_internal_model(), target_gains, "state",
                 [(plant.a, plant.b, plant.c)] * 3,
             )
+
+    def test_gain_shapes_are_checked(self, target_gains):
+        plant = ref.reference_plant()
+        wide = replace(target_gains, k_z=np.zeros((1, 3)))
+        with pytest.raises(DimensionError) as info:
+            network_blocks(
+                plant, np.eye(1), ref.reference_internal_model(), wide, "output",
+                [(plant.a, plant.b, plant.c)],
+            )
+        assert str(info.value) == "gains.k_z: expected shape (1, 2), got (1, 3)"
 
     def test_unknown_mode(self, target_gains):
         plant = ref.reference_plant()
