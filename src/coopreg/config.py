@@ -15,7 +15,6 @@ is deterministic and round-trips floats at full precision.
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .errors import ConfigurationError
 from .internal_model import Exosystem, build_internal_model
@@ -181,7 +180,10 @@ def _uncertainty(entry, path):
 
 # libyaml scans and emits where PyYAML has it; the resolver, constructor
 # and representer stay PyYAML's safe ones, so values and bytes match.
+# PyYAML is imported on first use: the API and `selftest` read no files.
 def _load_yaml(path):
+    import yaml
+
     with open(path) as fh:
         try:
             return yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -190,6 +192,8 @@ def _load_yaml(path):
 
 
 def _save_yaml(data, path):
+    import yaml
+
     with open(path, "w") as fh:
         yaml.dump(data, fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
 

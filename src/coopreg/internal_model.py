@@ -45,7 +45,7 @@ class Exosystem:
     s : array_like
         ``q x q`` dynamics matrix.
     f : array_like
-        ``p x q`` map from exosystem state to the error equation,
+        ``p x q`` map, ``p >= 1``, from exosystem state to the error equation,
         ``e_i = C_i x_i + F v``.
     v0 : array_like, optional
         Initial exosystem state; zeros when omitted.
@@ -62,6 +62,8 @@ class Exosystem:
             raise DimensionError(
                 f"exosystem.f: expected {f.shape[0]} x {s.shape[0]}, got {f.shape[0]} x {f.shape[1]}"
             )
+        if f.shape[0] == 0:
+            raise DimensionError("exosystem.f: needs at least one row, one per error channel; got 0")
         v0 = self.v0
         if v0 is None:
             v0 = np.zeros(s.shape[0])
@@ -145,9 +147,6 @@ def build_internal_model(exo, beta_override=None):
     InternalModel
     """
     p = exo.p
-    if p < 1:
-        raise ConfigurationError(f"build_internal_model: p must be positive, got {p}")
-
     min_coeffs = minimal_polynomial(exo.s)
 
     if beta_override is None:

@@ -1,7 +1,9 @@
 """Small dense linear-algebra layer shared by the rest of the package.
 
-Everything here operates on plain ``numpy`` 2-D float arrays.  The
-helpers fall into four groups:
+Everything here operates on plain ``numpy`` 2-D float arrays;
+:func:`kron` and :func:`spectral_radius` also take stacks ``(..., r, c)``
+and treat each matrix as they would alone.  The helpers fall into four
+groups:
 
 * validation and construction (:func:`as_matrix`, :func:`require_square`),
 * spectral utilities (:func:`eigenvalues`, :func:`spectral_radius`,
@@ -113,20 +115,29 @@ def eigenvalues(m, name="matrix"):
     ndarray
         Complex eigenvalue array of length ``m.shape[0]``.
     """
-    require_square(m, name)
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as ex:
-        raise NumericalError(f"{name}: eigenvalue computation failed ({ex})")
+    w = _eigvals(require_square(m, name), name)
     order = np.lexsort((w.imag, w.real))
     return w[order]
 
 
 def spectral_radius(m):
-    """Largest eigenvalue modulus of a square matrix."""
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(eigenvalues(m))))
+    """Largest eigenvalue modulus of a square matrix; for a stack, an array of one per matrix.
+
+    A stack ``(..., n, n)`` is solved in one call, each matrix with the
+    routine a single one gets, so each radius is the one it has alone.
+    """
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"spectral_radius: expected square matrices, got shape {m.shape}")
+    rho = np.max(np.abs(_eigvals(m, "matrix")), axis=-1, initial=0.0)
+    return float(rho) if m.ndim == 2 else rho
+
+
+def _eigvals(m, name):
+    """Unsorted eigenvalues of square ``m`` or of a stack; a failed solve raises :class:`NumericalError`."""
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as ex:
+        raise NumericalError(f"{name}: eigenvalue computation failed ({ex})")
 
 
 def on_unit_circle(m):
@@ -137,12 +148,17 @@ def on_unit_circle(m):
 
 
 def kron(a, b):
-    """Kronecker product of two 2-D arrays, formed as one reshaped outer product."""
-    if np.ndim(a) != 2 or np.ndim(b) != 2:
-        raise DimensionError("kron: both factors must be 2-D arrays")
+    """Kronecker product of the last two axes of ``a`` and ``b``, formed as one reshaped outer product.
+
+    Leading axes broadcast, so a stack ``(..., r, c)`` gives the stack of
+    products; each entry is the one product ``a_ij * b_kl`` either way.
+    """
+    if np.ndim(a) < 2 or np.ndim(b) < 2:
+        raise DimensionError("kron: both factors must be at least 2-D arrays")
     a, b = np.asarray(a), np.asarray(b)
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return outer.reshape(outer.shape[:-4] + (ra * rb, ca * cb))
 
 
 def block_diag(mats):

@@ -19,9 +19,10 @@ and communication delay ``r_com``:
 4. :func:`network_blocks` builds the delayed networked loop for any
    per-follower ``(A_i, B_i, C_i)`` stack; the compact simulation oracle
    uses it too.  :func:`certify_closed_loop` certifies the nominal loop
-   one eigenvalue ``lam`` of ``H`` at a time, through
-   :func:`closed_loop_blocks`: the lifted spectrum is the union of the
-   spectra of the ``lam``-slice lifts, so every slice lift must be Schur.
+   through one ``lam``-slice per eigenvalue of ``H``, all slices built
+   by one :func:`closed_loop_blocks` call on a stack of ``1 x 1``
+   couplings: the lifted spectrum is the union of the spectra of the
+   slice lifts, so every slice lift must be Schur.
 5. :func:`synthesize_and_certify` designs at one ``gamma`` and
    certifies the result; :func:`auto_tune_gamma` repeats it, halving
    ``gamma`` until the certificate accepts, which is the standard way
@@ -435,10 +436,11 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     ``w(t+1) = A0 w(t) + A1 w(t - r)`` with ``r = r_con + r_com``.
     ``h`` may be any square coupling matrix, including a ``1 x 1``
     complex eigenvalue slice, which is how per-mode certificates are
-    computed.  The blocks are those of :func:`network_blocks` with every
+    computed, or a stack ``(..., N, N)`` of them, which gives stacked
+    blocks.  The blocks are those of :func:`network_blocks` with every
     follower at the nominal model.
     """
-    nominal = [(plant.a, plant.b, plant.c)] * len(np.atleast_2d(h))
+    nominal = [(plant.a, plant.b, plant.c)] * np.atleast_2d(h).shape[-1]
     a0, b_u, u_map, _ = network_blocks(plant, h, im, gains, mode, nominal)
     return a0, b_u @ u_map
 
@@ -472,12 +474,16 @@ def network_blocks(plant, h, im, gains, mode, agents):
     ``D`` is the map through which the virtual error
     ``(H (x) I_p) diag(C_i) x + (H 1 (x) F) v`` enters ``w``; its plant
     part is already in ``A0``.  Returns ``(A0, B, U, D)``.
+
+    ``h`` may also be a stack ``(..., N, N)`` of couplings for the same
+    followers; ``A0`` and ``U``, the blocks that hold ``h``, then come
+    stacked, each entry formed as for that coupling alone.
     """
     if mode not in ("state", "output"):
         raise ConfigurationError(f"network_blocks: unknown mode {mode!r}")
     _check_gains(plant, im, gains, mode, "network_blocks")
     h = np.atleast_2d(np.asarray(h))
-    nn = h.shape[0]
+    nn = h.shape[-1]
     if len(agents) != nn:
         raise DimensionError(f"network_blocks: {len(agents)} followers for a {nn} x {nn} coupling")
     a_bar, b_bar, c_blk = (block_diag([agent[k] for agent in agents]) for k in range(3))
@@ -486,16 +492,16 @@ def network_blocks(plant, h, im, gains, mode, agents):
     g1, g2 = kron(eye_n, im.g1), kron(eye_n, im.g2)
     kx, kz = kron(h, gains.k_x), kron(eye_n, gains.k_z)
     z = np.zeros
-    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[0]
+    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[-2]
 
     if mode == "state":
-        a0 = np.block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
+        a0 = _block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
         b_u = np.vstack([b_bar, z((nz, nu))])
-        return a0, b_u, np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
+        return a0, b_u, _block([[kx, kz]]), np.vstack([z((nx, ne)), g2])
 
     l_bar = kron(eye_n, gains.l_obs)
     obs = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
-    a0 = np.block(
+    a0 = _block(
         [
             [a_bar, z((nx, nz + nx))],
             [g2 @ c_bar, g1, z((nz, nx))],
@@ -503,7 +509,23 @@ def network_blocks(plant, h, im, gains, mode, agents):
         ]
     )
     b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
-    return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
+    return a0, b_u, _block([[z((nu, nx)), kz, kx]]), np.vstack([z((nx, ne)), g2, l_bar])
+
+
+def _block(rows):
+    """``np.block`` of 2-D blocks, some stacked with common leading axes that the rest broadcast over."""
+    blocks = [b for row in rows for b in row]
+    batch = max((b.shape[:-2] for b in blocks), key=len)
+    height, width = sum(row[0].shape[-2] for row in rows), sum(b.shape[-1] for b in rows[0])
+    out = np.zeros(batch + (height, width), dtype=np.result_type(*blocks))
+    i = 0
+    for row in rows:
+        j = 0
+        for b in row:
+            out[..., i : i + b.shape[-2], j : j + b.shape[-1]] = b
+            j += b.shape[-1]
+        i += row[0].shape[-2]
+    return out
 
 
 def delay_lift(a0, a1, r):
@@ -512,18 +534,19 @@ def delay_lift(a0, a1, r):
     Stacks ``z(t) = (w(t), w(t-1), ..., w(t-r))``; the lifted matrix has
     ``A0`` and ``A1`` in the first block row and shift identities below.
     ``A1`` is added onto its block, so for ``r = 0`` the lift is ``A0 + A1``.
+    Stacks ``(..., nb, nb)`` of equal shape give the stack of lifts.
     """
     a0 = np.atleast_2d(a0)
     a1 = np.atleast_2d(a1)
-    if a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
+    if a0.shape != a1.shape or a0.shape[-2] != a0.shape[-1]:
         raise DimensionError(f"delay_lift: expected equal square blocks, got {a0.shape} and {a1.shape}")
     _require_delay("delay_lift", r)
-    nb = a0.shape[0]
+    nb = a0.shape[-1]
     dtype = np.result_type(a0.dtype, a1.dtype)
-    lift = np.zeros(((r + 1) * nb, (r + 1) * nb), dtype=dtype)
-    lift[:nb, :nb] = a0
-    lift[:nb, r * nb :] += a1
-    lift[nb:, : r * nb] = np.eye(r * nb, dtype=dtype)
+    lift = np.zeros(a0.shape[:-2] + ((r + 1) * nb, (r + 1) * nb), dtype=dtype)
+    lift[..., :nb, :nb] = a0
+    lift[..., :nb, r * nb :] += a1
+    lift[..., nb:, : r * nb] = np.eye(r * nb, dtype=dtype)
     return lift
 
 
@@ -545,6 +568,23 @@ def _coupling_slices(g):
     return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
 
 
+def _slice_radii(plant, g, im, gains, delays, mode):
+    """Lifted spectral radius of each coupling slice, in :func:`_coupling_slices` order.
+
+    The real slices and the complex ones each form one stack: one
+    :func:`closed_loop_blocks` call, one lift and one eigensolve per
+    stack.  Real slices stay real, so their lifts get the real solver.
+    """
+    slices = _coupling_slices(g)
+    radii = np.empty(len(slices))
+    for kind in (float, complex):
+        idx = [k for k, lam in enumerate(slices) if type(lam) is kind]
+        if idx:
+            h = np.array([slices[k] for k in idx]).reshape(-1, 1, 1)
+            radii[idx] = spectral_radius(delay_lift(*closed_loop_blocks(plant, h, im, gains, mode), delays.r))
+    return radii
+
+
 def certify_closed_loop(plant, g, im, gains, delays, mode):
     """Schur certificate for the delayed networked closed loop.
 
@@ -558,6 +598,8 @@ def certify_closed_loop(plant, g, im, gains, delays, mode):
     :func:`synthesize_gains`, and lifts one slice per
     distinct value (one per conjugate pair, since conjugate slices have
     conjugate spectra), never the network-sized ``(r+1) N w`` matrix.
+    The slice lifts are built and eigensolved as stacks, so the cost per
+    slice is the arithmetic, not a Python round trip.
 
     Returns
     -------
@@ -565,11 +607,14 @@ def certify_closed_loop(plant, g, im, gains, delays, mode):
         True when the radius is below ``1 - SCHUR_MARGIN``.
     rho : float
         The lifted spectral radius: the largest slice radius.
+
+    Raises
+    ------
+    NumericalError
+        If a slice lift cannot be eigensolved, for instance because a
+        gain is not finite.
     """
-    rho = max(
-        spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
-        for lam in _coupling_slices(g)
-    )
+    rho = float(np.max(_slice_radii(plant, g, im, gains, delays, mode)))
     return bool(rho < 1.0 - SCHUR_MARGIN), rho
 
 

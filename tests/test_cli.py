@@ -420,11 +420,22 @@ def test_package_exports_each_module_list_once():
     assert set(EXPORTED_BEFORE) <= set(coopreg.__all__)
 
 
+def _loaded_by_import(top):
+    """Modules of package ``top`` that a fresh ``import coopreg, coopreg.cli`` loads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coopreg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, coopreg, coopreg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: a fresh interpreter that imports
     # the package and its command line must not load it.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coopreg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, coopreg, coopreg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_yaml():
+    # PyYAML is imported when a file is read or written, so the API and
+    # `selftest` do not pay for it.
+    assert _loaded_by_import("yaml") == "[]"

@@ -335,7 +335,7 @@ def test_observer_parameters_without_l_obs_are_not_read(tmp_path):
     # gamma_l and nu_l belong to the observer; a state-only file ignores them
     path = tmp_path / "gains.yaml"
     gains = {k: GAIN_FILE[k] for k in ("k_x", "k_z", "gamma", "nu")}
-    yaml.safe_dump({"gains": dict(gains, gamma_l="x", nu_l=[1], observer_r=3)}, path.open("w"))
+    path.write_text(yaml.safe_dump({"gains": dict(gains, gamma_l="x", nu_l=[1], observer_r=3)}))
     loaded, _ = load_gains(path)
     assert loaded.gamma_l is None and loaded.nu_l is None and loaded.observer_r == 3
 
@@ -504,9 +504,7 @@ class TestGainFiles:
 
     def test_missing_gamma(self, tmp_path):
         path = tmp_path / "bad.yaml"
-        yaml.safe_dump(
-            {"gains": {"k_x": [[0.1]], "k_z": [[0.2]], "nu": 1.0}}, path.open("w")
-        )
+        path.write_text(yaml.safe_dump({"gains": {"k_x": [[0.1]], "k_z": [[0.2]], "nu": 1.0}}))
         with pytest.raises(ConfigurationError, match=r"gains\.gamma"):
             load_gains(path)
 

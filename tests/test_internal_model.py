@@ -77,9 +77,10 @@ class TestDefaultBuild:
         assert im.degree == 2
 
     def test_exosystem_without_error_channels_rejected(self):
-        # an F with zero rows passes Exosystem but leaves nothing to replicate
-        with pytest.raises(ConfigurationError, match="p must be positive, got 0"):
-            build_internal_model(Exosystem(s=np.eye(2), f=np.zeros((0, 2))))
+        # an F with zero rows leaves nothing to replicate; the exosystem
+        # refuses it where it is given, naming the field
+        with pytest.raises(DimensionError, match="^exosystem.f: needs at least one row"):
+            Exosystem(s=np.eye(2), f=np.zeros((0, 2)))
 
 
 class TestOverride:

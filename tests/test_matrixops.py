@@ -239,6 +239,16 @@ class TestKron:
                 a = a + 1j * rng.normal(size=a.shape)
             got, want = kron(a, b), np.kron(a, b)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        # leading axes broadcast: each item is the 2-D product of its factors
+        for batch in [(3,), (2, 3), (0,)]:
+            a = rng.normal(size=batch + (2, 3))
+            b = rng.normal(size=(3, 2))
+            for x, y in [(a, b), (a + 1j * rng.normal(size=a.shape), b), (b, a), (a, np.zeros((0, 2)))]:
+                got = kron(x, y)
+                assert got.shape == batch + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1])
+                for k in np.ndindex(batch):
+                    want = np.kron(x[k] if x.ndim > 2 else x, y[k] if y.ndim > 2 else y)
+                    assert got.dtype == want.dtype and np.array_equal(got[k], want)
 
 
 def test_block_diag_places_blocks():
@@ -251,6 +261,20 @@ def test_block_diag_places_blocks():
 def test_eigenvalues_requires_square():
     with pytest.raises(DimensionError):
         eigenvalues(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        spectral_radius(np.ones((4, 2, 3)))
+
+
+def test_stacked_spectral_radius_is_per_matrix():
+    # one eigensolve over a stack gives each matrix's own radius, to the bit
+    rng = np.random.default_rng(12)
+    for stack in (rng.normal(size=(5, 6, 6)), rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))):
+        got = spectral_radius(stack)
+        assert got.shape == (5,)
+        assert np.array_equal(got, [spectral_radius(m) for m in stack])
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
+    with pytest.raises(NumericalError):
+        spectral_radius(np.full((2, 3, 3), np.nan))
 
 
 def test_minimal_polynomial_rejects_nonsquare():

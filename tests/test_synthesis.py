@@ -474,6 +474,22 @@ class TestNetworkBlocks:
         assert abs(got - rho) <= 1e-6
         assert (got < 1.0) == (rho < 1.0)
 
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_stacked_couplings_match_each_coupling_alone(self, mode, target_gains):
+        # a stack of couplings gives, item by item, the bits of the 2-D call
+        plant, im = ref.reference_plant(), ref.reference_internal_model()
+        h = h_matrix(ref.reference_graph())[0]
+        for stack in (np.stack([h, 0.5 * h, h.T]), np.stack([h, (0.8 + 0.3j) * h])):
+            agents = [(plant.a, plant.b, plant.c)] * 4
+            a0, b_u, u_map, drive = network_blocks(plant, stack, im, target_gains, mode, agents)
+            a1 = closed_loop_blocks(plant, stack, im, target_gains, mode)[1]
+            for k, hk in enumerate(stack):
+                e0, e_b, e_u, e_d = network_blocks(plant, hk, im, target_gains, mode, agents)
+                assert a0[k].dtype == e0.dtype and np.array_equal(a0[k], e0)
+                assert np.array_equal(u_map[k], e_u)
+                assert np.array_equal(b_u, e_b) and np.array_equal(drive, e_d)
+                assert np.array_equal(a1[k], closed_loop_blocks(plant, hk, im, target_gains, mode)[1])
+
     def test_stack_length_must_match_h(self, target_gains):
         plant = ref.reference_plant()
         with pytest.raises(DimensionError, match="network_blocks"):
@@ -543,6 +559,16 @@ class TestDelayLift:
             lifted.append(stacked[:nb].copy())
 
         assert np.max(np.abs(np.array(direct) - np.array(lifted))) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_stack_matches_each_lift(self, r):
+        rng = np.random.default_rng(9)
+        a0 = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        a1 = rng.normal(size=(4, 3, 3))
+        lifts = delay_lift(a0, a1, r)
+        assert lifts.shape == (4, 3 * (r + 1), 3 * (r + 1))
+        for k in range(4):
+            assert np.array_equal(lifts[k], delay_lift(a0[k], a1[k], r))
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -664,6 +690,34 @@ class TestCertifyClosedLoop:
             assert rho == max(
                 spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
                 for lam in slices
+            )
+
+    @pytest.mark.parametrize("graph", [random_tree(64), NET12], ids=["tree64", "net12"])
+    def test_one_eigensolve_per_slice_kind(self, graph, monkeypatch):
+        # the real slices and the complex ones are each lifted as one stack
+        # and eigensolved in one call
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        kinds = {type(lam) for lam in _coupling_slices(graph)}
+        assert kinds == ({float} if graph is not NET12 else {float, complex})
+        solve, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or solve(m))
+        for mode in ("state", "output"):
+            gains = ref.reference_gains(mode)
+            calls.clear()
+            certify_closed_loop(plant, graph, im, gains, delays, mode)
+            assert len(calls) <= len(kinds)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_non_finite_gain_raises_numerical_error(self, mode):
+        # the stacked eigensolve fails on the NaN lifts; auto_tune_gamma
+        # counts on the NumericalError to record the candidate as nan
+        gains = ref.reference_gains(mode)
+        k_x = gains.k_x.copy()
+        k_x[0, 1] = np.nan
+        with pytest.raises(NumericalError):
+            certify_closed_loop(
+                ref.reference_plant(), NET12, ref.reference_internal_model(),
+                replace(gains, k_x=k_x), ref.reference_delays(), mode,
             )
 
     def test_margin_is_strict(self, monkeypatch):
