@@ -101,17 +101,20 @@ def _check(kind, val, where):
     if kind == "vector":
         if not isinstance(val, list) or not all(map(_is_number, val)):
             raise ConfigurationError(f"{where}: expected a flat list of numbers")
-        return np.array(val, dtype=float)
-    if not isinstance(val, list) or not val or not all(isinstance(row, list) for row in val):
-        raise ConfigurationError(f"{where}: expected a list of rows")
-    width = len(val[0])
-    for idx, row in enumerate(val):
-        if len(row) != width:
-            raise ConfigurationError(f"{where}: row {idx} has {len(row)} entries, expected {width}")
-        for entry in row:
-            if not _is_number(entry):
-                raise ConfigurationError(f"{where}: row {idx} contains a non-numeric entry {entry!r}")
-    return np.array(val, dtype=float)
+    else:
+        if not isinstance(val, list) or not val or not all(isinstance(row, list) for row in val):
+            raise ConfigurationError(f"{where}: expected a list of rows")
+        width = len(val[0])
+        for idx, row in enumerate(val):
+            if len(row) != width:
+                raise ConfigurationError(f"{where}: row {idx} has {len(row)} entries, expected {width}")
+            for entry in row:
+                if not _is_number(entry):
+                    raise ConfigurationError(f"{where}: row {idx} contains a non-numeric entry {entry!r}")
+    arr = np.array(val, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{where}: contains non-finite entries")
+    return arr
 
 
 def _read(fields, section, path):

@@ -103,6 +103,26 @@ class Digraph:
         lam.flags.writeable = False
         return lam
 
+    @cached_property
+    def _h_slices(self):
+        """Distinct eigenvalues of ``H``, one per conjugate pair, as read-only ``(real, complex)`` arrays.
+
+        The spectrum is sorted by (real, imag), so a value within
+        ``1e-12 * max(1, |lam|)`` of the last one kept is merged into it:
+        one comparison per value.  A near-duplicate that the sort does not
+        place next to its twin is kept as a slice of its own, which adds a
+        lift but never drops one.
+        """
+        kept = []
+        for lam in self._h_spectrum:
+            if lam.imag >= 0 and not (kept and abs(lam - kept[-1]) <= 1e-12 * max(1.0, abs(lam))):
+                kept.append(lam)
+        kept = np.array(kept, dtype=complex)
+        slices = (kept[kept.imag == 0].real, kept[kept.imag != 0])
+        for lam in slices:
+            lam.flags.writeable = False
+        return slices
+
     def in_edges(self, i):
         """List of ``(source, weight)`` pairs feeding node ``i`` (leader included)."""
         return [(src, w) for (src, dst, w) in self.edges if dst == i]

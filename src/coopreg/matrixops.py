@@ -1,8 +1,8 @@
 """Small dense linear-algebra layer shared by the rest of the package.
 
 Everything here operates on plain ``numpy`` 2-D float arrays;
-:func:`kron` and :func:`spectral_radius` also take stacks ``(..., r, c)``
-and treat each matrix as they would alone.  The helpers fall into four
+:func:`spectral_radius` alone also takes a stack ``(..., n, n)`` and
+treats each matrix as it would alone.  The helpers fall into four
 groups:
 
 * validation and construction (:func:`as_matrix`, :func:`require_square`),
@@ -148,17 +148,12 @@ def on_unit_circle(m):
 
 
 def kron(a, b):
-    """Kronecker product of the last two axes of ``a`` and ``b``, formed as one reshaped outer product.
-
-    Leading axes broadcast, so a stack ``(..., r, c)`` gives the stack of
-    products; each entry is the one product ``a_ij * b_kl`` either way.
-    """
-    if np.ndim(a) < 2 or np.ndim(b) < 2:
-        raise DimensionError("kron: both factors must be at least 2-D arrays")
+    """Kronecker product of two 2-D arrays, formed as one reshaped outer product."""
+    if np.ndim(a) != 2 or np.ndim(b) != 2:
+        raise DimensionError("kron: both factors must be 2-D arrays")
     a, b = np.asarray(a), np.asarray(b)
-    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
-    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return outer.reshape(outer.shape[:-4] + (ra * rb, ca * cb))
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def block_diag(mats):

@@ -19,10 +19,11 @@ and communication delay ``r_com``:
 4. :func:`network_blocks` builds the delayed networked loop for any
    per-follower ``(A_i, B_i, C_i)`` stack; the compact simulation oracle
    uses it too.  :func:`certify_closed_loop` certifies the nominal loop
-   through one ``lam``-slice per eigenvalue of ``H``, all slices built
-   by one :func:`closed_loop_blocks` call on a stack of ``1 x 1``
-   couplings: the lifted spectrum is the union of the spectra of the
-   slice lifts, so every slice lift must be Schur.
+   through one ``lam``-slice per eigenvalue of ``H``: the lifted
+   spectrum is the union of the spectra of the slice lifts, so every
+   slice lift must be Schur.  A slice lift is affine in ``lam``,
+   ``L(lam) = L0 + lam L1``, so one :func:`closed_loop_blocks` call at
+   ``lam = i`` gives the pencil ``(L0, L1)`` for every slice.
 5. :func:`synthesize_and_certify` designs at one ``gamma`` and
    certifies the result; :func:`auto_tune_gamma` repeats it, halving
    ``gamma`` until the certificate accepts, which is the standard way
@@ -435,27 +436,28 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     The aggregate state recursion has the delayed form
     ``w(t+1) = A0 w(t) + A1 w(t - r)`` with ``r = r_con + r_com``.
     ``h`` may be any square coupling matrix, including a ``1 x 1``
-    complex eigenvalue slice, which is how per-mode certificates are
-    computed, or a stack ``(..., N, N)`` of them, which gives stacked
-    blocks.  The blocks are those of :func:`network_blocks` with every
-    follower at the nominal model.
+    complex eigenvalue slice, which is how the certificate builds its
+    slice pencil.  The blocks are those of :func:`network_blocks` with
+    every follower at the nominal model.
     """
-    nominal = [(plant.a, plant.b, plant.c)] * np.atleast_2d(h).shape[-1]
+    nominal = [(plant.a, plant.b, plant.c)] * len(np.atleast_2d(h))
     a0, b_u, u_map, _ = network_blocks(plant, h, im, gains, mode, nominal)
     return a0, b_u @ u_map
 
 
 def _check_gains(plant, im, gains, mode, caller):
-    """Reject a gain set whose fields do not fit ``plant``, ``im`` and ``mode``, naming the field."""
+    """Reject a gain set that does not fit ``plant``, ``im`` and ``mode`` or is not finite, naming the field."""
     shapes = {"k_x": (plant.m, plant.n), "k_z": (plant.m, im.dim)}
     if mode == "output":
         if gains.l_obs is None:
             raise ConfigurationError(f"{caller}: output mode requires an observer gain")
         shapes["l_obs"] = (plant.n, plant.p)
     for name, shape in shapes.items():
-        got = np.shape(getattr(gains, name))
-        if got != shape:
-            raise DimensionError(f"gains.{name}: expected shape {shape}, got {got}")
+        value = getattr(gains, name)
+        if np.shape(value) != shape:
+            raise DimensionError(f"gains.{name}: expected shape {shape}, got {np.shape(value)}")
+        if not np.isfinite(value).all():
+            raise NumericalError(f"gains.{name}: contains non-finite entries")
 
 
 def network_blocks(plant, h, im, gains, mode, agents):
@@ -474,16 +476,12 @@ def network_blocks(plant, h, im, gains, mode, agents):
     ``D`` is the map through which the virtual error
     ``(H (x) I_p) diag(C_i) x + (H 1 (x) F) v`` enters ``w``; its plant
     part is already in ``A0``.  Returns ``(A0, B, U, D)``.
-
-    ``h`` may also be a stack ``(..., N, N)`` of couplings for the same
-    followers; ``A0`` and ``U``, the blocks that hold ``h``, then come
-    stacked, each entry formed as for that coupling alone.
     """
     if mode not in ("state", "output"):
         raise ConfigurationError(f"network_blocks: unknown mode {mode!r}")
     _check_gains(plant, im, gains, mode, "network_blocks")
     h = np.atleast_2d(np.asarray(h))
-    nn = h.shape[-1]
+    nn = h.shape[0]
     if len(agents) != nn:
         raise DimensionError(f"network_blocks: {len(agents)} followers for a {nn} x {nn} coupling")
     a_bar, b_bar, c_blk = (block_diag([agent[k] for agent in agents]) for k in range(3))
@@ -492,16 +490,16 @@ def network_blocks(plant, h, im, gains, mode, agents):
     g1, g2 = kron(eye_n, im.g1), kron(eye_n, im.g2)
     kx, kz = kron(h, gains.k_x), kron(eye_n, gains.k_z)
     z = np.zeros
-    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[-2]
+    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[0]
 
     if mode == "state":
-        a0 = _block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
+        a0 = np.block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
         b_u = np.vstack([b_bar, z((nz, nu))])
-        return a0, b_u, _block([[kx, kz]]), np.vstack([z((nx, ne)), g2])
+        return a0, b_u, np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
 
     l_bar = kron(eye_n, gains.l_obs)
     obs = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
-    a0 = _block(
+    a0 = np.block(
         [
             [a_bar, z((nx, nz + nx))],
             [g2 @ c_bar, g1, z((nz, nx))],
@@ -509,23 +507,7 @@ def network_blocks(plant, h, im, gains, mode, agents):
         ]
     )
     b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
-    return a0, b_u, _block([[z((nu, nx)), kz, kx]]), np.vstack([z((nx, ne)), g2, l_bar])
-
-
-def _block(rows):
-    """``np.block`` of 2-D blocks, some stacked with common leading axes that the rest broadcast over."""
-    blocks = [b for row in rows for b in row]
-    batch = max((b.shape[:-2] for b in blocks), key=len)
-    height, width = sum(row[0].shape[-2] for row in rows), sum(b.shape[-1] for b in rows[0])
-    out = np.zeros(batch + (height, width), dtype=np.result_type(*blocks))
-    i = 0
-    for row in rows:
-        j = 0
-        for b in row:
-            out[..., i : i + b.shape[-2], j : j + b.shape[-1]] = b
-            j += b.shape[-1]
-        i += row[0].shape[-2]
-    return out
+    return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
 
 
 def delay_lift(a0, a1, r):
@@ -534,55 +516,33 @@ def delay_lift(a0, a1, r):
     Stacks ``z(t) = (w(t), w(t-1), ..., w(t-r))``; the lifted matrix has
     ``A0`` and ``A1`` in the first block row and shift identities below.
     ``A1`` is added onto its block, so for ``r = 0`` the lift is ``A0 + A1``.
-    Stacks ``(..., nb, nb)`` of equal shape give the stack of lifts.
     """
     a0 = np.atleast_2d(a0)
     a1 = np.atleast_2d(a1)
-    if a0.shape != a1.shape or a0.shape[-2] != a0.shape[-1]:
+    if a0.ndim != 2 or a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionError(f"delay_lift: expected equal square blocks, got {a0.shape} and {a1.shape}")
     _require_delay("delay_lift", r)
-    nb = a0.shape[-1]
+    nb = a0.shape[0]
     dtype = np.result_type(a0.dtype, a1.dtype)
-    lift = np.zeros(a0.shape[:-2] + ((r + 1) * nb, (r + 1) * nb), dtype=dtype)
-    lift[..., :nb, :nb] = a0
-    lift[..., :nb, r * nb :] += a1
-    lift[..., nb:, : r * nb] = np.eye(r * nb, dtype=dtype)
+    lift = np.zeros(((r + 1) * nb, (r + 1) * nb), dtype=dtype)
+    lift[:nb, :nb] = a0
+    lift[:nb, r * nb :] += a1
+    lift[nb:, : r * nb] = np.eye(r * nb, dtype=dtype)
     return lift
 
 
-def _coupling_slices(g):
-    """Distinct eigenvalues of ``H`` for graph ``g``, one per conjugate pair.
-
-    The eigenvalues come sorted by (real, imag), so a value within
-    ``1e-12 * max(1, |lam|)`` of the last one kept is merged into it:
-    one comparison per value.  A near-duplicate that the sort does not
-    place next to its twin is kept as a slice of its own, which adds a
-    lift but never drops one.  Real values come back as floats so their
-    slices stay real.
-    """
-    kept = []
-    for lam in g._h_spectrum:
-        if lam.imag < 0 or (kept and abs(lam - kept[-1]) <= 1e-12 * max(1.0, abs(lam))):
-            continue
-        kept.append(lam)
-    return [float(lam.real) if lam.imag == 0 else complex(lam) for lam in kept]
-
-
 def _slice_radii(plant, g, im, gains, delays, mode):
-    """Lifted spectral radius of each coupling slice, in :func:`_coupling_slices` order.
+    """Lifted spectral radius of each coupling slice: the real ones of ``g._h_slices``, then the complex ones.
 
-    The real slices and the complex ones each form one stack: one
-    :func:`closed_loop_blocks` call, one lift and one eigensolve per
-    stack.  Real slices stay real, so their lifts get the real solver.
+    A slice lift is affine in the coupling, ``L(lam) = L0 + lam L1``; the
+    plant, internal model and gains are real, so the lift at ``lam = i``
+    is ``L0 + i L1``.  ``L0 + lam L1`` matches the builder's own lift at
+    ``lam`` to the bit where their products round alike (on the bundled
+    agent), and to rounding otherwise.  One stacked eigensolve per kind.
     """
-    slices = _coupling_slices(g)
-    radii = np.empty(len(slices))
-    for kind in (float, complex):
-        idx = [k for k, lam in enumerate(slices) if type(lam) is kind]
-        if idx:
-            h = np.array([slices[k] for k in idx]).reshape(-1, 1, 1)
-            radii[idx] = spectral_radius(delay_lift(*closed_loop_blocks(plant, h, im, gains, mode), delays.r))
-    return radii
+    lift = delay_lift(*closed_loop_blocks(plant, [[1j]], im, gains, mode), delays.r)
+    l0, l1 = lift.real, lift.imag
+    return np.concatenate([spectral_radius(l0 + lam[:, None, None] * l1) for lam in g._h_slices if lam.size])
 
 
 def certify_closed_loop(plant, g, im, gains, delays, mode):
@@ -598,8 +558,9 @@ def certify_closed_loop(plant, g, im, gains, delays, mode):
     :func:`synthesize_gains`, and lifts one slice per
     distinct value (one per conjugate pair, since conjugate slices have
     conjugate spectra), never the network-sized ``(r+1) N w`` matrix.
-    The slice lifts are built and eigensolved as stacks, so the cost per
-    slice is the arithmetic, not a Python round trip.
+    The blocks are built once, as the pencil ``L0 + lam L1`` of the
+    slice lift, and the slices are eigensolved as stacks, so the cost
+    per slice is the arithmetic, not a Python round trip.
 
     Returns
     -------
@@ -611,8 +572,7 @@ def certify_closed_loop(plant, g, im, gains, delays, mode):
     Raises
     ------
     NumericalError
-        If a slice lift cannot be eigensolved, for instance because a
-        gain is not finite.
+        If a gain is not finite or a slice lift cannot be eigensolved.
     """
     rho = float(np.max(_slice_radii(plant, g, im, gains, delays, mode)))
     return bool(rho < 1.0 - SCHUR_MARGIN), rho

@@ -262,8 +262,8 @@ def horner_polyval(coeffs, m):
 def quadratic_coupling_slices(h):
     """Distinct eigenvalues of ``h``, one per conjugate pair: a test oracle.
 
-    This is the merge ``synthesis._coupling_slices`` replaced: each value
-    is compared with every value kept so far, not only the last one.
+    This is the merge ``Digraph._h_slices`` replaced: each value is
+    compared with every value kept so far, not only the last one.
     """
     kept = []
     for lam in eigenvalues(h, "H"):

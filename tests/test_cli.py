@@ -321,6 +321,18 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
         assert capsys.readouterr().err == f"error: gains.{field}: {expected}\n"
 
+    def test_non_finite_gain_file_is_usage_error(self, tmp_path, capsys):
+        # refused as input, not left to diverge at step 1 (exit 1)
+        path = write_config(tmp_path, benchmark_config_dict(horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        data = yaml.safe_load(gains_path.read_text())
+        data["gains"]["k_x"][0][1] = float("inf")
+        gains_path.write_text(yaml.safe_dump(data))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
+        assert capsys.readouterr().err == "error: gains.k_x: contains non-finite entries\n"
+
     def test_zero_horizon_trace_is_header_only(self, tmp_path, capsys):
         data = benchmark_config_dict(horizon=0)
         path = write_config(tmp_path, data)

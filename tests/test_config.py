@@ -268,6 +268,8 @@ MALFORMED_CONFIGS = [
      "scenario.init_states.x: expected 8 numbers for shape (4, 2), got 2"),
     ("plant-rows", "plant.b", [[1.0]], DE, "plant.b: expected 2 rows, got 1"),
     ("v0-length", "exosystem.v0", [1.0], DE, "exosystem.v0: expected length 2, got 1"),
+    ("v0-inf", "exosystem.v0", [float("inf"), 0.0], CE, "exosystem.v0: contains non-finite entries"),
+    ("matrix-nan", "plant.a", [[1.0, float("nan")], [0.0, 1.0]], CE, "plant.a: contains non-finite entries"),
     ("horizon-negative", "simulation.horizon", -1, CE,
      "scenario.horizon: must be a non-negative integer, got -1"),
     ("init-bounds", "simulation.init_low", 2.0, CE,

@@ -29,7 +29,7 @@ from coopreg import (
     simulate_output_feedback,
     simulate_state_feedback,
 )
-from coopreg.errors import ConfigurationError, DimensionError, DivergenceError
+from coopreg.errors import ConfigurationError, DimensionError, DivergenceError, NumericalError
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
 from coopreg import reference as ref
@@ -451,6 +451,23 @@ class TestBasicRuns:
         with pytest.raises(DimensionError) as info:
             run(sc, replace(target_gains, k_x=np.zeros((1, 3))))
         assert str(info.value) == "gains.k_x: expected shape (1, 2), got (1, 3)"
+
+    @pytest.mark.parametrize(
+        "mode, run",
+        [("state", simulate_state_feedback), ("output", simulate_output_feedback),
+         ("state", simulate_compact_oracle), ("output", simulate_compact_oracle)],
+        ids=["state", "output", "oracle-state", "oracle-output"],
+    )
+    def test_infinite_gain_is_refused_up_front(self, mode, run, target_gains):
+        # Refused before the first step.  Left to run, it diverges at
+        # step 1, and the oracle warns in a matrix product before that.
+        k_x = target_gains.k_x.copy()
+        k_x[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                run(ref.reference_scenario(mode=mode, horizon=5), replace(target_gains, k_x=k_x))
+        assert str(info.value) == "gains.k_x: contains non-finite entries"
 
     @pytest.mark.parametrize(
         "mode, run, expected",
