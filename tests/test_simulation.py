@@ -6,6 +6,7 @@ recursions, and against each other across the transformed/delayed law
 pair with matched initial histories.
 """
 
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from coopreg.errors import ConfigurationError, DimensionError, DivergenceError, 
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
 from coopreg import reference as ref
+from coopreg import simulation
 
 from conftest import (
     NET12,
@@ -694,43 +696,88 @@ class TestTracking:
 # trace file round-trip
 
 
+# Whether this host splits a large trace over a forked child.
+FORKS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def plant_special_values(trace, row=0):
+    """Put signed zeros, infinities, nan, the smallest subnormal and
+    values whose ``repr`` switches to exponent form in rows ``row`` to
+    ``row + 2``; nan goes into ``xi``, or ``u`` in state mode."""
+    trace.v[row, 1] = -0.0
+    trace.x[row, 0, 0] = -0.0
+    trace.x[row + 1, 2, 1] = np.inf
+    trace.z[row + 2, 3, 0] = -np.inf
+    (trace.u if trace.xi is None else trace.xi)[row + 1, 0, 0] = np.nan
+    trace.u[row + 2, 1, 0] = 5e-324
+    trace.y[row, 2, 0] = -5e-324
+    trace.e[row + 1, 3, 0] = 1e16
+    trace.e_v[row + 2, 0, 0] = 1e-5
+
+
 def csv_case_trace(case, gains):
-    """A reference run in either mode, a zero-horizon run, or a short
-    output-mode run holding signed zeros, infinities, nan, the smallest
-    subnormal and values whose ``repr`` switches to exponent form."""
+    """A reference run in either mode, a zero-horizon run, a short
+    output-mode run holding :func:`plant_special_values`, or a
+    3000-step run of either mode (``"large_<mode>"``), large enough for
+    the writer and reader to fork, with those values in both halves."""
     if case == "zero_horizon":
         return simulate_state_feedback(ref.reference_scenario(horizon=0), zero_gains())
-    mode = "state" if case == "state" else "output"
+    mode = "state" if case in ("state", "large_state") else "output"
+    horizon = 3000 if case.startswith("large") else 25 if case == mode else 3
     run = simulate_state_feedback if mode == "state" else simulate_output_feedback
-    trace = run(ref.reference_scenario(mode=mode, horizon=25 if case == mode else 3), gains)
-    if case == "special_values":
-        trace.v[0, 1] = -0.0
-        trace.x[0, 0, 0] = -0.0
-        trace.x[1, 2, 1] = np.inf
-        trace.z[2, 3, 0] = -np.inf
-        trace.xi[1, 0, 0] = np.nan
-        trace.u[2, 1, 0] = 5e-324
-        trace.y[0, 2, 0] = -5e-324
-        trace.e[1, 3, 0] = 1e16
-        trace.e_v[2, 0, 0] = 1e-5
+    trace = run(ref.reference_scenario(mode=mode, horizon=horizon), gains)
+    if case != mode:
+        plant_special_values(trace)
+    if case.startswith("large"):
+        plant_special_values(trace, 1500)
     return trace
 
 
+def assert_same_trace(a, b):
+    """Every signal equal, nan for nan and sign bit for sign bit."""
+    for name in ("v", "x", "z", "xi", "u", "y", "e", "e_v"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None:
+            assert y is None
+            continue
+        assert np.array_equal(x, y, equal_nan=True), name
+        assert np.array_equal(np.signbit(x), np.signbit(y)), name
+    assert np.array_equal(a.t, b.t)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the calls of ``os.fork``."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 class TestTraceCsv:
-    @pytest.mark.parametrize("case", ["state", "output", "special_values"])
-    def test_round_trip_exact(self, tmp_path, case, target_gains):
+    @pytest.mark.parametrize("case", ["state", "output", "special_values", "large_state", "large_output"])
+    def test_round_trip_exact(self, tmp_path, case, target_gains, forks):
         trace = csv_case_trace(case, target_gains)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        loaded = load_trace_csv(path)
-        for name in ("v", "x", "z", "xi", "u", "y", "e", "e_v"):
-            a, b = getattr(trace, name), getattr(loaded, name)
-            if a is None:
-                assert b is None
-                continue
-            assert np.array_equal(a, b, equal_nan=True), name
-            assert np.array_equal(np.signbit(a), np.signbit(b)), name
-        assert np.array_equal(trace.t, loaded.t)
+        assert_no_child()
+        assert_same_trace(trace, load_trace_csv(path))
+        assert_no_child()
+        assert len(forks) == 2 * (FORKS and case.startswith("large"))
 
     def test_zero_horizon_header_only(self, tmp_path):
         sc = ref.reference_scenario(horizon=0)
@@ -741,26 +788,106 @@ class TestTraceCsv:
         assert loaded.horizon == 0
         assert loaded.x.shape == (0, 4, 2)
 
-    @pytest.mark.parametrize("case", ["state", "output", "zero_horizon", "special_values"])
-    def test_bytes_match_per_value_writer(self, tmp_path, case, target_gains):
+    @pytest.mark.parametrize(
+        "case", ["state", "output", "zero_horizon", "special_values", "large_state", "large_output"]
+    )
+    def test_bytes_match_per_value_writer(self, tmp_path, case, target_gains, forks):
         trace = csv_case_trace(case, target_gains)
         trace.to_csv(tmp_path / "bulk.csv")
+        assert len(forks) == (FORKS and case.startswith("large"))
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("damage", ["truncated_row", "non_numeric_cell"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated_row", "non_numeric_cell", "long_header", "short_rows", "no_t_column", "fractional_t"],
+    )
     def test_malformed_trace_names_the_file(self, tmp_path, damage, target_gains):
         trace = simulate_state_feedback(ref.reference_scenario(horizon=5), target_gains)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+        lines = path.read_text().splitlines()
+        top = next(k for k, line in enumerate(lines) if not line.startswith("#"))
         if damage == "truncated_row":
-            last = last[: len(last) // 2]
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        elif damage == "non_numeric_cell":
+            lines[-1] = "oops" + lines[-1][lines[-1].index(",") :]
+        elif damage == "long_header":
+            lines[top] += ",ev5_0"
+        elif damage == "short_rows":
+            lines[top + 1 :] = [line.rsplit(",", 1)[0] for line in lines[top + 1 :]]
+        elif damage == "no_t_column":
+            lines[top] = "s" + lines[top][1:]
         else:
-            last = "oops" + last[last.index(",") :]
-        path.write_text(f"{head}\n{last}\n")
+            lines[-1] = "4.5" + lines[-1][lines[-1].index(",") :]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError, match="trace.csv: malformed trace data"):
             load_trace_csv(path)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_one_cpu_writes_and_reads_the_same(self, tmp_path, mode, target_gains, forks, monkeypatch):
+        trace = csv_case_trace(f"large_{mode}", target_gains)
+        trace.to_csv(tmp_path / "forked.csv")
+        forked = load_trace_csv(tmp_path / "forked.csv")
+        one_cpu(monkeypatch)
+        trace.to_csv(tmp_path / "serial.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+        assert_same_trace(forked, load_trace_csv(tmp_path / "serial.csv"))
+        assert len(forks) == 2 * FORKS
+
+    @pytest.mark.parametrize("row", [10, 1500], ids=["parent_half", "child_half"])
+    def test_malformed_row_gives_the_serial_message(self, tmp_path, row, target_gains, forks, monkeypatch):
+        path = tmp_path / "trace.csv"
+        csv_case_trace("large_state", target_gains).to_csv(path)
+        lines = path.read_text().splitlines()
+        top = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        lines[top + 1 + row] = lines[top + 1 + row].replace(",", ",oops", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"malformed trace data .* at row {row}, column 2") as forked:
+            load_trace_csv(path)
+        assert len(forks) == 2 * FORKS  # the writer's, then the reader's
+        assert_no_child()
+        one_cpu(monkeypatch)
+        with pytest.raises(ConfigurationError) as serial:
+            load_trace_csv(path)
+        assert str(forked.value) == str(serial.value)
+
+    @pytest.mark.parametrize(
+        "case, row", [("large_state", 1500), ("large_output", None), ("one_step", None)],
+        ids=["child_half", "trailing", "one_step"],
+    )
+    def test_blank_lines_are_skipped(self, tmp_path, case, row, target_gains, forks, monkeypatch):
+        if case == "one_step":
+            trace = simulate_state_feedback(ref.reference_scenario(horizon=1), target_gains)
+        else:
+            trace = csv_case_trace(case, target_gains)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_bytes().split(b"\n")
+        top = next(k for k, line in enumerate(lines) if not line.startswith(b"#"))
+        lines.insert(len(lines) if row is None else top + 1 + row, b"")
+        path.write_bytes(b"\n".join(lines))
+        assert_same_trace(trace, load_trace_csv(path))
+        assert_no_child()
+        one_cpu(monkeypatch)
+        assert_same_trace(trace, load_trace_csv(path))
+        assert len(forks) == 2 * (FORKS and case != "one_step")
+
+    def test_failed_child_rows_are_written_again(self, tmp_path, target_gains, forks, monkeypatch):
+        trace = csv_case_trace("large_output", target_gains)
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        parent = os.getpid()
+
+        def repr_failing_in_a_child(value):
+            if os.getpid() != parent:
+                raise MemoryError
+            return repr(value)
+
+        monkeypatch.setattr(simulation, "repr", repr_failing_in_a_child, raising=False)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert len(forks) == FORKS
+        assert_no_child()
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_deviation_shape_mismatch(self):
         sc5 = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())
