@@ -100,6 +100,8 @@ def cmd_synthesize(args):
 
 
 def cmd_simulate(args):
+    if args.oracle and args.law != "transformed":
+        raise ConfigurationError("--oracle compares against the transformed law; rerun with --law transformed")
     cfg = load_config(args.config)
     sc = cfg.scenario
     if args.gains:
@@ -116,10 +118,6 @@ def cmd_simulate(args):
     for i, val in enumerate(per_agent, start=1):
         print(f"agent {i}: max |e| over final {tail} steps = {val:.4e}")
     if args.oracle:
-        if args.law != "transformed":
-            raise ConfigurationError(
-                "--oracle compares against the transformed law; rerun with --law transformed"
-            )
         oracle = simulate_compact_oracle(sc, gains)
         dev = trace.max_relative_deviation(oracle)
         print(f"max deviation from compact-form oracle = {dev:.4e}")

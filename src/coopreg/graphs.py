@@ -123,6 +123,25 @@ class Digraph:
             lam.flags.writeable = False
         return slices
 
+    @cached_property
+    def _edge_index(self):
+        """Read-only ``(ends, w, starts)`` of the edge-local coupling, built once per (frozen) graph.
+
+        One entry per edge and one head entry ``(0, 0, 1.0)`` per
+        follower, stably sorted by receiver so each follower's terms keep
+        their edge-list order, with its head first.  ``ends`` lists every
+        entry's receiver, then every entry's sender; ``w`` holds the
+        weights and ``starts`` indexes the heads.  A head reads the
+        leader's zero row on both ends.
+        """
+        heads = [(0, 0, 1.0, i) for i in range(1, self.n_followers + 1)]
+        entries = sorted(heads + [(s, d, w, d) for s, d, w in self.edges], key=lambda entry: entry[3])
+        src, dst, w, _ = (np.array(col) for col in zip(*entries))
+        index = (np.concatenate([dst, src]), w, np.flatnonzero(dst == 0))
+        for arr in index:
+            arr.flags.writeable = False
+        return index
+
     def in_edges(self, i):
         """List of ``(source, weight)`` pairs feeding node ``i`` (leader included)."""
         return [(src, w) for (src, dst, w) in self.edges if dst == i]

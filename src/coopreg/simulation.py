@@ -41,8 +41,12 @@ delayed read is a row some steps back.  A row holds the leader's zero
 row, then each follower's ``[z | x | xi | e]``, the regulated error
 stored beside the feedback state (``x``, or ``xi`` in output mode).  A
 step couples that ``[feedback | e]`` block in one edge-wise pass and
-advances every follower with one stacked product of a fused matrix
-``M_i``, whose ``e`` rows are ``C_i`` times its ``x`` rows.  The feeds
+advances each follower through a fused matrix ``M_i``, whose ``e`` rows
+are ``C_i`` times its ``x`` rows: with one 2-D product ``D M_0'`` over
+the drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
+``A_i``, ``B_i``, ``C_i``; ``E_i`` only feeds), else with one small
+product per follower.  The whole stack is compared once per call, with
+no option or tolerance; the two paths agree to rounding.  The feeds
 ``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill the history before
 the loop, ``y = C_i x`` is formed after it, and the divergence guard
 walks each block of steps once.  Modes and laws differ only in how many
@@ -139,8 +143,9 @@ class Scenario:
     """Everything needed to run one closed-loop experiment.
 
     Construction validates every field and resolves, once, each
-    follower's effective ``(A_i, B_i, C_i, E_i)`` and the initial
-    states; :meth:`agent_matrices` and :meth:`initial_states` return them.
+    follower's effective ``(A_i, B_i, C_i, E_i)``, stacked over the
+    followers, and the initial states; :meth:`agent_stacks`,
+    :meth:`agent_matrices` and :meth:`initial_states` return them.
 
     Parameters
     ----------
@@ -232,7 +237,10 @@ class Scenario:
         for k, (u, e) in enumerate(zip(unc, e_mats)):
             da, db, de, dc = u.materialize(n, self.plant.m, self.plant.p, q, f"uncertainties[{k}]")
             agents.append((self.plant.a + da, self.plant.b + db, self.plant.c + dc, e + de))
-        object.__setattr__(self, "_agents", tuple(agents))
+        stacks = tuple(np.stack(mats) for mats in zip(*agents))
+        for arr in stacks:
+            arr.flags.writeable = False
+        object.__setattr__(self, "_stacks", stacks)  # A, B, C, E
 
         # All three blocks are always drawn, in a fixed order, so that
         # overriding one of them (or ignoring xi in state-feedback mode)
@@ -263,12 +271,16 @@ class Scenario:
     def n_agents(self):
         return self.graph.n_followers
 
-    def agent_matrices(self):
-        """Effective per-follower ``(A_i, B_i, C_i, E_i)`` with uncertainty applied.
+    def agent_stacks(self):
+        """Read-only ``(A, B, C, E)`` stacks, ``A[i]`` being follower ``i``'s ``A_i`` with uncertainty applied.
 
-        ``E_i`` is ``per_agent_e[i]``, else ``plant.e``, else zeros.
+        ``E[i]`` is ``per_agent_e[i]``, else ``plant.e``, else zeros.
         """
-        return self._agents
+        return self._stacks
+
+    def agent_matrices(self):
+        """Follower ``i``'s ``(A_i, B_i, C_i, E_i)`` at index ``i``: read-only views of :meth:`agent_stacks`."""
+        return tuple(zip(*self._stacks))
 
     def initial_states(self):
         """Read-only initial states ``(x0, z0, xi0)``, drawn from ``seed`` with overrides applied."""
@@ -530,35 +542,34 @@ def edgewise_virtual_errors(g, e_all):
     apply the same combination to stacked states and observer estimates.
     """
     e_all = np.atleast_2d(e_all)
-    return _edge_coupling(g)(np.concatenate([np.zeros((1, e_all.shape[1])), e_all]))
+    return _edge_coupling(g, e_all.shape[1])(np.concatenate([np.zeros((1, e_all.shape[1])), e_all]))
 
 
-def _edge_coupling(g):
+def _edge_coupling(g, width):
     """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
 
-    The returned ``couple(padded, out=None)`` takes an ``(N + 1, k)``
+    The returned ``couple(padded, out=None)`` takes an ``(N + 1, width)``
     array whose row 0 is the leader's zero row and row ``i`` follower
-    ``i``'s signal.  The edge list becomes index and weight arrays once,
-    stably sorted by receiver, so each follower's terms keep their
-    edge-list order.  Each follower's run starts with a head entry that
-    reads the leader's zero row on both ends, so every run sums
-    ``((0 + t1) + t2) + ...`` with one ``np.add.reduceat``: bit for bit
-    what ``np.add.at`` into a zero array gives, signed zeros included,
-    and a zero row for a follower with no in-edge.  Columns never mix,
-    so coupling several signals side by side gives each the bits it gets
-    alone.  No ``H`` matrix is involved, so the agentwise route stays
-    independent of the Kronecker oracle.
+    ``i``'s signal.  It reads the graph's ``Digraph._edge_index``, built
+    once per graph: per receiver, a head entry that reads the leader's
+    zero row on both ends, then its edges in edge-list order.  A call
+    takes the receiver and sender rows in one ``take``, subtracts the
+    sender rows in place, scales by the weights (spread to full width
+    once, here) and sums every run as ``((0 + t1) + t2) + ...`` with one
+    ``np.add.reduceat``: bit for bit what ``np.add.at`` into a zero
+    array gives, signed zeros included, and a zero row for a follower
+    with no in-edge.  Columns never mix, so coupling several signals
+    side by side gives each the bits it gets alone.  No ``H`` matrix is
+    involved, so the agentwise route stays independent of the Kronecker
+    oracle.
     """
-    heads = [(0, 0, 1.0, i) for i in range(1, g.n_followers + 1)]
-    entries = sorted(heads + [(s, d, wt, d) for s, d, wt in g.edges], key=lambda entry: entry[3])
-    src, dst, w, _ = (np.array(col) for col in zip(*entries))
-    ends = np.concatenate([dst, src])
-    starts = np.flatnonzero(dst == 0)
-    w = w[:, None]
+    ends, w, starts = g._edge_index
+    w = np.repeat(w[:, None], width, axis=1)
 
     def couple(padded, out=None):
         rows = padded.take(ends, axis=0)
-        terms = rows[: w.shape[0]] - rows[w.shape[0] :]
+        terms = rows[: w.shape[0]]
+        terms -= rows[w.shape[0] :]
         terms *= w
         return np.add.reduceat(terms, starts, axis=0, out=out)
 
@@ -632,10 +643,10 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     d_ev = r_com - d_z
     d_fb = d_z if output else r_com
     depth, T = r_con + r_com, scenario.horizon
-    a, b, c, e_in = (np.stack(mats) for mats in zip(*scenario.agent_matrices()))
+    a, b, c, e_in = scenario.agent_stacks()
     nfoll, n, m, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.m, scenario.plant.p, scenario.im.dim
     k_x, k_z = gains.k_x.T, gains.k_z.T
-    couple = _edge_coupling(scenario.graph)
+    couple = _edge_coupling(scenario.graph, n + p)
 
     # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t) with
     # s = [z | x | xi] and d = [s | u(t - r_con) | e_v(t - d_ev)], in output
@@ -652,6 +663,9 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         fused[:, xi_, ev_.stop + m :] = -gains.l_obs @ scenario.plant.c
     fused[:, e_] = c @ fused[:, x_]
     fb_e = slice(ns - n, ns + p)  # the feedback state ends s, just before e
+    # Identical followers share M_0: one 2-D product steps them all.
+    uniform = bool((fused == fused[0]).all())
+    step_t = fused[0].T
 
     # Follower row 0 is the leader's zero row; row k + 1 starts as the feed.
     v, f_v = _exo_trajectory(scenario.exo, T + 1)
@@ -685,8 +699,9 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
                 drive = [row[1:, :ns], u_hist[k - r_con], cpl[k - d_ev, :, n:]]
                 if output:
                     drive += [u_hist[k - r_con - d_ev], cpl[k, :, :n]]
+                drive = np.concatenate(drive, axis=1)
                 nxt = hist[k + 1, 1:]
-                nxt += np.matmul(fused, np.concatenate(drive, axis=1)[:, :, None])[:, :, 0]
+                nxt += drive @ step_t if uniform else np.matmul(fused, drive[:, :, None])[:, :, 0]
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     rows = hist[depth : depth + T, 1:]
@@ -770,14 +785,14 @@ def simulate_compact_oracle(scenario, gains):
     r, r_com = scenario.delays.r, scenario.delays.r_com
     T = scenario.horizon
 
-    mats = scenario.agent_matrices()
+    _, _, c, e_in = scenario.agent_stacks()
     h, _ = h_matrix(scenario.graph)
-    a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, mode, mats)
+    a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, mode, scenario.agent_matrices())
     a1 = b_u @ u_map
-    c_blk = block_diag([mat[2] for mat in mats])
+    c_blk = block_diag(c)
     f_bar = kron(h @ np.ones((nfoll, 1)), scenario.exo.f)
     b_in = drive @ f_bar
-    b_in[: nfoll * n] = np.vstack([mat[3] for mat in mats])
+    b_in[: nfoll * n] = e_in.reshape(nfoll * n, -1)
 
     v, f_v = _exo_trajectory(scenario.exo, T)
     states = scenario.initial_states()[: 2 if mode == "state" else 3]

@@ -291,7 +291,9 @@ class TestSimulate:
     def test_oracle_requires_transformed_law(self, config_path, capsys):
         code = cli.main(["simulate", str(config_path), "--law", "delayed", "--oracle"])
         assert code == 2
-        assert "transformed" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "transformed" in err
+        assert out == ""
 
     def test_divergent_run_exits_one(self, config_path, tmp_path, capsys):
         wild = GainSet(

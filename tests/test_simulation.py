@@ -46,10 +46,40 @@ from conftest import (
 )
 
 
+def tree_graph(n):
+    """TREE(n): follower 1 hears the leader, follower ``i`` an earlier node, weights U[0.5, 2]."""
+    rng = np.random.default_rng(0)
+    edges = [(0, 1, 1.0)] + [(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0))) for i in range(2, n + 1)]
+    return Digraph(n, tuple(edges))
+
+
+TREE16 = tree_graph(16)
+# Cases of :func:`case_scenario` that run the bundled agent, and their
+# graphs (``None``: the bundled one).
+AGENT_CASES = {
+    "nominal": None,
+    "tree16": TREE16,
+    "chain8": Digraph(8, tuple((i, i + 1, 1.0) for i in range(8))),
+    "tree16_last": TREE16,
+}
+
+
 def case_scenario(case, mode, horizon):
     """A seed draws a small :func:`random_scenario`; ``"net12"`` puts a
     random plant and gains on the twelve-follower ``NET12`` with
-    ``r_con = 1``, ``r_com = 2``."""
+    ``r_con = 1``, ``r_com = 2``.  A name of :data:`AGENT_CASES` runs
+    identical followers, the bundled agent with ``target_gains``, which
+    the kernel steps with one 2-D product: ``"nominal"`` on the bundled
+    graph, ``"tree16"`` and ``"chain8"`` on TREE(16) and CHAIN(8);
+    ``"tree16_last"`` makes only the last of the sixteen uncertain."""
+    if case in AGENT_CASES:
+        sc = ref.reference_scenario(mode=mode, horizon=horizon, uncertain=False)
+        if AGENT_CASES[case] is not None:
+            sc = replace(sc, graph=AGENT_CASES[case], per_agent_e=None)
+        if case == "tree16_last":
+            last = FollowerUncertainty(d_a=[[0.0, 0.05], [0.0, 0.0]], d_b=[[0.05], [0.0]], d_c=[[0.02, 0.0]])
+            sc = replace(sc, uncertainties=(None,) * 15 + (last,))
+        return sc, ref.target_gains()
     if case == "net12":
         rng = np.random.default_rng(12)
         return random_scenario(rng, mode, horizon, graph=NET12, delays=DelaySpec(1, 2))
@@ -267,6 +297,21 @@ class TestScenario:
             assert np.array_equal(arr, rng.uniform(sc.init_low, sc.init_high, arr.shape))
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
+
+    def test_follower_stacks_and_edge_index_are_built_once_read_only(self, target_gains):
+        sc = ref.reference_scenario(horizon=80)
+        stacks, index = sc.agent_stacks(), sc.graph._edge_index
+        for arr in (*stacks, *index):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+        a_3, _, _, e_3 = sc.agent_matrices()[2]
+        assert a_3.base is stacks[0] and e_3.base is stacks[3]
+        first = simulate_state_feedback(sc, target_gains)
+        second = simulate_state_feedback(sc, target_gains)
+        assert all(a is b for a, b in zip(sc.agent_stacks(), stacks))
+        assert sc.graph._edge_index is index
+        for name in ("t", "v", "x", "z", "u", "y", "e", "e_v"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
     def test_initial_state_overrides_keep_stream(self):
         sc = ref.reference_scenario(horizon=1)
@@ -511,7 +556,7 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, target_gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [101, 202, 303, "net12", *SCHUR_SEEDS])
+    @pytest.mark.parametrize("seed", [101, 202, 303, "net12", *SCHUR_SEEDS, *AGENT_CASES])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_scenario_agreement(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=150)
@@ -641,7 +686,7 @@ class TestLawEquivalence:
         if mode == "output":
             assert np.max(np.abs(transformed.xi[: T - r_com] - delayed.xi[r_com:])) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [11, 22, 33, "net12", *SCHUR_SEEDS])
+    @pytest.mark.parametrize("seed", [11, 22, 33, "net12", *SCHUR_SEEDS, "nominal", "tree16", "chain8"])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_matched_histories(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=80)
