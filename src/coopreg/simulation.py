@@ -46,11 +46,13 @@ are ``C_i`` times its ``x`` rows: with one 2-D product ``D M_0'`` over
 the drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
 ``A_i``, ``B_i``, ``C_i``; ``E_i`` only feeds), else with one small
 product per follower.  The whole stack is compared once per call, with
-no option or tolerance; the two paths agree to rounding.  The feeds
-``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill the history before
-the loop, ``y = C_i x`` is formed after it, and the divergence guard
-walks each block of steps once.  Modes and laws differ only in how many
-steps late each signal is read::
+no option or tolerance; the two paths agree to rounding.  ``M_i`` holds
+``B_i K`` (and the observer's ``B K``) on the law's inputs, the coupled
+feedback and ``z``, read as late as ``u`` would be and held at ``t = 0``
+before it.  The feeds ``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill
+the history before the loop, ``u`` and ``y = C_i x`` are formed after
+it, and the divergence guard walks each block of steps once.  Modes and
+laws differ only in how many steps late each signal is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -644,23 +646,23 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     d_fb = d_z if output else r_com
     depth, T = r_con + r_com, scenario.horizon
     a, b, c, e_in = scenario.agent_stacks()
-    nfoll, n, m, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.m, scenario.plant.p, scenario.im.dim
-    k_x, k_z = gains.k_x.T, gains.k_z.T
+    nfoll, n, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.p, scenario.im.dim
     couple = _edge_coupling(scenario.graph, n + p)
 
-    # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t) with
-    # s = [z | x | xi] and d = [s | u(t - r_con) | e_v(t - d_ev)], in output
-    # mode followed by the observer's [u(t - r_con - d_ev) | coupled xi(t)].
+    # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t), s = [z | x | xi],
+    # d = [s | w(t - r_con) | e_v(t - d_ev)] with the law's inputs w(t) = [coupled feedback(t - d_fb)
+    # | z(t - d_z)], u = [K_x | K_z] w; output mode adds the observer's [w(t - r_con - d_ev) | coupled xi(t)].
     ns = nz + 2 * n if output else nz + n
     z_, x_, xi_, e_ = slice(0, nz), slice(nz, nz + n), slice(nz + n, ns), slice(ns, ns + p)
-    u_, ev_ = slice(ns, ns + m), slice(ns + m, ns + m + p)
-    fused = np.zeros((nfoll, ns + p, ev_.stop + (m + n if output else 0)))
+    w_, ev_ = slice(ns, ns + n + nz), slice(ns + n + nz, ns + n + nz + p)
+    gain = np.hstack([gains.k_x, gains.k_z])
+    fused = np.zeros((nfoll, ns + p, ev_.stop + (2 * n + nz if output else 0)))
     fused[:, z_, z_], fused[:, z_, ev_] = scenario.im.g1, scenario.im.g2
-    fused[:, x_, x_], fused[:, x_, u_] = a, b
+    fused[:, x_, x_], fused[:, x_, w_] = a, b @ gain
     if output:
         fused[:, xi_, xi_], fused[:, xi_, ev_] = scenario.plant.a, gains.l_obs
-        fused[:, xi_, ev_.stop : ev_.stop + m] = scenario.plant.b
-        fused[:, xi_, ev_.stop + m :] = -gains.l_obs @ scenario.plant.c
+        fused[:, xi_, ev_.stop : ev_.stop + n + nz] = scenario.plant.b @ gain
+        fused[:, xi_, ev_.stop + n + nz :] = -gains.l_obs @ scenario.plant.c
     fused[:, e_] = c @ fused[:, x_]
     fb_e = slice(ns - n, ns + p)  # the feedback state ends s, just before e
     # Identical followers share M_0: one 2-D product steps them all.
@@ -680,7 +682,6 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
     if output:
         _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
-    u_hist = np.empty((depth + T, nfoll, m))
     # [coupled feedback state | e_v], one coupling per step; e(t) before
     # t = 0 is e(0), so e_v there is e_v(0).
     cpl = np.empty((depth + T, nfoll, n + p))
@@ -692,25 +693,25 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
             for k in range(depth + t0, depth + min(t0 + _GUARD_BLOCK, T)):
                 row = hist[k]
                 couple(row[:, fb_e], out=cpl[k])
-                u = np.matmul(cpl[k - d_fb, :, :n], k_x, out=u_hist[k])
-                u += hist[k - d_z, 1:, z_] @ k_z
-                if k == depth:  # u before t = 0 is u(0)
-                    u_hist[:depth] = u
-                drive = [row[1:, :ns], u_hist[k - r_con], cpl[k - d_ev, :, n:]]
+                j = max(k - r_con, depth)  # u before t = 0 is u(0): read w(0)
+                drive = [row[1:, :ns], cpl[j - d_fb, :, :n], hist[j - d_z, 1:, z_], cpl[k - d_ev, :, n:]]
                 if output:
-                    drive += [u_hist[k - r_con - d_ev], cpl[k, :, :n]]
+                    j = max(j - d_ev, depth)
+                    drive += [cpl[j - d_fb, :, :n], hist[j - d_z, 1:, z_], cpl[k, :, :n]]
                 drive = np.concatenate(drive, axis=1)
                 nxt = hist[k + 1, 1:]
                 nxt += drive @ step_t if uniform else np.matmul(fused, drive[:, :, None])[:, :, 0]
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     rows = hist[depth : depth + T, 1:]
+    u = cpl[depth - d_fb : depth - d_fb + T, :, :n] @ gains.k_x.T
+    u += hist[depth - d_z : depth - d_z + T, 1:, z_] @ gains.k_z.T
     return SimulationTrace(
         t=np.arange(T, dtype=int),
         v=v[:T],
         x=rows[:, :, x_],
         z=rows[:, :, z_],
-        u=u_hist[depth:],
+        u=u,
         y=np.matmul(c, rows[:, :, x_, None])[:, :, :, 0],
         e=rows[:, :, e_],
         e_v=cpl[depth:, :, n:],

@@ -624,17 +624,15 @@ def synthesize_gains(
     if mode not in ("state", "output"):
         raise ConfigurationError(f"synthesize_gains: unknown mode {mode!r}")
     re_min = float(np.min(np.real(g._h_spectrum)))
-    if re_min <= 0:
+    if not connectivity_spectral_check(g):
         raise SynthesisError(
-            f"coupling matrix H has an eigenvalue with non-positive real part ({re_min:.4e}); "
-            "the graph lacks a leader-rooted spanning tree"
+            f"coupling matrix H has min Re eig(H) = {re_min:.4e}, not above the connectivity threshold "
+            f"{DEFAULT_RANK_TOL:.0e}; the graph needs a leader-rooted spanning tree"
         )
     if nu is None:
         nu = re_min
     a_c, b_c = build_augmented(plant, im)
     k_full = state_feedback_gain(a_c, b_c, gamma, nu, delays.r)
-    k_x = k_full[:, : plant.n]
-    k_z = k_full[:, plant.n :]
 
     l_obs = None
     if mode == "output":
@@ -644,8 +642,8 @@ def synthesize_gains(
             nu_l = nu
         l_obs = observer_gain(plant.a, plant.c, gamma_l, nu_l, observer_r)
     return GainSet(
-        k_x=k_x,
-        k_z=k_z,
+        k_x=k_full[:, : plant.n],
+        k_z=k_full[:, plant.n :],
         gamma=float(gamma),
         nu=float(nu),
         l_obs=l_obs,
@@ -693,7 +691,7 @@ def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
     if not (0.0 < gamma0 < 1.0):
         raise ConfigurationError(f"auto_tune_gamma: gamma0 must lie in (0, 1), got {gamma0}")
     rho_a = spectral_radius(plant.a)
-    if rho_a > 1.0 + 1e-9:
+    if rho_a > 1.0 + DEFAULT_RANK_TOL:
         raise SynthesisError(
             f"auto_tune_gamma: open-loop spectral radius {rho_a:.4f} exceeds 1; "
             "the low-gain family cannot stabilize exponentially unstable modes through a delay"

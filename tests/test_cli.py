@@ -372,10 +372,14 @@ class TestSweep:
         assert captured.err.endswith(" exceeds 1e-6 at gamma=1e-07\n")
 
     def test_bad_gamma_rejected_by_parser(self, config_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", str(config_path), "--gammas", "0.3,1.5"])
-        assert exc.value.code == 2
-        assert "must lie in (0, 1)" in capsys.readouterr().err
+        for gammas, message in (
+            ("0.3,1.5", "must lie in (0, 1)"),
+            ("a,b", "not a comma-separated list of numbers: 'a,b'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", str(config_path), "--gammas", gammas])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_empty_gamma_list_rejected(self, config_path, capsys):
         with pytest.raises(SystemExit) as exc:

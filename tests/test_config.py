@@ -267,6 +267,7 @@ MALFORMED_CONFIGS = [
     ("init_states-size", "simulation.init_states", {"x": [[1.0, 2.0]]}, CE,
      "scenario.init_states.x: expected 8 numbers for shape (4, 2), got 2"),
     ("plant-rows", "plant.b", [[1.0]], DE, "plant.b: expected 2 rows, got 1"),
+    ("plant-cols", "plant.c", [[1.0]], DE, "plant.c: expected 2 columns, got 1"),
     ("v0-length", "exosystem.v0", [1.0], DE, "exosystem.v0: expected length 2, got 1"),
     ("v0-inf", "exosystem.v0", [float("inf"), 0.0], CE, "exosystem.v0: contains non-finite entries"),
     ("matrix-nan", "plant.a", [[1.0, float("nan")], [0.0, 1.0]], CE, "plant.a: contains non-finite entries"),

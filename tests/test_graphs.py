@@ -47,6 +47,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "edge, message",
         [
+            pytest.param((0, 1), "expected (source, target, weight), got (0, 1)", id="edge-pair"),
             pytest.param((0, "x", 1.0), "node indices must be integers, got (0, 'x')", id="node-str"),
             pytest.param((1.5, 2, 1.0), "node indices must be integers, got (1.5, 2)", id="node-float"),
             pytest.param((True, 2, 1.0), "node indices must be integers, got (True, 2)", id="node-bool"),

@@ -109,6 +109,11 @@ class TestOverride:
         with pytest.raises(ConfigurationError, match="degree"):
             build_internal_model(exo, beta_override=(np.eye(3), [[0.0], [0.0], [1.0]]))
 
+    @pytest.mark.parametrize("override", [(np.eye(2),), 3.0], ids=["one-entry", "scalar"])
+    def test_override_that_is_not_a_pair_rejected(self, override):
+        with pytest.raises(ConfigurationError, match=r"expected a \(beta, sigma\) pair"):
+            build_internal_model(reference_exosystem(), beta_override=override)
+
     def test_wrong_sigma_shape_rejected(self):
         exo = reference_exosystem()
         beta, _ = reference_beta_override()

@@ -36,6 +36,10 @@ class TestValidation:
         with pytest.raises(DimensionError):
             as_matrix([1.0, 2.0])
 
+    def test_as_matrix_rejects_3d(self):
+        with pytest.raises(DimensionError, match="expected a 2-D array, got 3-D"):
+            as_matrix(np.zeros((2, 2, 2)), "stack")
+
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(DimensionError, match="non-finite"):
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])

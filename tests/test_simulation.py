@@ -222,6 +222,13 @@ class TestScenario:
             Scenario(**base, mode="both")
         with pytest.raises(ConfigurationError, match="horizon"):
             Scenario(**base, horizon=-1)
+        with pytest.raises(ConfigurationError) as info:
+            Scenario(**base, seed=1.5)
+        assert str(info.value) == "scenario.seed: must be an integer, got 1.5"
+        two_channels = build_internal_model(Exosystem(s=exo.s, f=np.zeros((2, 2)), v0=[0.0, 0.0]))
+        with pytest.raises(DimensionError) as info:
+            Scenario(**{**base, "im": two_channels})
+        assert str(info.value) == "scenario: internal model replicates 2 channels, plant has 1"
         with pytest.raises(ConfigurationError, match="per_agent_e"):
             Scenario(**base, per_agent_e=(np.zeros((2, 2)),) * 3)
         with pytest.raises(DimensionError, match="per_agent_e"):
@@ -396,6 +403,54 @@ class TestBasicRuns:
             for i in range(4):
                 expect = a @ trace.x[t, i] + b @ u_eff[i] + mats[i][3] @ trace.v[t]
                 assert np.max(np.abs(trace.x[t + 1, i] - expect)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "case, law",
+        [(case, law) for case in ("reference", "tree16") for law in ("transformed", "delayed")]
+        + [("past", "transformed")],
+    )
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_law_and_plant_hold_on_the_trace(self, mode, case, law, target_gains):
+        # u(t) = K_x cfb(t - d_fb) + K_z z(t - d_z), where cfb is x (state)
+        # or xi (output) coupled through H; a read before t = 0 takes the
+        # given history, else the value at t = 0.  The plant receives
+        # u(t - r_con), u before t = 0 being u(0).  The uncertain reference
+        # followers take the per-follower path, TREE(16)'s the 2-D one.
+        if case == "tree16":
+            sc, gains = case_scenario(case, mode, horizon=60)
+        else:
+            sc, gains = ref.reference_scenario(mode=mode, horizon=60), target_gains
+        r_con, r_com, T = sc.delays.r_con, sc.delays.r_com, sc.horizon
+        past = {}
+        if case == "past":
+            rng = np.random.default_rng(7)
+            past["controller_past"] = rng.uniform(-1.0, 1.0, (r_com, sc.n_agents, sc.im.dim))
+            if mode == "output":
+                past["observer_past"] = rng.uniform(-1.0, 1.0, (r_com, sc.n_agents, sc.plant.n))
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        trace = run(sc, gains, law=law, **past)
+
+        def read(signal, given, delay):
+            # signal(t - delay) for t = 0..T-1; ``given`` is newest first
+            before = np.repeat(signal[:1], r_com, axis=0) if given is None else given[::-1]
+            return np.concatenate([before, signal])[r_com - delay : r_com - delay + T]
+
+        def relative(a, b):
+            return np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+
+        d_z = r_com if law == "transformed" else 0
+        d_fb = d_z if mode == "output" else r_com
+        h, _ = h_matrix(sc.graph)
+        fb = read(trace.x, None, d_fb) if mode == "state" else read(trace.xi, past.get("observer_past"), d_fb)
+        u = np.einsum("ij,tjk,mk->tim", h, fb, gains.k_x)
+        u += np.einsum("tik,mk->tim", read(trace.z, past.get("controller_past"), d_z), gains.k_z)
+        assert relative(trace.u, u) <= 1e-12
+
+        a, b, _, e = sc.agent_stacks()
+        received = trace.u[np.maximum(np.arange(T - 1) - r_con, 0)]
+        x_next = np.einsum("ijk,tik->tij", a, trace.x[:-1]) + np.einsum("ijk,tik->tij", b, received)
+        x_next += np.einsum("ijk,tk->tij", e, trace.v[:-1])
+        assert relative(trace.x[1:], x_next) <= 1e-12
 
     @pytest.mark.parametrize(
         "mode, law, step, norm",
@@ -845,7 +900,10 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated_row", "non_numeric_cell", "long_header", "short_rows", "no_t_column", "fractional_t"],
+        [
+            "truncated_row", "non_numeric_cell", "long_header", "short_rows", "no_t_column", "fractional_t",
+            "comments_only",
+        ],
     )
     def test_malformed_trace_names_the_file(self, tmp_path, damage, target_gains):
         trace = simulate_state_feedback(ref.reference_scenario(horizon=5), target_gains)
@@ -863,10 +921,13 @@ class TestTraceCsv:
             lines[top + 1 :] = [line.rsplit(",", 1)[0] for line in lines[top + 1 :]]
         elif damage == "no_t_column":
             lines[top] = "s" + lines[top][1:]
+        elif damage == "comments_only":
+            lines = lines[:top]
         else:
             lines[-1] = "4.5" + lines[-1][lines[-1].index(",") :]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="trace.csv: malformed trace data"):
+        problem = "empty trace file" if damage == "comments_only" else "malformed trace data"
+        with pytest.raises(ConfigurationError, match=f"trace.csv: {problem}"):
             load_trace_csv(path)
 
     @pytest.mark.parametrize("mode", ["state", "output"])
@@ -933,6 +994,21 @@ class TestTraceCsv:
         assert len(forks) == FORKS
         assert_no_child()
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_failed_fork_converts_every_row_here(self, tmp_path, target_gains, forks, monkeypatch):
+        trace = csv_case_trace("large_output", target_gains)
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+
+        def no_process_to_spare():
+            forks.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process_to_spare)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert_same_trace(trace, load_trace_csv(tmp_path / "trace.csv"))
+        assert len(forks) == 2 * FORKS
+        assert_no_child()
 
     def test_deviation_shape_mismatch(self):
         sc5 = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())

@@ -35,7 +35,7 @@ from coopreg.errors import (
     SynthesisError,
 )
 from coopreg import synthesis
-from coopreg.graphs import h_matrix
+from coopreg.graphs import connectivity_spectral_check, h_matrix
 from coopreg.matrixops import eigenvalues, spectral_radius
 from coopreg.synthesis import (
     _slice_radii,
@@ -779,6 +779,14 @@ class TestSynthesizeGains:
         gains = ref.reference_gains("state")
         assert np.array_equal(np.hstack([gains.k_x, gains.k_z]), k_full)
 
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigurationError) as info:
+            synthesize_gains(
+                ref.reference_plant(), ref.reference_graph(), ref.reference_internal_model(),
+                ref.reference_delays(), gamma=ref.GAMMA, mode="bogus",
+            )
+        assert str(info.value) == "synthesize_gains: unknown mode 'bogus'"
+
 
 class TestAutoTuneGamma:
     def test_accepts_benchmark_gamma_directly(self):
@@ -850,12 +858,18 @@ class TestAutoTuneGamma:
             auto_tune_gamma(plant, ref.reference_graph(), im, DelaySpec(0, 0), 0.5)
 
     def test_rejects_unrooted_graph(self):
-        g = Digraph(n_followers=2, edges=((1, 2, 1.0),))
-        with pytest.raises(SynthesisError, match="spanning tree"):
-            auto_tune_gamma(
-                ref.reference_plant(), g, ref.reference_internal_model(),
-                ref.reference_delays(), 0.1,
-            )
+        # A leader edge of weight 5e-10 roots a tree, but min Re eig(H)
+        # is not above the threshold that `check` applies, so no gain is
+        # designed on it (nu = 5e-10 would give K_x of order 1e8).
+        for edges, re_min in [(((1, 2, 1.0),), "0.0000e+00"), (((0, 1, 5e-10), (1, 2, 1.0)), "5.0000e-10")]:
+            g = Digraph(n_followers=2, edges=edges)
+            assert not connectivity_spectral_check(g)
+            with pytest.raises(SynthesisError, match="spanning tree") as info:
+                auto_tune_gamma(
+                    ref.reference_plant(), g, ref.reference_internal_model(),
+                    ref.reference_delays(), 0.1,
+                )
+            assert f"min Re eig(H) = {re_min}, not above the connectivity threshold 1e-09" in str(info.value)
 
     def test_rejects_bad_gamma0(self):
         with pytest.raises(ConfigurationError, match="gamma0"):
