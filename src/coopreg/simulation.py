@@ -35,24 +35,28 @@ so the match can be set up exactly.
 
 One kernel
 ----------
-Both agentwise simulators run one time loop over one history array:
-row ``depth + t`` holds time ``t`` with the pre-history in front, so a
+Both agentwise simulators run one time loop over one buffer: row
+``depth + t`` holds time ``t`` with the pre-history in front, so a
 delayed read is a row some steps back.  A row holds the leader's zero
-row, then each follower's ``[z | x | xi | e]``, the regulated error
-stored beside the feedback state (``x``, or ``xi`` in output mode).  A
-step couples that ``[feedback | e]`` block in one edge-wise pass and
-advances each follower through a fused matrix ``M_i``, whose ``e`` rows
-are ``C_i`` times its ``x`` rows: with one 2-D product ``D M_0'`` over
-the drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
-``A_i``, ``B_i``, ``C_i``; ``E_i`` only feeds), else with one small
-product per follower.  The whole stack is compared once per call, with
-no option or tolerance; the two paths agree to rounding.  ``M_i`` holds
-``B_i K`` (and the observer's ``B K``) on the law's inputs, the coupled
-feedback and ``z``, read as late as ``u`` would be and held at ``t = 0``
-before it.  The feeds ``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill
-the history before the loop, ``u`` and ``y = C_i x`` are formed after
-it, and the divergence guard walks each block of steps once.  Modes and
-laws differ only in how many steps late each signal is read::
+row, each follower's ``[z | x | xi | e]``, the regulated error stored
+beside the feedback state (``x``, or ``xi`` in output mode), then each
+follower's coupled ``[feedback | e_v]``.  Flat offsets built once per
+run, from the graph and the table below, let a step gather its coupling
+terms with one ``take`` and its drive with another; only the first
+``r_con`` steps (``r_con + d_ev`` in output mode), where ``u`` is held
+at ``w(0)``, have offsets of their own.  A step advances each follower
+through a fused matrix ``M_i``, whose ``e`` rows are ``C_i`` times its
+``x`` rows: with one 2-D product ``D M_0'`` over the drive rows ``D``
+when every ``M_i`` equals ``M_0`` exactly (equal ``A_i``, ``B_i``,
+``C_i``; ``E_i`` only feeds), else with one small product per follower.
+The whole stack is compared once per call, with no option or tolerance;
+the two paths agree to rounding.  ``M_i`` holds ``B_i K`` (and the
+observer's ``B K``) on the law's inputs, the coupled feedback and ``z``,
+read as late as ``u`` would be and held at ``t = 0`` before it.  The
+feeds ``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill the buffer
+before the loop, ``u`` and ``y = C_i x`` are formed after it, and the
+divergence guard walks each block of steps once.  Modes and laws differ
+only in how many steps late each signal is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -63,6 +67,7 @@ laws differ only in how many steps late each signal is read::
     u received by the plant             r_con         r_con
 """
 
+import io
 import os
 import re
 import shutil
@@ -98,13 +103,13 @@ _SIGNALS = (("x", "x"), ("z", "z"), ("xi", "xi"), ("u", "u"), ("y", "y"), ("e", 
 # Trace CSV header names: a per-follower signal column, and an exosystem column.
 _SIGNAL_COLUMN = re.compile(r"^([a-z]+?)(\d+)_(\d+)$")
 _V_COLUMN = re.compile(r"^v\d+$")
-# Fewest trace values worth converting in two processes.  Measured on a
-# 2-vCPU Xeon VM with 43-column traces: writing 10k values takes 13 ms
-# either way and 20k take 25 ms in one process, 19 ms in two; parsing is
-# cheaper per value, so 40k read in 21-25 ms either way, and 80k in 45 ms
-# in one process, 36-45 ms in two.
+# Fewest trace values to write, and body bytes to read, worth converting in
+# two processes.  Measured on a 2-vCPU Xeon VM with 43-column traces:
+# writing 10k values takes 13 ms either way and 20k take 25 ms in one
+# process, 19 ms in two; 40k values read in 21-25 ms either way, and 80k
+# (1.6 MB) in 45 ms in one process, 36-45 ms in two.
 _FORK_MIN_WRITE = 20_000
-_FORK_MIN_READ = 80_000
+_FORK_MIN_READ = 1_600_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,52 +460,65 @@ def _convert_rows(n, large, here, there, take):
 def load_trace_csv(path):
     """Read a trace written by :meth:`SimulationTrace.to_csv`.
 
-    Values come back exactly as written.  A large trace on a Linux host
-    with two or more CPUs has its upper half parsed by a forked child
-    (:func:`_convert_rows`); if either half fails, the whole body is
-    parsed again here, so the error names the same row.  A damaged cell
-    or row, a row width other than the header's, a missing column or a
-    non-integer ``t`` raises ``ConfigurationError`` naming ``path``.
+    Values come back exactly as written.  The file is read once, as
+    bytes, and the body is parsed by byte range, the first half by a
+    forked child (:func:`_convert_rows`) for a large trace on a Linux
+    host with two or more CPUs.  A ``#`` or a non-ASCII byte in the
+    body, a lone CR above it, or a failure in either half sends the file
+    to one parse of its text-mode lines, whose values or error it then
+    gets.  A damaged cell or row, a row width other than the header's, a
+    missing column or a non-integer ``t`` raises ``ConfigurationError``
+    naming ``path``.
     """
-    with open(path, newline="") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    if not rows:
-        raise ConfigurationError(f"{path}: empty trace file")
-    header = rows[0].rstrip("\r\n").split(",")
-    body = rows[1:]
-    data = np.empty((len(body), len(header)))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    top = 0  # the header is the first line not starting with "#"
+    while raw.startswith(b"#", top):
+        top = raw.find(b"\n", top) + 1 or len(raw)
+    start = raw.find(b"\n", top) + 1 or len(raw)
 
-    def parse(lo, hi):
-        block = np.loadtxt(body[lo:hi], delimiter=",", ndmin=2)
-        if block.shape[1] != data.shape[1]:
-            raise ValueError(f"rows hold {block.shape[1]} values, the header names {data.shape[1]} columns")
+    def parse(src):
+        block = np.loadtxt(src, delimiter=",", ndmin=2)
+        if block.shape[1] != len(header):
+            raise ValueError(f"rows hold {block.shape[1]} values, the header names {len(header)} columns")
         return block
 
     def rows_of(lo, hi):
-        # np.loadtxt skips blank lines; rows that came back short are
-        # parsed again whole, as one file.
-        block = parse(lo, hi)
-        if block.shape[0] != hi - lo:
-            raise ValueError("blank lines in the body")
-        return block
+        # Ranges count from the end of the body, so this process parses
+        # rows up to the end of raw, through a BytesIO that shares it.
+        lo, hi = (raw.find(b"\n", start + n - i - 1) + 1 or len(raw) for i in (hi, lo))
+        src = io.BytesIO(raw[:hi])
+        src.seek(lo)
+        return parse(src) if lo < hi else np.empty((0, len(header)))
 
-    def here(lo, hi):
-        if hi > lo:
-            data[lo:hi] = rows_of(lo, hi)
+    def there(lo, hi):  # the child's rows, after their count
+        block = rows_of(lo, hi)
+        return len(block).to_bytes(8, "little") + block.tobytes()
 
-    def take(lo, hi, src):
-        if src.readinto(data[lo:hi]) != data[lo:hi].nbytes:
+    def take(lo, hi, src):  # the child's rows go in front of this process's
+        rows = int.from_bytes(src.read(8), "little")
+        data = np.empty((rows + len(blocks[0]), len(header)))
+        data[rows:] = blocks[0]
+        if src.readinto(data[:rows]) != data[:rows].nbytes:
             raise ValueError("the child sent too few rows")
+        blocks[0] = data
 
-    try:
-        complete = _convert_rows(
-            len(body), data.size >= _FORK_MIN_READ, here, lambda lo, hi: rows_of(lo, hi).tobytes(), take
-        )
-    except ValueError:
-        complete = False
-    if not complete:
+    data, n = None, len(raw) - start
+    plain = raw.isascii() and raw.find(b"#", start) < 0 and b"\r" not in raw[:start].replace(b"\r\n", b"")
+    if top < len(raw) and plain:
+        header, blocks = raw[top:start].decode().rstrip("\r\n").split(","), []
         try:
-            data = parse(0, len(body))
+            if _convert_rows(n, n >= _FORK_MIN_READ, lambda lo, hi: blocks.append(rows_of(lo, hi)), there, take):
+                data = blocks[0]
+        except ValueError:
+            pass
+    if data is None:
+        rows = [line for line in io.TextIOWrapper(io.BytesIO(raw), newline="") if not line.startswith("#")]
+        if not rows:
+            raise ConfigurationError(f"{path}: empty trace file")
+        header = rows[0].rstrip("\r\n").split(",")
+        try:
+            data = parse(rows[1:]) if rows[1:] else np.empty((0, len(header)))
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
     index = {name: k for k, name in enumerate(header)}
@@ -544,32 +562,35 @@ def edgewise_virtual_errors(g, e_all):
     apply the same combination to stacked states and observer estimates.
     """
     e_all = np.atleast_2d(e_all)
-    return _edge_coupling(g, e_all.shape[1])(np.concatenate([np.zeros((1, e_all.shape[1])), e_all]))
+    padded = np.concatenate([np.zeros((1, e_all.shape[1])), e_all])
+    return _edge_coupling(g, e_all.shape[1], slice(None))(padded.reshape(-1))
 
 
-def _edge_coupling(g, width):
+def _edge_coupling(g, stride, cols):
     """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
 
-    The returned ``couple(padded, out=None)`` takes an ``(N + 1, width)``
-    array whose row 0 is the leader's zero row and row ``i`` follower
-    ``i``'s signal.  It reads the graph's ``Digraph._edge_index``, built
-    once per graph: per receiver, a head entry that reads the leader's
-    zero row on both ends, then its edges in edge-list order.  A call
-    takes the receiver and sender rows in one ``take``, subtracts the
-    sender rows in place, scales by the weights (spread to full width
-    once, here) and sums every run as ``((0 + t1) + t2) + ...`` with one
-    ``np.add.reduceat``: bit for bit what ``np.add.at`` into a zero
-    array gives, signed zeros included, and a zero row for a follower
-    with no in-edge.  Columns never mix, so coupling several signals
-    side by side gives each the bits it gets alone.  No ``H`` matrix is
-    involved, so the agentwise route stays independent of the Kronecker
-    oracle.
+    The returned ``couple(flat, out=None)`` couples the columns ``cols``
+    (a slice) of the nodes laid out from ``flat[0]``, ``stride`` values
+    a node, node 0 the leader's zero row.  Their flat offsets come once
+    from the graph's ``Digraph._edge_index``: per receiver, a head entry
+    that reads the leader's zero row on both ends, then its edges in
+    edge-list order.  A call gathers both ends with one ``take``,
+    subtracts the sender rows in place, scales by the weights (spread to
+    full width once, here) and sums every run as ``((0 + t1) + t2) +
+    ...`` with one ``np.add.reduceat``: bit for bit what ``np.add.at``
+    into a zero array gives, signed zeros included, and a zero row for a
+    follower with no in-edge.  Columns never mix, so coupling several
+    signals side by side gives each the bits it gets alone.  The kernel
+    and :func:`edgewise_virtual_errors` share this one implementation.
+    No ``H`` matrix is involved, so the agentwise route stays
+    independent of the Kronecker oracle.
     """
     ends, w, starts = g._edge_index
-    w = np.repeat(w[:, None], width, axis=1)
+    index = ends[:, None] * stride + np.arange(stride)[cols]
+    w = np.repeat(w[:, None], index.shape[1], axis=1)
 
-    def couple(padded, out=None):
-        rows = padded.take(ends, axis=0)
+    def couple(flat, out=None):
+        rows = flat.take(index)
         terms = rows[: w.shape[0]]
         terms -= rows[w.shape[0] :]
         terms *= w
@@ -626,8 +647,8 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     Mode and law differ only in how late each signal is read (the table
     in the module docstring); ``output`` adds the observer and makes its
     estimate, not the plant state, the coupled feedback state.  Every
-    history is an array whose row ``depth + t`` holds time ``t``, with
-    the pre-history in the rows before it.  A scenario meant for the
+    history lives in one buffer whose row ``depth + t`` holds time
+    ``t``, with the pre-history in the rows before it.  A scenario meant for the
     other mode, an unknown law, a history given to the delayed law and a
     gain set that does not fit the scenario are rejected.
     """
@@ -647,7 +668,6 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     depth, T = r_con + r_com, scenario.horizon
     a, b, c, e_in = scenario.agent_stacks()
     nfoll, n, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.p, scenario.im.dim
-    couple = _edge_coupling(scenario.graph, n + p)
 
     # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t), s = [z | x | xi],
     # d = [s | w(t - r_con) | e_v(t - d_ev)] with the law's inputs w(t) = [coupled feedback(t - d_fb)
@@ -664,15 +684,25 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         fused[:, xi_, ev_.stop : ev_.stop + n + nz] = scenario.plant.b @ gain
         fused[:, xi_, ev_.stop + n + nz :] = -gains.l_obs @ scenario.plant.c
     fused[:, e_] = c @ fused[:, x_]
-    fb_e = slice(ns - n, ns + p)  # the feedback state ends s, just before e
     # Identical followers share M_0: one 2-D product steps them all.
     uniform = bool((fused == fused[0]).all())
     step_t = fused[0].T
 
-    # Follower row 0 is the leader's zero row; row k + 1 starts as the feed.
+    # Row depth + t of one buffer holds time t: hist's [s | e] per node,
+    # node 0 the leader's zero row, then cpl's [coupled feedback | e_v]
+    # per follower.  Follower row k + 1 starts as the feed.
+    S, Q = ns + p, n + p
+    R = (nfoll + 1) * S + nfoll * Q
+
+    def split(rows):
+        return rows[:, : (nfoll + 1) * S].reshape(-1, nfoll + 1, S), rows[:, (nfoll + 1) * S :].reshape(-1, nfoll, Q)
+
+    buf = np.zeros((depth + T + 1, R))
+    flat = buf.reshape(-1)
+    hist, cpl = split(buf)
+    couple = _edge_coupling(scenario.graph, S, slice(ns - n, S))  # the feedback state ends s, just before e
     v, f_v = _exo_trajectory(scenario.exo, T + 1)
     x0, z0, xi0 = scenario.initial_states()
-    hist = np.zeros((depth + T + 1, nfoll + 1, ns + p))
     hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
     hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + f_v[0]
     feed = hist[depth + 1 :, 1:]
@@ -682,25 +712,37 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
     if output:
         _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
-    # [coupled feedback state | e_v], one coupling per step; e(t) before
-    # t = 0 is e(0), so e_v there is e_v(0).
-    cpl = np.empty((depth + T, nfoll, n + p))
+    # e(t) before t = 0 is e(0), so e_v there is e_v(0).
     for k in range(depth):
-        couple(hist[k, :, fb_e], out=cpl[k])
+        couple(flat[k * R :], out=cpl[k])
 
+    # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
+    # read off a layout of rows 0..depth; only the steps before r_con (r_con + d_ev for
+    # the observer), where u is held at w(0), have offsets of their own.
+    at_h, at_c = split(np.arange((depth + 1) * R).reshape(depth + 1, R))
+
+    def plan(t):
+        j, jo = depth - min(t, r_con), depth - min(t, r_con + d_ev)
+        cols = [at_h[depth, 1:, :ns], at_c[j - d_fb, :, :n], at_h[j - d_z, 1:, z_], at_c[depth - d_ev, :, n:]]
+        if output:
+            cols += [at_c[jo - d_fb, :, :n], at_h[jo - d_z, 1:, z_], at_c[depth, :, :n]]
+        base = np.concatenate(cols, axis=1)
+        return base if uniform else base[:, :, None]
+
+    early = r_con + d_ev if output else r_con
+    plans = [plan(t) for t in range(early + 1)]
+    prod = np.empty((nfoll, S) if uniform else (nfoll, S, 1))
+    nxt = hist[:, 1:] if uniform else hist[:, 1:, :, None]
     for t0 in range(0, T, _GUARD_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
-            for k in range(depth + t0, depth + min(t0 + _GUARD_BLOCK, T)):
-                row = hist[k]
-                couple(row[:, fb_e], out=cpl[k])
-                j = max(k - r_con, depth)  # u before t = 0 is u(0): read w(0)
-                drive = [row[1:, :ns], cpl[j - d_fb, :, :n], hist[j - d_z, 1:, z_], cpl[k - d_ev, :, n:]]
-                if output:
-                    j = max(j - d_ev, depth)
-                    drive += [cpl[j - d_fb, :, :n], hist[j - d_z, 1:, z_], cpl[k, :, :n]]
-                drive = np.concatenate(drive, axis=1)
-                nxt = hist[k + 1, 1:]
-                nxt += drive @ step_t if uniform else np.matmul(fused, drive[:, :, None])[:, :, 0]
+            for t in range(t0, min(t0 + _GUARD_BLOCK, T)):
+                couple(flat[(depth + t) * R :], out=cpl[depth + t])
+                drive = flat[t * R :].take(plans[min(t, early)])
+                if uniform:
+                    np.matmul(drive, step_t, out=prod)
+                else:
+                    np.matmul(fused, drive, out=prod)
+                nxt[depth + t + 1] += prod
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     rows = hist[depth : depth + T, 1:]
@@ -714,7 +756,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         u=u,
         y=np.matmul(c, rows[:, :, x_, None])[:, :, :, 0],
         e=rows[:, :, e_],
-        e_v=cpl[depth:, :, n:],
+        e_v=cpl[depth : depth + T, :, n:],
         xi=rows[:, :, xi_] if output else None,
     )
 

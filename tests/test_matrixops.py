@@ -174,6 +174,18 @@ class TestCompanion:
         with pytest.raises(DimensionError):
             companion_pair([])
 
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1e10], [0.0, 1e30]])
+    def test_badly_scaled_polynomial_fails_the_controllability_check(self, coeffs):
+        # [sigma, beta sigma, ...] has a unit anti-diagonal, but powers of
+        # a huge coefficient fill the rest, so its singular values spread
+        # past the rank tolerance.
+        with pytest.raises(NumericalError, match="canonical pair failed the controllability check"):
+            companion_pair(coeffs)
+
+    def test_controllability_matrix_rejects_a_row_mismatch(self):
+        with pytest.raises(DimensionError, match="controllability_matrix: A has 2 rows but B has 3"):
+            controllability_matrix(np.eye(2), np.ones((3, 1)))
+
 
 class TestStabilizableDetectable:
     def test_unstable_mode_reachable(self):

@@ -335,6 +335,48 @@ class TestScenario:
 # basic simulator behavior
 
 
+def random_past(sc, seed):
+    """Uniform pre-``t = 0`` histories for the transformed law, newest first."""
+    rng = np.random.default_rng(seed)
+    past = {"controller_past": rng.uniform(-1.0, 1.0, (sc.delays.r_com, sc.n_agents, sc.im.dim))}
+    if sc.mode == "output":
+        past["observer_past"] = rng.uniform(-1.0, 1.0, (sc.delays.r_com, sc.n_agents, sc.plant.n))
+    return past
+
+
+def check_law_and_plant(sc, gains, law, trace, past):
+    """Hold ``trace`` to the law and the plant it was run with.
+
+    u(t) = K_x cfb(t - d_fb) + K_z z(t - d_z), where cfb is x (state) or
+    xi (output) coupled through H; a read before t = 0 takes the given
+    history, else the value at t = 0.  The plant receives u(t - r_con),
+    u before t = 0 being u(0).
+    """
+    r_con, r_com, T = sc.delays.r_con, sc.delays.r_com, sc.horizon
+
+    def read(signal, given, delay):
+        # signal(t - delay) for t = 0..T-1; ``given`` is newest first
+        before = np.repeat(signal[:1], r_com, axis=0) if given is None else given[::-1]
+        return np.concatenate([before, signal])[r_com - delay : r_com - delay + T]
+
+    def relative(a, b):
+        return np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+
+    d_z = r_com if law == "transformed" else 0
+    d_fb = d_z if sc.mode == "output" else r_com
+    h, _ = h_matrix(sc.graph)
+    fb = read(trace.x, None, d_fb) if sc.mode == "state" else read(trace.xi, past.get("observer_past"), d_fb)
+    u = np.einsum("ij,tjk,mk->tim", h, fb, gains.k_x)
+    u += np.einsum("tik,mk->tim", read(trace.z, past.get("controller_past"), d_z), gains.k_z)
+    assert relative(trace.u, u) <= 1e-12
+
+    a, b, _, e = sc.agent_stacks()
+    received = trace.u[np.maximum(np.arange(T - 1) - r_con, 0)]
+    x_next = np.einsum("ijk,tik->tij", a, trace.x[:-1]) + np.einsum("ijk,tik->tij", b, received)
+    x_next += np.einsum("ijk,tk->tij", e, trace.v[:-1])
+    assert relative(trace.x[1:], x_next) <= 1e-12
+
+
 class TestBasicRuns:
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_zero_scenario_stays_zero(self, mode):
@@ -411,46 +453,43 @@ class TestBasicRuns:
     )
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_law_and_plant_hold_on_the_trace(self, mode, case, law, target_gains):
-        # u(t) = K_x cfb(t - d_fb) + K_z z(t - d_z), where cfb is x (state)
-        # or xi (output) coupled through H; a read before t = 0 takes the
-        # given history, else the value at t = 0.  The plant receives
-        # u(t - r_con), u before t = 0 being u(0).  The uncertain reference
-        # followers take the per-follower path, TREE(16)'s the 2-D one.
+        # The uncertain reference followers take the per-follower path,
+        # TREE(16)'s the 2-D one.
         if case == "tree16":
             sc, gains = case_scenario(case, mode, horizon=60)
         else:
             sc, gains = ref.reference_scenario(mode=mode, horizon=60), target_gains
-        r_con, r_com, T = sc.delays.r_con, sc.delays.r_com, sc.horizon
-        past = {}
-        if case == "past":
-            rng = np.random.default_rng(7)
-            past["controller_past"] = rng.uniform(-1.0, 1.0, (r_com, sc.n_agents, sc.im.dim))
-            if mode == "output":
-                past["observer_past"] = rng.uniform(-1.0, 1.0, (r_com, sc.n_agents, sc.plant.n))
+        past = random_past(sc, 7) if case == "past" else {}
         run = simulate_state_feedback if mode == "state" else simulate_output_feedback
-        trace = run(sc, gains, law=law, **past)
+        check_law_and_plant(sc, gains, law, run(sc, gains, law=law, **past), past)
 
-        def read(signal, given, delay):
-            # signal(t - delay) for t = 0..T-1; ``given`` is newest first
-            before = np.repeat(signal[:1], r_com, axis=0) if given is None else given[::-1]
-            return np.concatenate([before, signal])[r_com - delay : r_com - delay + T]
-
-        def relative(a, b):
-            return np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
-
-        d_z = r_com if law == "transformed" else 0
-        d_fb = d_z if mode == "output" else r_com
-        h, _ = h_matrix(sc.graph)
-        fb = read(trace.x, None, d_fb) if mode == "state" else read(trace.xi, past.get("observer_past"), d_fb)
-        u = np.einsum("ij,tjk,mk->tim", h, fb, gains.k_x)
-        u += np.einsum("tik,mk->tim", read(trace.z, past.get("controller_past"), d_z), gains.k_z)
-        assert relative(trace.u, u) <= 1e-12
-
-        a, b, _, e = sc.agent_stacks()
-        received = trace.u[np.maximum(np.arange(T - 1) - r_con, 0)]
-        x_next = np.einsum("ijk,tik->tij", a, trace.x[:-1]) + np.einsum("ijk,tik->tij", b, received)
-        x_next += np.einsum("ijk,tk->tij", e, trace.v[:-1])
-        assert relative(trace.x[1:], x_next) <= 1e-12
+    @pytest.mark.parametrize("law", ["transformed", "delayed", "past"])
+    @pytest.mark.parametrize("delays", [(0, 0), (0, 2), (2, 0), (3, 1), (1, 3)], ids=lambda d: f"r{d[0]}_{d[1]}")
+    @pytest.mark.parametrize("case", ["reference", "tree16"])
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_early_steps_under_other_delays(self, mode, case, delays, law, target_gains):
+        # Until u leaves its hold at w(0), at step r_con (r_con + d_ev
+        # for the observer), each step gathers its drive from offsets of
+        # its own; these delay pairs make that hold zero, short and
+        # longer than r_com on the per-follower and the 2-D paths.
+        if case == "tree16":
+            sc, gains = case_scenario(case, mode, horizon=40)
+        else:
+            sc, gains = ref.reference_scenario(mode=mode, horizon=40), target_gains
+        sc = replace(sc, delays=DelaySpec(*delays))
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        past = random_past(sc, sum(delays)) if law == "past" else {}
+        run_law = "delayed" if law == "delayed" else "transformed"
+        trace = run(sc, gains, law=run_law, **past)
+        check_law_and_plant(sc, gains, run_law, trace, past)
+        if law == "transformed":
+            assert trace.max_relative_deviation(simulate_compact_oracle(sc, gains)) <= 1e-9
+        elif law == "delayed":
+            # x, u, y, e and e_v agree; z agrees shifted by r_com
+            matched = matched_transformed_run(sc, gains, run, trace)
+            assert matched.max_relative_deviation(replace(trace, z=matched.z, xi=matched.xi)) <= 1e-9
+            r_com = sc.delays.r_com
+            assert np.max(np.abs(matched.z[: sc.horizon - r_com] - trace.z[r_com:])) <= 1e-9
 
     @pytest.mark.parametrize(
         "mode, law, step, norm",
@@ -941,7 +980,7 @@ class TestTraceCsv:
         assert_same_trace(forked, load_trace_csv(tmp_path / "serial.csv"))
         assert len(forks) == 2 * FORKS
 
-    @pytest.mark.parametrize("row", [10, 1500], ids=["parent_half", "child_half"])
+    @pytest.mark.parametrize("row", [2990, 1500], ids=["parent_half", "child_half"])
     def test_malformed_row_gives_the_serial_message(self, tmp_path, row, target_gains, forks, monkeypatch):
         path = tmp_path / "trace.csv"
         csv_case_trace("large_state", target_gains).to_csv(path)

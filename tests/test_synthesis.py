@@ -173,6 +173,17 @@ class TestParametricDare:
         with pytest.raises(DimensionError):
             solve_parametric_dare(np.eye(2), np.ones((3, 1)), 0.1)
 
+    @pytest.mark.parametrize("f", [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]], ids=["rotation", "jordan"])
+    def test_stein_doubling_refuses_a_non_schur_f(self, f):
+        # solve_parametric_dare hands the doubling a unit-modulus f only
+        # when rounding lets the sign iteration settle on a mode of the
+        # unit circle (a = sqrt(0.9) R(theta) does for some theta, with
+        # b = e_2 and gamma = 0.1), and which theta depends on the LAPACK
+        # build, so the refusal is driven here directly: the powers of
+        # these f never shrink and never overflow.
+        with pytest.raises(np.linalg.LinAlgError, match="Stein doubling did not converge"):
+            synthesis._stein_sum(np.array(f), np.eye(2))
+
 
 # ---------------------------------------------------------------------------
 # feedback gain
