@@ -40,23 +40,26 @@ Both agentwise simulators run one time loop over one buffer: row
 delayed read is a row some steps back.  A row holds the leader's zero
 row, each follower's ``[z | x | xi | e]``, the regulated error stored
 beside the feedback state (``x``, or ``xi`` in output mode), then each
-follower's coupled ``[feedback | e_v]``.  Flat offsets built once per
-run, from the graph and the table below, let a step gather its coupling
-terms with one ``take`` and its drive with another; only the first
-``r_con`` steps (``r_con + d_ev`` in output mode), where ``u`` is held
-at ``w(0)``, have offsets of their own.  A step advances each follower
-through a fused matrix ``M_i``, whose ``e`` rows are ``C_i`` times its
-``x`` rows: with one 2-D product ``D M_0'`` over the drive rows ``D``
-when every ``M_i`` equals ``M_0`` exactly (equal ``A_i``, ``B_i``,
-``C_i``; ``E_i`` only feeds), else with one small product per follower.
-The whole stack is compared once per call, with no option or tolerance;
-the two paths agree to rounding.  ``M_i`` holds ``B_i K`` (and the
-observer's ``B K``) on the law's inputs, the coupled feedback and ``z``,
-read as late as ``u`` would be and held at ``t = 0`` before it.  The
-feeds ``E_i v(t)`` and ``C_i E_i v(t) + F v(t+1)`` fill the buffer
-before the loop, ``u`` and ``y = C_i x`` are formed after it, and the
-divergence guard walks each block of steps once.  Modes and laws differ
-only in how many steps late each signal is read::
+follower's coupled ``[feedback | e_v]``, then the exosystem state
+``v(t)``, filled before the loop.  Flat offsets built once per run, from
+the graph and the table below, let a step gather its coupling terms
+with one ``take`` and its drive, ``v(t)`` and ``v(t+1)`` included, with
+another; only the first ``r_con`` steps (``r_con + d_ev`` in output
+mode), where ``u`` is held at ``w(0)``, have offsets of their own.  A
+step writes every follower's next ``[z | x | xi | e]`` straight into
+row ``t + 1`` as the product of a fused matrix ``M_i`` and its drive:
+one 2-D product ``D M_0'`` over the drive rows ``D`` when every ``M_i``
+equals ``M_0`` exactly (equal ``A_i``, ``B_i``, ``C_i`` and ``E_i``),
+else one small product per follower.  The whole stack is compared once
+per call, with no option or tolerance; the two paths agree to rounding.
+``M_i`` holds ``B_i K`` (and the observer's ``B K``) on the law's
+inputs, the coupled feedback and ``z``, read as late as ``u`` would be
+and held at ``t = 0`` before it, and ``E_i`` on ``v(t)``; its ``e`` rows
+are ``C_i`` times its ``x`` rows plus ``F`` on ``v(t+1)``, so
+``e(t+1) = C_i x(t+1) + F v(t+1)``.  ``u`` and ``y = C_i x`` are formed
+after the loop, and the divergence guard walks each block of steps
+once.  Modes and laws differ only in how many steps late each signal
+is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -98,6 +101,8 @@ __all__ = [
 DIVERGENCE_GUARD = 1e12
 # Steps run between two guard checks; a check walks its block in order.
 _GUARD_BLOCK = 64
+# Rows of v(t) built by one product with S^64 (:func:`_exo_trajectory`).
+_EXO_BLOCK = 64
 # Per-follower trace signals in CSV column order: (attribute, column prefix).
 _SIGNALS = (("x", "x"), ("z", "z"), ("xi", "xi"), ("u", "u"), ("y", "y"), ("e", "e"), ("e_v", "ev"))
 # Trace CSV header names: a per-follower signal column, and an exosystem column.
@@ -466,9 +471,9 @@ def load_trace_csv(path):
     host with two or more CPUs.  A ``#`` or a non-ASCII byte in the
     body, a lone CR above it, or a failure in either half sends the file
     to one parse of its text-mode lines, whose values or error it then
-    gets.  A damaged cell or row, a row width other than the header's, a
-    missing column or a non-integer ``t`` raises ``ConfigurationError``
-    naming ``path``.
+    gets.  A byte that is not UTF-8 (in a comment line too), a damaged
+    cell or row, a row width other than the header's, a missing column or
+    a non-integer ``t`` raises ``ConfigurationError`` naming ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -513,7 +518,10 @@ def load_trace_csv(path):
         except ValueError:
             pass
     if data is None:
-        rows = [line for line in io.TextIOWrapper(io.BytesIO(raw), newline="") if not line.startswith("#")]
+        try:
+            rows = [line for line in io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="") if not line.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
         if not rows:
             raise ConfigurationError(f"{path}: empty trace file")
         header = rows[0].rstrip("\r\n").split(",")
@@ -623,12 +631,27 @@ def _guard(step, states, *parts):
 
 
 def _exo_trajectory(exo, horizon):
-    """``v(t)`` and ``F v(t)`` for ``t = 0..horizon-1``, stepped by ``v(t+1) = S v(t)``."""
+    """``v(t)`` for ``t = 0..horizon-1`` of ``v(t+1) = S v(t)``, built in blocks of 64 rows.
+
+    The first 64 rows are stepped one by one, then each block is one
+    product ``v[k:k+64] = v[k-64:k] P'``.  ``P = S^64`` is formed by 64
+    sequential products: on the reference rotation, repeated squaring
+    left ``v(2000)`` 3.3e-14 from the stepped rows (sequential: 1.0e-14;
+    9.4e-14 at ``t = 20000``) and a 2000-step run 7.1e-13 from one on
+    stepped rows (sequential: 1.7e-13).
+    """
     v = np.empty((horizon, exo.q))
     v[:1] = exo.v0
-    for t in range(1, horizon):
+    for t in range(1, min(horizon, _EXO_BLOCK)):
         v[t] = exo.s @ v[t - 1]
-    return v, np.matmul(exo.f, v[:, :, None])[:, :, 0]
+    if horizon > _EXO_BLOCK:
+        power = np.eye(exo.q)
+        for _ in range(_EXO_BLOCK):
+            power = exo.s @ power
+        for k in range(_EXO_BLOCK, horizon, _EXO_BLOCK):
+            hi = min(k + _EXO_BLOCK, horizon)
+            np.matmul(v[k - _EXO_BLOCK : hi - _EXO_BLOCK], power.T, out=v[k:hi])
+    return v
 
 
 def _fill_past(rows, past):
@@ -669,46 +692,47 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     a, b, c, e_in = scenario.agent_stacks()
     nfoll, n, p, nz = scenario.n_agents, scenario.plant.n, scenario.plant.p, scenario.im.dim
 
-    # One fused update per follower: [s | e](t+1) = M_i d(t) + feed(t), s = [z | x | xi],
-    # d = [s | w(t - r_con) | e_v(t - d_ev)] with the law's inputs w(t) = [coupled feedback(t - d_fb)
-    # | z(t - d_z)], u = [K_x | K_z] w; output mode adds the observer's [w(t - r_con - d_ev) | coupled xi(t)].
+    # One fused update per follower: [s | e](t+1) = M_i d(t), s = [z | x | xi], d = [s | w(t - r_con)
+    # | e_v(t - d_ev) | v(t) | v(t+1)] with the law's inputs w(t) = [coupled feedback(t - d_fb) | z(t - d_z)],
+    # u = [K_x | K_z] w; output mode adds the observer's [w(t - r_con - d_ev) | coupled xi(t)] before v.
     ns = nz + 2 * n if output else nz + n
     z_, x_, xi_, e_ = slice(0, nz), slice(nz, nz + n), slice(nz + n, ns), slice(ns, ns + p)
     w_, ev_ = slice(ns, ns + n + nz), slice(ns + n + nz, ns + n + nz + p)
+    q = scenario.exo.q
+    width = ev_.stop + (2 * n + nz if output else 0) + 2 * q
+    v_, v1_ = slice(width - 2 * q, width - q), slice(width - q, width)
     gain = np.hstack([gains.k_x, gains.k_z])
-    fused = np.zeros((nfoll, ns + p, ev_.stop + (2 * n + nz if output else 0)))
+    fused = np.zeros((nfoll, ns + p, width))
     fused[:, z_, z_], fused[:, z_, ev_] = scenario.im.g1, scenario.im.g2
-    fused[:, x_, x_], fused[:, x_, w_] = a, b @ gain
+    fused[:, x_, x_], fused[:, x_, w_], fused[:, x_, v_] = a, b @ gain, e_in
     if output:
         fused[:, xi_, xi_], fused[:, xi_, ev_] = scenario.plant.a, gains.l_obs
         fused[:, xi_, ev_.stop : ev_.stop + n + nz] = scenario.plant.b @ gain
-        fused[:, xi_, ev_.stop + n + nz :] = -gains.l_obs @ scenario.plant.c
+        fused[:, xi_, ev_.stop + n + nz : v_.start] = -gains.l_obs @ scenario.plant.c
     fused[:, e_] = c @ fused[:, x_]
-    # Identical followers share M_0: one 2-D product steps them all.
+    fused[:, e_, v1_] = scenario.exo.f
+    # Identical followers (E_i included) share M_0: one 2-D product steps them all.
     uniform = bool((fused == fused[0]).all())
     step_t = fused[0].T
 
     # Row depth + t of one buffer holds time t: hist's [s | e] per node,
     # node 0 the leader's zero row, then cpl's [coupled feedback | e_v]
-    # per follower.  Follower row k + 1 starts as the feed.
+    # per follower, then v(t).
     S, Q = ns + p, n + p
-    R = (nfoll + 1) * S + nfoll * Q
+    R = (nfoll + 1) * S + nfoll * Q + q
 
     def split(rows):
-        return rows[:, : (nfoll + 1) * S].reshape(-1, nfoll + 1, S), rows[:, (nfoll + 1) * S :].reshape(-1, nfoll, Q)
+        h, c = (nfoll + 1) * S, R - q
+        return rows[:, :h].reshape(-1, nfoll + 1, S), rows[:, h:c].reshape(-1, nfoll, Q), rows[:, c:]
 
     buf = np.zeros((depth + T + 1, R))
     flat = buf.reshape(-1)
-    hist, cpl = split(buf)
+    hist, cpl, exo_v = split(buf)
     couple = _edge_coupling(scenario.graph, S, slice(ns - n, S))  # the feedback state ends s, just before e
-    v, f_v = _exo_trajectory(scenario.exo, T + 1)
+    exo_v[depth:] = _exo_trajectory(scenario.exo, T + 1)
     x0, z0, xi0 = scenario.initial_states()
     hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
-    hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + f_v[0]
-    feed = hist[depth + 1 :, 1:]
-    np.matmul(e_in, v[:T, None, :, None], out=feed[:, :, x_, None])
-    np.matmul(c @ e_in, v[:T, None, :, None], out=feed[:, :, e_, None])
-    feed[:, :, e_] += f_v[1:, None]
+    hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + scenario.exo.f @ exo_v[depth]
     _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
     if output:
         _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
@@ -717,21 +741,22 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         couple(flat[k * R :], out=cpl[k])
 
     # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
-    # read off a layout of rows 0..depth; only the steps before r_con (r_con + d_ev for
-    # the observer), where u is held at w(0), have offsets of their own.
-    at_h, at_c = split(np.arange((depth + 1) * R).reshape(depth + 1, R))
+    # read off a layout of rows 0..depth + 1; only the steps before r_con (r_con + d_ev
+    # for the observer), where u is held at w(0), have offsets of their own.
+    at_h, at_c, at_v = split(np.arange((depth + 2) * R).reshape(depth + 2, R))
 
     def plan(t):
         j, jo = depth - min(t, r_con), depth - min(t, r_con + d_ev)
         cols = [at_h[depth, 1:, :ns], at_c[j - d_fb, :, :n], at_h[j - d_z, 1:, z_], at_c[depth - d_ev, :, n:]]
         if output:
             cols += [at_c[jo - d_fb, :, :n], at_h[jo - d_z, 1:, z_], at_c[depth, :, :n]]
+        cols += [np.broadcast_to(at_v[depth : depth + 2].reshape(-1), (nfoll, 2 * q))]
         base = np.concatenate(cols, axis=1)
         return base if uniform else base[:, :, None]
 
     early = r_con + d_ev if output else r_con
     plans = [plan(t) for t in range(early + 1)]
-    prod = np.empty((nfoll, S) if uniform else (nfoll, S, 1))
+    # The product writes row depth + t + 1 of every follower in place.
     nxt = hist[:, 1:] if uniform else hist[:, 1:, :, None]
     for t0 in range(0, T, _GUARD_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
@@ -739,10 +764,9 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
                 couple(flat[(depth + t) * R :], out=cpl[depth + t])
                 drive = flat[t * R :].take(plans[min(t, early)])
                 if uniform:
-                    np.matmul(drive, step_t, out=prod)
+                    np.matmul(drive, step_t, out=nxt[depth + t + 1])
                 else:
-                    np.matmul(fused, drive, out=prod)
-                nxt[depth + t + 1] += prod
+                    np.matmul(fused, drive, out=nxt[depth + t + 1])
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     rows = hist[depth : depth + T, 1:]
@@ -750,7 +774,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     u += hist[depth - d_z : depth - d_z + T, 1:, z_] @ gains.k_z.T
     return SimulationTrace(
         t=np.arange(T, dtype=int),
-        v=v[:T],
+        v=exo_v[depth : depth + T],
         x=rows[:, :, x_],
         z=rows[:, :, z_],
         u=u,
@@ -837,7 +861,7 @@ def simulate_compact_oracle(scenario, gains):
     b_in = drive @ f_bar
     b_in[: nfoll * n] = e_in.reshape(nfoll * n, -1)
 
-    v, f_v = _exo_trajectory(scenario.exo, T)
+    v = _exo_trajectory(scenario.exo, T)
     states = scenario.initial_states()[: 2 if mode == "state" else 3]
     whist = np.empty((r + T + 1, b_in.shape[0]))
     whist[: r + 1] = np.concatenate([s.reshape(-1) for s in states])
@@ -860,7 +884,7 @@ def simulate_compact_oracle(scenario, gains):
         z=rows[:, nfoll * n : nfoll * (n + nz)].reshape(T, nfoll, nz),
         u=(whist[r - r_com : r - r_com + T] @ u_map.T).reshape(T, nfoll, m),
         y=y,
-        e=y + f_v[:, None],
+        e=y + (v @ scenario.exo.f.T)[:, None],
         e_v=(x @ (kron(h, np.eye(p)) @ c_blk).T + v @ f_bar.T).reshape(T, nfoll, p),
         xi=rows[:, nfoll * (n + nz) :].reshape(T, nfoll, n) if mode == "output" else None,
     )

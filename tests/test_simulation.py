@@ -68,10 +68,12 @@ def case_scenario(case, mode, horizon):
     """A seed draws a small :func:`random_scenario`; ``"net12"`` puts a
     random plant and gains on the twelve-follower ``NET12`` with
     ``r_con = 1``, ``r_com = 2``.  A name of :data:`AGENT_CASES` runs
-    identical followers, the bundled agent with ``target_gains``, which
-    the kernel steps with one 2-D product: ``"nominal"`` on the bundled
-    graph, ``"tree16"`` and ``"chain8"`` on TREE(16) and CHAIN(8);
-    ``"tree16_last"`` makes only the last of the sixteen uncertain."""
+    nominal followers, the bundled agent with ``target_gains``:
+    ``"tree16"`` and ``"chain8"`` on TREE(16) and CHAIN(8) share one
+    ``E``, and the kernel steps them with one 2-D product;
+    ``"nominal"`` keeps the bundled graph and its distinct ``E_i``, and
+    takes the per-follower product; ``"tree16_last"`` makes only the
+    last of the sixteen uncertain."""
     if case in AGENT_CASES:
         sc = ref.reference_scenario(mode=mode, horizon=horizon, uncertain=False)
         if AGENT_CASES[case] is not None:
@@ -139,6 +141,27 @@ class TestExoStep:
     def test_rotation_preserves_norm(self):
         v = simulate_state_feedback(ref.reference_scenario(horizon=1001), zero_gains()).v
         assert abs(np.linalg.norm(v[-1]) - 1.0) <= 1e-9
+
+    # Past its first 64 rows, v is built 64 rows at a time as v[k:k+64] = v[k-64:k] (S^64)'.
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 63, 64, 65, 129, 20_000])
+    def test_blocks_follow_the_step_recursion(self, horizon, target_gains):
+        sc = ref.reference_scenario(horizon=horizon)
+        v = simulate_state_feedback(sc, target_gains).v
+        stepped = np.empty((horizon, 2))
+        stepped[:1] = sc.exo.v0
+        for t in range(1, horizon):
+            stepped[t] = sc.exo.s @ stepped[t - 1]
+        assert v.shape == (horizon, 2)
+        assert np.max(np.abs(v - stepped), initial=0.0) <= 5e-13
+
+    def test_integer_jordan_blocks_are_exact(self):
+        # Every power of S = [[1, 1], [0, 1]] and every block product is
+        # an integer computation, so v(t) = (3 - 2t, -2) to the bit.
+        exo = Exosystem(s=[[1.0, 1.0], [0.0, 1.0]], f=np.zeros((1, 2)), v0=[3.0, -2.0])
+        sc = replace(ref.reference_scenario(horizon=200), exo=exo, im=build_internal_model(exo))
+        v = simulate_state_feedback(sc, zero_gains()).v
+        t = np.arange(200.0)
+        assert np.array_equal(v, np.stack([3.0 - 2.0 * t, np.full(200, -2.0)], axis=1))
 
 
 def kronecker_virtual_errors(g, e_all):
@@ -350,7 +373,7 @@ def check_law_and_plant(sc, gains, law, trace, past):
     u(t) = K_x cfb(t - d_fb) + K_z z(t - d_z), where cfb is x (state) or
     xi (output) coupled through H; a read before t = 0 takes the given
     history, else the value at t = 0.  The plant receives u(t - r_con),
-    u before t = 0 being u(0).
+    u before t = 0 being u(0), and e(t) = y(t) + F v(t).
     """
     r_con, r_com, T = sc.delays.r_con, sc.delays.r_com, sc.horizon
 
@@ -375,6 +398,7 @@ def check_law_and_plant(sc, gains, law, trace, past):
     x_next = np.einsum("ijk,tik->tij", a, trace.x[:-1]) + np.einsum("ijk,tik->tij", b, received)
     x_next += np.einsum("ijk,tk->tij", e, trace.v[:-1])
     assert relative(trace.x[1:], x_next) <= 1e-12
+    assert relative(trace.e, trace.y + np.einsum("jk,tk->tj", sc.exo.f, trace.v)[:, None]) <= 1e-12
 
 
 class TestBasicRuns:
@@ -941,7 +965,7 @@ class TestTraceCsv:
         "damage",
         [
             "truncated_row", "non_numeric_cell", "long_header", "short_rows", "no_t_column", "fractional_t",
-            "comments_only",
+            "comments_only", "badutf8_comment", "badutf8_body",
         ],
     )
     def test_malformed_trace_names_the_file(self, tmp_path, damage, target_gains):
@@ -962,9 +986,13 @@ class TestTraceCsv:
             lines[top] = "s" + lines[top][1:]
         elif damage == "comments_only":
             lines = lines[:top]
+        elif damage == "badutf8_comment":  # "\udcff" is written as the byte 0xff
+            lines[0] += " \udcff"
+        elif damage == "badutf8_body":
+            lines[-1] = lines[-1].replace(",", ",\udcff", 1)
         else:
             lines[-1] = "4.5" + lines[-1][lines[-1].index(",") :]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         problem = "empty trace file" if damage == "comments_only" else "malformed trace data"
         with pytest.raises(ConfigurationError, match=f"trace.csv: {problem}"):
             load_trace_csv(path)
