@@ -125,19 +125,26 @@ class Digraph:
 
     @cached_property
     def _edge_index(self):
-        """Read-only ``(ends, w, starts)`` of the edge-local coupling, built once per (frozen) graph.
+        """Read-only ``(order, ends, w, starts)`` of the edge-local coupling, built once per (frozen) graph.
 
-        One entry per edge and one head entry ``(0, 0, 1.0)`` per
-        follower, stably sorted by receiver so each follower's terms keep
-        their edge-list order, with its head first.  ``ends`` lists every
-        entry's receiver, then every entry's sender; ``w`` holds the
-        weights and ``starts`` indexes the heads.  A head reads the
-        leader's zero row on both ends.
+        ``order`` lists the followers by in-degree, largest first, ties
+        in node order.  The entries are the in-edges rank by rank (the
+        jagged diagonals of the in-edge lists): entries ``starts[k]`` to
+        ``starts[k + 1]`` hold the ``k``-th in-edge, in edge-list order,
+        of each follower of ``order`` that has more than ``k``, in that
+        order.  ``ends`` lists every entry's receiver, then every entry's
+        sender; ``w`` holds the weights.
         """
-        heads = [(0, 0, 1.0, i) for i in range(1, self.n_followers + 1)]
-        entries = sorted(heads + [(s, d, w, d) for s, d, w in self.edges], key=lambda entry: entry[3])
-        src, dst, w, _ = (np.array(col) for col in zip(*entries))
-        index = (np.concatenate([dst, src]), w, np.flatnonzero(dst == 0))
+        heard = [[] for _ in range(self.n_followers + 1)]
+        for src, dst, w in self.edges:
+            heard[dst].append((dst, src, w))
+        deg = np.array([len(edges) for edges in heard[1:]])
+        order = np.argsort(-deg, kind="stable") + 1
+        counts = self.n_followers - np.cumsum(np.bincount(deg))[:-1]  # followers with more than k in-edges
+        entries = [heard[i][k] for k, count in enumerate(counts) for i in order[:count]]
+        cols = list(zip(*entries)) or [(), (), ()]
+        dst, src, w = (np.array(col, dtype=kind) for col, kind in zip(cols, (int, int, float)))
+        index = (order, np.concatenate([dst, src]), w, np.append(0, np.cumsum(counts)))
         for arr in index:
             arr.flags.writeable = False
         return index

@@ -18,6 +18,7 @@ controllable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,9 @@ class Exosystem:
         ``e_i = C_i x_i + F v``.
     v0 : array_like, optional
         Initial exosystem state; zeros when omitted.
+
+    ``s`` and ``v0`` are read-only copies, so the cached start of the
+    trajectory cannot go stale.
     """
 
     s: np.ndarray
@@ -67,11 +71,12 @@ class Exosystem:
         v0 = self.v0
         if v0 is None:
             v0 = np.zeros(s.shape[0])
-        v0 = np.asarray(v0, dtype=float).reshape(-1)
+        v0 = np.array(v0, dtype=float).reshape(-1)
         if v0.size != s.shape[0]:
             raise DimensionError(
                 f"exosystem.v0: expected length {s.shape[0]}, got {v0.size}"
             )
+        s.flags.writeable = v0.flags.writeable = False
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "v0", v0)
@@ -79,6 +84,24 @@ class Exosystem:
     @property
     def q(self):
         return self.s.shape[0]
+
+    @cached_property
+    def _trajectory_head(self):
+        """Read-only ``(v(0..63), S^64)``, computed once per (frozen) exosystem.
+
+        The rows are stepped one by one, ``v(t) = S v(t - 1)``, and
+        ``S^64`` is formed by 64 sequential products; each later block
+        of 64 rows of the trajectory is one product with it.
+        """
+        v = np.empty((64, self.q))
+        v[0] = self.v0
+        for t in range(1, 64):
+            v[t] = self.s @ v[t - 1]
+        power = np.eye(self.q)
+        for _ in range(64):
+            power = self.s @ power
+        v.flags.writeable = power.flags.writeable = False
+        return v, power
 
     @property
     def p(self):

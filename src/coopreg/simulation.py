@@ -39,27 +39,43 @@ Both agentwise simulators run one time loop over one buffer: row
 ``depth + t`` holds time ``t`` with the pre-history in front, so a
 delayed read is a row some steps back.  A row holds the leader's zero
 row, each follower's ``[z | x | xi | e]``, the regulated error stored
-beside the feedback state (``x``, or ``xi`` in output mode), then each
-follower's coupled ``[feedback | e_v]``, then the exosystem state
-``v(t)``, filled before the loop.  Flat offsets built once per run, from
-the graph and the table below, let a step gather its coupling terms
-with one ``take`` and its drive, ``v(t)`` and ``v(t+1)`` included, with
-another; only the first ``r_con`` steps (``r_con + d_ev`` in output
-mode), where ``u`` is held at ``w(0)``, have offsets of their own.  A
-step writes every follower's next ``[z | x | xi | e]`` straight into
-row ``t + 1`` as the product of a fused matrix ``M_i`` and its drive:
-one 2-D product ``D M_0'`` over the drive rows ``D`` when every ``M_i``
-equals ``M_0`` exactly (equal ``A_i``, ``B_i``, ``C_i`` and ``E_i``),
-else one small product per follower.  The whole stack is compared once
-per call, with no option or tolerance; the two paths agree to rounding.
+beside the feedback state (``x``, or ``xi`` in output mode), then the
+exosystem state ``v(t)``, filled before the loop.  A step writes every
+follower's next ``[z | x | xi | e]`` straight into row ``t + 1`` as the
+product of a fused matrix ``M_i`` and its drive, gathered by one
+``take`` at flat offsets built once per run from the graph and the
+table below; only the first ``r_con`` steps (``r_con + d_ev`` in output
+mode), where ``u`` is held at ``w(0)``, have offsets of their own.
 ``M_i`` holds ``B_i K`` (and the observer's ``B K``) on the law's
 inputs, the coupled feedback and ``z``, read as late as ``u`` would be
 and held at ``t = 0`` before it, and ``E_i`` on ``v(t)``; its ``e`` rows
 are ``C_i`` times its ``x`` rows plus ``F`` on ``v(t+1)``, so
-``e(t+1) = C_i x(t+1) + F v(t+1)``.  ``u`` and ``y = C_i x`` are formed
-after the loop, and the divergence guard walks each block of steps
-once.  Modes and laws differ only in how many steps late each signal
-is read::
+``e(t+1) = C_i x(t+1) + F v(t+1)``.
+
+No coupled value is formed inside the loop.  Each coupled read (the
+feedback state the law reads, ``e_v``, and in output mode the
+observer's) takes a *pair of slots* per in-edge ``j -> i``, leader edges
+included: the receiver's raw row and the sender's, read at that time
+step.  One product scales the drive by ``+a_ij`` and ``-a_ij`` on the
+pair slots (1 elsewhere), and ``M_i`` repeats, over the slots, the block
+that acts on the coupled value, so a step is one ``take``, one ``*=``
+and one product per degree group: one 2-D product ``D M_0'`` over the
+drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
+``A_i``, ``B_i``, ``C_i`` and ``E_i``), else one small product per
+follower.  The whole stack is compared once per call, with no option or
+tolerance; the two paths agree to rounding.  Followers are padded to a
+common number of pair slots per *degree group* (:func:`_degree_groups`):
+a padding slot reads the leader's zero row at weight 0, and a group pads
+at most twice its in-edges plus its size, so a step costs
+``O(|E| + N)``.  When one group holds every follower, node order is
+kept and the trace's signals are views of the buffer; otherwise the
+followers are stepped sorted by in-degree and gathered back to node
+order once, after the loop.  After the loop, one coupling pass
+(:func:`_edge_coupling`, in blocks of 64 rows) forms ``e_v`` and the
+coupled feedback ``u`` reads, bit for bit what
+:func:`edgewise_virtual_errors` gives; ``u`` and ``y = C_i x`` follow.
+The divergence guard walks each block of steps once, in the loop.
+Modes and laws differ only in how many steps late each signal is read::
 
     signal                              transformed   delayed
     controller state z                  r_com         0
@@ -99,10 +115,9 @@ __all__ = [
 # Max-norm bound on any simulated state; beyond this the run is
 # declared divergent and aborted with a DivergenceError.
 DIVERGENCE_GUARD = 1e12
-# Steps run between two guard checks; a check walks its block in order.
+# Steps run between two guard checks (a check walks its block in order), and
+# rows per block of the coupling pass after the loop.
 _GUARD_BLOCK = 64
-# Rows of v(t) built by one product with S^64 (:func:`_exo_trajectory`).
-_EXO_BLOCK = 64
 # Per-follower trace signals in CSV column order: (attribute, column prefix).
 _SIGNALS = (("x", "x"), ("z", "z"), ("xi", "xi"), ("u", "u"), ("y", "y"), ("e", "e"), ("e_v", "ev"))
 # Trace CSV header names: a per-follower signal column, and an exosystem column.
@@ -571,40 +586,77 @@ def edgewise_virtual_errors(g, e_all):
     """
     e_all = np.atleast_2d(e_all)
     padded = np.concatenate([np.zeros((1, e_all.shape[1])), e_all])
-    return _edge_coupling(g, e_all.shape[1], slice(None))(padded.reshape(-1))
+    order, ends, _, _ = g._edge_index
+    out = np.zeros(e_all.shape)
+    _edge_coupling(g, padded.take(ends, axis=0), out)
+    return out.take(np.argsort(order), axis=0)
 
 
-def _edge_coupling(g, stride, cols):
-    """The edge-local combination of :func:`edgewise_virtual_errors` for ``g``.
+def _edge_coupling(g, rows, out):
+    """Add the edge-local combination of :func:`edgewise_virtual_errors` of gathered rows into ``out``.
 
-    The returned ``couple(flat, out=None)`` couples the columns ``cols``
-    (a slice) of the nodes laid out from ``flat[0]``, ``stride`` values
-    a node, node 0 the leader's zero row.  Their flat offsets come once
-    from the graph's ``Digraph._edge_index``: per receiver, a head entry
-    that reads the leader's zero row on both ends, then its edges in
-    edge-list order.  A call gathers both ends with one ``take``,
-    subtracts the sender rows in place, scales by the weights (spread to
-    full width once, here) and sums every run as ``((0 + t1) + t2) +
-    ...`` with one ``np.add.reduceat``: bit for bit what ``np.add.at``
-    into a zero array gives, signed zeros included, and a zero row for a
-    follower with no in-edge.  Columns never mix, so coupling several
-    signals side by side gives each the bits it gets alone.  The kernel
-    and :func:`edgewise_virtual_errors` share this one implementation.
-    No ``H`` matrix is involved, so the agentwise route stays
-    independent of the Kronecker oracle.
+    ``rows[k]`` is the row of node ``ends[k]`` of the graph's
+    ``Digraph._edge_index`` (node 0 the leader's zero row), so its first
+    half holds each in-edge's receiver and its second half the sender;
+    any further axes (time rows, columns) ride along.  ``out`` holds one
+    zero row per follower, in the index's follower order, with the same
+    further axes.  The sender rows are subtracted in place and the
+    weights scale them; then one addition per rank adds the ``k``-th
+    term of every follower that has one.  Each follower's terms are
+    summed in edge-list order, ``((0 + t1) + t2) + ...``: bit for bit
+    what ``np.add.at`` into zero rows gives, signed zeros included, and
+    a zero row for a follower with no in-edge.  Rows and columns never
+    mix, so a block of time rows, or several signals side by side, gives
+    each value the bits it gets alone.  No ``H`` matrix is involved, so
+    the agentwise route stays independent of the Kronecker oracle.
     """
-    ends, w, starts = g._edge_index
-    index = ends[:, None] * stride + np.arange(stride)[cols]
-    w = np.repeat(w[:, None], index.shape[1], axis=1)
+    _, _, w, starts = g._edge_index
+    terms = rows[: len(w)]
+    terms -= rows[len(w) :]
+    terms *= w.reshape(-1, *[1] * (rows.ndim - 1))
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
+        out[: hi - lo] += terms[lo:hi]
 
-    def couple(flat, out=None):
-        rows = flat.take(index)
-        terms = rows[: w.shape[0]]
-        terms -= rows[w.shape[0] :]
-        terms *= w
-        return np.add.reduceat(terms, starts, axis=0, out=out)
 
-    return couple
+def _degree_groups(g):
+    """Followers in stepping order, split into groups padded to one in-degree each.
+
+    Returns ``(order, groups)``: ``order[k]`` is the follower (node) at
+    buffer position ``k + 1``, and each group ``(lo, hi, src, w)`` holds
+    positions ``lo + 1 .. hi``, each member's in-edge senders ``src`` and
+    weights ``w`` from ``Digraph._edge_index``, in edge-list order and
+    padded to the group's largest in-degree with the leader at weight 0.
+    A group pads at most twice its in-edges plus its size, so stepping
+    costs ``O(|E| + N)``.  When all followers fit one group they keep
+    node order; otherwise they take the index's order, by in-degree,
+    largest first, cut into the fewest runs that fit.
+    """
+    by_degree, ends, w, starts = g._edge_index
+    nfoll = g.n_followers
+    deg = np.bincount(ends[: len(w)], minlength=nfoll + 1)[1:]
+    rank = np.empty(nfoll, dtype=int)  # each follower's place in by_degree: its entry in every rank
+    rank[by_degree - 1] = np.arange(nfoll)
+    order, cuts = np.arange(1, nfoll + 1), [0, nfoll]
+    if nfoll * deg.max() > 2 * (deg.sum() + nfoll):
+        order, d = by_degree, deg[by_degree - 1]
+        room = np.append(0, np.cumsum(2 * d + 2))
+        fewest, cut = np.zeros(nfoll + 1, dtype=int), np.zeros(nfoll, dtype=int)
+        for lo in range(nfoll - 1, -1, -1):  # the fewest runs covering d[lo:], d[lo:cut[lo]] first
+            hi = np.arange(lo + 1, nfoll + 1)
+            hi = hi[(hi - lo) * d[lo] <= room[hi] - room[lo]]
+            cut[lo] = hi[np.argmin(fewest[hi])]
+            fewest[lo] = fewest[cut[lo]] + 1
+        cuts = [0]
+        while cuts[-1] < nfoll:
+            cuts.append(int(cut[cuts[-1]]))
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        members = order[lo:hi] - 1
+        k = np.arange(deg[members].max())
+        real = k < deg[members, None]
+        entry = np.minimum(starts[k] + rank[members, None], len(w) - 1)
+        groups.append((lo, hi, np.where(real, ends[len(w) + entry], 0), np.where(real, w[entry], 0.0)))
+    return order, groups
 
 
 def _guard(step, states, *parts):
@@ -633,24 +685,21 @@ def _guard(step, states, *parts):
 def _exo_trajectory(exo, horizon):
     """``v(t)`` for ``t = 0..horizon-1`` of ``v(t+1) = S v(t)``, built in blocks of 64 rows.
 
-    The first 64 rows are stepped one by one, then each block is one
-    product ``v[k:k+64] = v[k-64:k] P'``.  ``P = S^64`` is formed by 64
+    The first 64 rows and ``P = S^64`` come from the exosystem's cache
+    (``Exosystem._trajectory_head``), so a call costs one product
+    ``v[k:k+64] = v[k-64:k] P'`` per further block.  ``P`` is formed by 64
     sequential products: on the reference rotation, repeated squaring
     left ``v(2000)`` 3.3e-14 from the stepped rows (sequential: 1.0e-14;
     9.4e-14 at ``t = 20000``) and a 2000-step run 7.1e-13 from one on
     stepped rows (sequential: 1.7e-13).
     """
+    head, power = exo._trajectory_head
+    block = len(head)
     v = np.empty((horizon, exo.q))
-    v[:1] = exo.v0
-    for t in range(1, min(horizon, _EXO_BLOCK)):
-        v[t] = exo.s @ v[t - 1]
-    if horizon > _EXO_BLOCK:
-        power = np.eye(exo.q)
-        for _ in range(_EXO_BLOCK):
-            power = exo.s @ power
-        for k in range(_EXO_BLOCK, horizon, _EXO_BLOCK):
-            hi = min(k + _EXO_BLOCK, horizon)
-            np.matmul(v[k - _EXO_BLOCK : hi - _EXO_BLOCK], power.T, out=v[k:hi])
+    v[:block] = head[:horizon]
+    for k in range(block, horizon, block):
+        hi = min(k + block, horizon)
+        np.matmul(v[k - block : hi - block], power.T, out=v[k:hi])
     return v
 
 
@@ -713,22 +762,18 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     fused[:, e_, v1_] = scenario.exo.f
     # Identical followers (E_i included) share M_0: one 2-D product steps them all.
     uniform = bool((fused == fused[0]).all())
-    step_t = fused[0].T
 
-    # Row depth + t of one buffer holds time t: hist's [s | e] per node,
-    # node 0 the leader's zero row, then cpl's [coupled feedback | e_v]
-    # per follower, then v(t).
-    S, Q = ns + p, n + p
-    R = (nfoll + 1) * S + nfoll * Q + q
+    # Row depth + t of one buffer holds time t: [s | e] per node, node 0
+    # the leader's zero row and the followers in stepping order, then v(t).
+    S = ns + p
+    R = (nfoll + 1) * S + q
 
     def split(rows):
-        h, c = (nfoll + 1) * S, R - q
-        return rows[:, :h].reshape(-1, nfoll + 1, S), rows[:, h:c].reshape(-1, nfoll, Q), rows[:, c:]
+        return rows[:, : R - q].reshape(-1, nfoll + 1, S), rows[:, R - q :]
 
     buf = np.zeros((depth + T + 1, R))
     flat = buf.reshape(-1)
-    hist, cpl, exo_v = split(buf)
-    couple = _edge_coupling(scenario.graph, S, slice(ns - n, S))  # the feedback state ends s, just before e
+    hist, exo_v = split(buf)
     exo_v[depth:] = _exo_trajectory(scenario.exo, T + 1)
     x0, z0, xi0 = scenario.initial_states()
     hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
@@ -736,42 +781,82 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
     if output:
         _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
-    # e(t) before t = 0 is e(0), so e_v there is e_v(0).
-    for k in range(depth):
-        couple(flat[k * R :], out=cpl[k])
+    order, groups = _degree_groups(scenario.graph)
+    pos = np.zeros(nfoll + 1, dtype=int)  # buffer position of each node
+    pos[order] = np.arange(1, nfoll + 1)
+    if len(groups) > 1:
+        hist[: depth + 1, 1:] = hist[: depth + 1, order]
 
     # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
     # read off a layout of rows 0..depth + 1; only the steps before r_con (r_con + d_ev
-    # for the observer), where u is held at w(0), have offsets of their own.
-    at_h, at_c, at_v = split(np.arange((depth + 2) * R).reshape(depth + 2, R))
+    # for the observer), where u is held at w(0), have offsets of their own.  A coupled
+    # block reads a pair of slots per in-edge, receiver row then sender row, which the
+    # scale weighs by +a_ij and -a_ij; its block of M_i repeats over the slots.
+    at_h, at_v = split(np.arange((depth + 2) * R).reshape(depth + 2, R))
+    fb_ = slice(ns - n, ns)  # the feedback state ends s, just before e
 
-    def plan(t):
+    def blocks(t):  # (row, columns, coupled) of each drive block before v(t) and v(t+1)
         j, jo = depth - min(t, r_con), depth - min(t, r_con + d_ev)
-        cols = [at_h[depth, 1:, :ns], at_c[j - d_fb, :, :n], at_h[j - d_z, 1:, z_], at_c[depth - d_ev, :, n:]]
+        out = [(depth, slice(0, ns), False), (j - d_fb, fb_, True), (j - d_z, z_, False), (depth - d_ev, e_, True)]
         if output:
-            cols += [at_c[jo - d_fb, :, :n], at_h[jo - d_z, 1:, z_], at_c[depth, :, :n]]
-        cols += [np.broadcast_to(at_v[depth : depth + 2].reshape(-1), (nfoll, 2 * q))]
-        base = np.concatenate(cols, axis=1)
-        return base if uniform else base[:, :, None]
+            out += [(jo - d_fb, fb_, True), (jo - d_z, z_, False), (depth, fb_, True)]
+        return out
 
     early = r_con + d_ev if output else r_con
-    plans = [plan(t) for t in range(early + 1)]
-    # The product writes row depth + t + 1 of every follower in place.
-    nxt = hist[:, 1:] if uniform else hist[:, 1:, :, None]
+    plans, scale, steps, size = [[] for _ in range(early + 1)], [], [], 0
+    for lo, hi, src, w in groups:
+        own = np.arange(lo + 1, hi + 1)
+        pairs = np.stack([np.where(w > 0, own[:, None], 0), pos[src]], axis=2).reshape(len(own), -1)
+        weights = np.stack([w, -w], axis=2).reshape(len(own), -1)
+        cols, weigh, start = [], [], 0
+        for _, cs, coupled in blocks(0):
+            base = np.arange(start, start + cs.stop - cs.start)  # the block's columns of M_i
+            cols.append(np.tile(base, pairs.shape[1]) if coupled else base)
+            weigh.append(np.repeat(weights, len(base), axis=1) if coupled else np.ones((len(own), len(base))))
+            start += len(base)
+        cols = np.append(np.hstack(cols), np.arange(width - 2 * q, width))
+        scale.append(np.hstack([*weigh, np.ones((len(own), 2 * q))]).reshape(-1))
+        for t, plan in enumerate(plans):
+            read = [at_h[r, pairs if coupled else own, cs].reshape(len(own), -1) for r, cs, coupled in blocks(t)]
+            read.append(np.broadcast_to(at_v[depth : depth + 2].reshape(-1), (len(own), 2 * q)))
+            plan.append(np.hstack(read).reshape(-1))
+        shape = (len(own), len(cols)) if uniform else (len(own), len(cols), 1)
+        # The product writes row depth + t + 1 of the group in place.
+        if uniform:
+            steps.append((fused[0][:, cols].T, (size, shape), hist[:, lo + 1 : hi + 1]))
+        else:
+            steps.append((fused[order[lo:hi] - 1][:, :, cols], (size, shape), hist[:, lo + 1 : hi + 1, :, None]))
+        size += len(own) * len(cols)
+    # One take gathers every group's drive and one product scales its pair slots.
+    plans, scale = [np.hstack(plan) for plan in plans], np.hstack(scale)
+    drive = np.empty(size)
+    steps = [(mat, drive[lo : lo + np.prod(shape)].reshape(shape), nxt) for mat, (lo, shape), nxt in steps]
+
     for t0 in range(0, T, _GUARD_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
             for t in range(t0, min(t0 + _GUARD_BLOCK, T)):
-                couple(flat[(depth + t) * R :], out=cpl[depth + t])
-                drive = flat[t * R :].take(plans[min(t, early)])
-                if uniform:
-                    np.matmul(drive, step_t, out=nxt[depth + t + 1])
-                else:
-                    np.matmul(fused, drive, out=nxt[depth + t + 1])
+                flat[t * R :].take(plans[min(t, early)], out=drive, mode="clip")
+                drive *= scale
+                for mat, d, nxt in steps:
+                    if uniform:
+                        np.matmul(d, mat, out=nxt[depth + t + 1])
+                    else:
+                        np.matmul(mat, d, out=nxt[depth + t + 1])
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
-    rows = hist[depth : depth + T, 1:]
-    u = cpl[depth - d_fb : depth - d_fb + T, :, :n] @ gains.k_x.T
-    u += hist[depth - d_z : depth - d_z + T, 1:, z_] @ gains.k_z.T
+    # The coupled feedback u reads and e_v, over rows depth - d_fb .. depth + T - 1, come
+    # from one coupling pass over blocks of rows, each gathered node-major by one take.
+    span, (by_degree, ends, _, _) = T + d_fb, scenario.graph._edge_index
+    index = pos[ends][:, None, None] * S + np.arange(_GUARD_BLOCK)[:, None] * R + np.arange(fb_.start, S)
+    coupled = np.zeros((nfoll, span, S - fb_.start))
+    for k in range(0, span, _GUARD_BLOCK):
+        rows = flat[(depth - d_fb + k) * R :].take(index[:, : span - k])
+        _edge_coupling(scenario.graph, rows, coupled[:, k : k + _GUARD_BLOCK])
+    coupled = coupled.take(np.argsort(by_degree), axis=0).transpose(1, 0, 2)
+    nodes = hist if len(groups) == 1 else hist[:, pos]
+    rows = nodes[depth : depth + T, 1:]
+    u = coupled[:T, :, :n] @ gains.k_x.T
+    u += nodes[depth - d_z : depth - d_z + T, 1:, z_] @ gains.k_z.T
     return SimulationTrace(
         t=np.arange(T, dtype=int),
         v=exo_v[depth : depth + T],
@@ -780,7 +865,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         u=u,
         y=np.matmul(c, rows[:, :, x_, None])[:, :, :, 0],
         e=rows[:, :, e_],
-        e_v=cpl[depth : depth + T, :, n:],
+        e_v=coupled[d_fb:, :, n:],
         xi=rows[:, :, xi_] if output else None,
     )
 

@@ -279,9 +279,13 @@ def _stein_sum(f, q):
     """``X = F X F' + Q`` for a Schur ``F``, by Smith doubling.
 
     Step ``k`` adds the terms ``2^k .. 2^(k+1) - 1`` of ``sum_i F^i Q F'^i``;
-    the neglected tail is below ``||F^(2^k)||^2 <= 1e-16`` relative.
+    the neglected tail is below ``||F^(2^k)||^2 <= 1e-16`` relative.  At
+    most 40 steps are taken: designs down to ``gamma = 3e-5`` need at
+    most 23, while an ``F`` with a mode on the unit circle to rounding
+    (``a = sqrt(0.9) R(theta)`` at ``gamma = 0.1``) runs 59 or more, so
+    the cap refuses a spectral radius within about ``2e-11`` of 1.
     """
-    for _ in range(64):
+    for _ in range(40):
         q = q + f @ q @ f.T
         f = f @ f
         if np.linalg.norm(f) <= 1e-8:
@@ -305,10 +309,13 @@ def solve_parametric_dare(a, b, gamma):
     ``F = (Z'Ah Z)^{-1}``, summed by Smith doubling in about
     ``log2(1/gamma)`` products.  One Hewer step from ``P``, the
     closed-loop Stein equation ``X = Acl' X Acl + K'K``, estimates the
-    error of ``P`` as ``||X - P||_F / ||P||_F``.
+    error of ``P`` as ``||X - P||_F / ||P||_F``.  When no mode is
+    anti-stable, ``P = 0``, which stabilizes only a Schur ``Ah``: the
+    same doubling on ``Ah`` checks that.
 
     Raises :class:`NumericalError` when no stabilizing solution is found
-    (``Ah`` has an eigenvalue on the unit circle, or a step overflows)
+    (``Ah`` has an eigenvalue on the unit circle, to rounding, so the
+    sign iteration or a doubling does not converge, or a step overflows)
     or the error estimate is not finite or exceeds ``1e-6``.
     """
     a = require_square(as_matrix(a, "a"), "a")
@@ -333,7 +340,8 @@ def solve_parametric_dare(a, b, gamma):
                 raise np.linalg.LinAlgError("matrix sign iteration did not converge")
             u, sv, _ = np.linalg.svd(0.5 * (eye - sign))  # range: the stable modes
             z = u[:, sv <= 0.5]
-            if z.shape[1] == 0:
+            if z.shape[1] == 0:  # P = 0, stabilizing only if Ah is Schur
+                _stein_sum(at, eye)
                 return np.zeros_like(a)
             f = np.linalg.inv(z.T @ at @ z)
             fb = f @ z.T @ b

@@ -53,7 +53,19 @@ def tree_graph(n):
     return Digraph(n, tuple(edges))
 
 
+def hub_graph(n, w=0.5):
+    """HUB(n): a chain whose last follower also hears every other follower
+    at weight ``w``; its in-degree ``n - 1`` splits the followers into two
+    degree groups."""
+    return Digraph(n, tuple((i, i + 1, 1.0) for i in range(n)) + tuple((j, n, w) for j in range(1, n - 1)))
+
+
 TREE16 = tree_graph(16)
+HUB16 = hub_graph(16)
+# Followers 2 and 4 hear nobody; 1 and 3 hear two nodes each.
+ISOLATED = Digraph(4, ((4, 3, 2.0), (0, 1, 1.5), (2, 1, 0.3), (1, 3, 0.7)))
+# Random plants and gains on graphs of their own: (graph, rng seed).
+GRAPH_CASES = {"net12": (NET12, 12), "hub16": (HUB16, 16), "isolated": (ISOLATED, 54)}
 # Cases of :func:`case_scenario` that run the bundled agent, and their
 # graphs (``None``: the bundled one).
 AGENT_CASES = {
@@ -65,9 +77,10 @@ AGENT_CASES = {
 
 
 def case_scenario(case, mode, horizon):
-    """A seed draws a small :func:`random_scenario`; ``"net12"`` puts a
-    random plant and gains on the twelve-follower ``NET12`` with
-    ``r_con = 1``, ``r_com = 2``.  A name of :data:`AGENT_CASES` runs
+    """A seed draws a small :func:`random_scenario`; a name of
+    :data:`GRAPH_CASES` puts a random plant and gains on that graph
+    (``NET12``, ``HUB16`` or ``ISOLATED``) with ``r_con = 1``,
+    ``r_com = 2``.  A name of :data:`AGENT_CASES` runs
     nominal followers, the bundled agent with ``target_gains``:
     ``"tree16"`` and ``"chain8"`` on TREE(16) and CHAIN(8) share one
     ``E``, and the kernel steps them with one 2-D product;
@@ -82,9 +95,9 @@ def case_scenario(case, mode, horizon):
             last = FollowerUncertainty(d_a=[[0.0, 0.05], [0.0, 0.0]], d_b=[[0.05], [0.0]], d_c=[[0.02, 0.0]])
             sc = replace(sc, uncertainties=(None,) * 15 + (last,))
         return sc, ref.target_gains()
-    if case == "net12":
-        rng = np.random.default_rng(12)
-        return random_scenario(rng, mode, horizon, graph=NET12, delays=DelaySpec(1, 2))
+    if case in GRAPH_CASES:
+        graph, seed = GRAPH_CASES[case]
+        return random_scenario(np.random.default_rng(seed), mode, horizon, graph=graph, delays=DelaySpec(1, 2))
     return random_scenario(np.random.default_rng(case), mode, horizon)
 
 
@@ -472,14 +485,14 @@ class TestBasicRuns:
 
     @pytest.mark.parametrize(
         "case, law",
-        [(case, law) for case in ("reference", "tree16") for law in ("transformed", "delayed")]
+        [(case, law) for case in ("reference", "tree16", *GRAPH_CASES) for law in ("transformed", "delayed")]
         + [("past", "transformed")],
     )
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_law_and_plant_hold_on_the_trace(self, mode, case, law, target_gains):
         # The uncertain reference followers take the per-follower path,
-        # TREE(16)'s the 2-D one.
-        if case == "tree16":
+        # TREE(16)'s the 2-D one; HUB16 steps two degree groups.
+        if case != "reference" and case != "past":
             sc, gains = case_scenario(case, mode, horizon=60)
         else:
             sc, gains = ref.reference_scenario(mode=mode, horizon=60), target_gains
@@ -647,6 +660,50 @@ class TestBasicRuns:
         assert str(info.value) == f"{run.__name__}: scenario.mode is {mode!r}, expected {expected!r}"
 
 
+class TestDegreeGroups:
+    """Pair slots stepped per degree group, coupling formed after the loop."""
+
+    @pytest.mark.parametrize("graph", [tree_graph(64), Digraph(64, tuple((i, i + 1, 1.0) for i in range(64))),
+                                       ref.reference_graph(), NET12], ids=["tree64", "chain64", "demo", "net12"])
+    def test_one_group_keeps_node_order(self, graph):
+        order, groups = simulation._degree_groups(graph)
+        assert np.array_equal(order, np.arange(1, graph.n_followers + 1))
+        assert [(lo, hi) for lo, hi, _, _ in groups] == [(0, graph.n_followers)]
+
+    def test_hub_splits_in_two(self):
+        order, groups = simulation._degree_groups(HUB16)
+        assert order[0] == 16 and sorted(order) == list(range(1, 17))
+        assert [(lo, hi, src.shape) for lo, hi, src, _ in groups] == [(0, 1, (1, 15)), (1, 16, (15, 1))]
+
+    def test_padded_slots_stay_within_twice_edges_and_followers(self):
+        rng = np.random.default_rng(5)
+        graphs = [HUB16, hub_graph(64), hub_graph(256), ISOLATED, NET12, Digraph(3)]
+        graphs += [Digraph(40, tuple((0, i, 1.0) for i in range(1, 41)) + tuple((i, 40, 1.0) for i in range(1, 40)))]
+        graphs += [random_digraph(rng, n_max=30) for _ in range(20)]
+        for g in graphs:
+            order, groups = simulation._degree_groups(g)
+            assert sorted(order) == list(range(1, g.n_followers + 1))
+            padded = sum(src.size for _, _, src, _ in groups)
+            assert padded <= 2 * (len(g.edges) + g.n_followers)
+            for lo, hi, src, w in groups:
+                for i, row_src, row_w in zip(order[lo:hi], src, w):
+                    real = row_w > 0  # each in-edge in edge-list order, then the leader at weight 0
+                    assert list(zip(row_src[real], row_w[real])) == [(s, a) for s, d, a in g.edges if d == i]
+                    assert real[: real.sum()].all() and not row_src[~real].any()
+
+    @pytest.mark.parametrize("case", [*GRAPH_CASES, "tree16"])
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("law", ["transformed", "delayed"])
+    def test_virtual_error_is_bitwise_the_edgewise_coupling(self, case, mode, law):
+        sc, gains = case_scenario(case, mode, horizon=60)
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        trace = run(sc, gains, law=law)
+        for t in range(trace.horizon):
+            want = edgewise_virtual_errors(sc.graph, trace.e[t])
+            assert np.array_equal(trace.e_v[t], want)
+            assert np.array_equal(np.signbit(trace.e_v[t]), np.signbit(want))
+
+
 class TestObserverConsistency:
     def test_estimates_track_true_state_exactly(self, target_gains):
         # Nominal followers, zero exogenous signal, and estimates
@@ -674,7 +731,7 @@ class TestOracleAgreement:
         oracle = simulate_compact_oracle(sc, target_gains)
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [101, 202, 303, "net12", *SCHUR_SEEDS, *AGENT_CASES])
+    @pytest.mark.parametrize("seed", [101, 202, 303, *GRAPH_CASES, *SCHUR_SEEDS, *AGENT_CASES])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_scenario_agreement(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=150)
@@ -804,7 +861,7 @@ class TestLawEquivalence:
         if mode == "output":
             assert np.max(np.abs(transformed.xi[: T - r_com] - delayed.xi[r_com:])) <= 1e-9
 
-    @pytest.mark.parametrize("seed", [11, 22, 33, "net12", *SCHUR_SEEDS, "nominal", "tree16", "chain8"])
+    @pytest.mark.parametrize("seed", [11, 22, 33, *GRAPH_CASES, *SCHUR_SEEDS, "nominal", "tree16", "chain8"])
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_random_matched_histories(self, seed, mode):
         sc, gains = case_scenario(seed, mode, horizon=80)

@@ -151,6 +151,18 @@ class TestParametricDare:
         with pytest.raises(NumericalError, match="no stabilizing solution"):
             solve_parametric_dare([[a]], [[1.0]], 0.75)
 
+    @pytest.mark.parametrize("b", [[[1.0], [0.0]], [[0.0], [1.0]]], ids=["e1", "e2"])
+    def test_rotation_on_the_unit_circle_is_refused_at_every_angle(self, b):
+        # a / sqrt(1 - 0.1) = R(theta): both modes sit on the unit circle,
+        # so no stabilizing solution exists.  Rounding lets the sign
+        # iteration settle either way, on no anti-stable mode (P = 0 was
+        # returned) or on one of the circle (the doubling took 59 steps
+        # or more); both routes must refuse, at every angle.
+        for theta in np.linspace(0.05, 3.1, 400):
+            a = np.sqrt(0.9) * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            with pytest.raises(NumericalError):
+                solve_parametric_dare(a, b, 0.1)
+
     def test_inverse_form_identity(self):
         # When p is invertible the equation is equivalent to
         # A' (p^{-1} + B B')^{-1} A = (1 - gamma) p  (matrix-inversion form).
