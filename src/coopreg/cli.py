@@ -27,6 +27,7 @@ from .synthesis import (
     auto_tune_gamma,
     certify_closed_loop,
     check_assumptions,
+    design_search,
     synthesize_and_certify,
     synthesize_gains,
 )
@@ -144,8 +145,10 @@ def cmd_sweep(args):
     problem, settings = _problem(load_config(args.config))
     rows = []
     print(f"{'gamma':>10}  {'||K||_F':>10}  {'radius':>10}  stable")
+    gamma_l = settings.pop("gamma_l")
+    candidate = design_search(*problem, **settings)
     for gamma in args.gammas:
-        gains, stable, rho = synthesize_and_certify(*problem, gamma, **settings)
+        gains, stable, rho = candidate(gamma, gamma_l)
         knorm = float(np.linalg.norm(np.hstack([gains.k_x, gains.k_z])))
         rows.append((gamma, knorm, rho, stable))
         print(f"{gamma:>10.4f}  {knorm:>10.4f}  {rho:>10.4f}  {'yes' if stable else 'no'}")

@@ -190,7 +190,7 @@ def real_embedding(m):
     """
     m = np.atleast_2d(m)
     re, im = np.real(m), np.imag(m)
-    return np.block([[re, -im], [im, re]])
+    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
 
 
 def complex_rank(m):

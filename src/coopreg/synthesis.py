@@ -24,8 +24,8 @@ and communication delay ``r_com``:
    slice lift must be Schur.  A slice lift is affine in ``lam``,
    ``L(lam) = L0 + lam L1``, so one :func:`closed_loop_blocks` call at
    ``lam = i`` gives the pencil ``(L0, L1)`` for every slice.
-5. :func:`synthesize_and_certify` designs at one ``gamma`` and
-   certifies the result; :func:`auto_tune_gamma` repeats it, halving
+5. :func:`design_search` designs and certifies at each ``gamma`` of a
+   search; :func:`auto_tune_gamma` runs one, halving
    ``gamma`` until the certificate accepts, which is the standard way
    to pick the parameter in practice.
 
@@ -78,6 +78,7 @@ __all__ = [
     "delay_lift",
     "certify_closed_loop",
     "synthesize_gains",
+    "design_search",
     "synthesize_and_certify",
     "auto_tune_gamma",
 ]
@@ -275,6 +276,11 @@ def check_assumptions(plant, exo, g):
     return rep
 
 
+def _fro(m):
+    """``np.linalg.norm(m)`` of a real ``m`` by numpy's own formula, bit for bit, without its wrapper."""
+    return np.sqrt(m.ravel(order="K").dot(m.ravel(order="K")))
+
+
 def _stein_sum(f, q):
     """``X = F X F' + Q`` for a Schur ``F``, by Smith doubling.
 
@@ -288,7 +294,7 @@ def _stein_sum(f, q):
     for _ in range(40):
         q = q + f @ q @ f.T
         f = f @ f
-        if np.linalg.norm(f) <= 1e-8:
+        if _fro(f) <= 1e-8:
             return q
     raise np.linalg.LinAlgError("Stein doubling did not converge")
 
@@ -334,7 +340,8 @@ def solve_parametric_dare(a, b, gamma):
             for _ in range(100):
                 step = 0.5 * (np.linalg.inv(sign) - sign)
                 sign = sign + step
-                if np.linalg.norm(step, 1) <= 1e-10 * np.linalg.norm(sign, 1):
+                # the 1-norms by np.linalg.norm(., 1)'s own formula, without its wrapper
+                if np.add.reduce(np.abs(step), axis=0).max() <= 1e-10 * np.add.reduce(np.abs(sign), axis=0).max():
                     break
             else:
                 raise np.linalg.LinAlgError("matrix sign iteration did not converge")
@@ -349,7 +356,7 @@ def solve_parametric_dare(a, b, gamma):
             p = 0.5 * (p + p.T)
             k = np.linalg.solve(np.eye(b.shape[1]) + b.T @ p @ b, b.T @ p @ at)
             x = _stein_sum((at - b @ k).T, k.T @ k)
-            err = np.linalg.norm(x - p) / np.linalg.norm(p)
+            err = _fro(x - p) / _fro(p)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericalError(f"solve_parametric_dare: no stabilizing solution at gamma={gamma} ({exc})") from None
     if not err <= 1e-6:
@@ -374,14 +381,23 @@ def state_feedback_gain(a, b, gamma, nu, r):
 
     Returns the ``m x n`` gain matrix.
     """
+    return _feedback_law(a, b, nu, r)(gamma)
+
+
+def _feedback_law(a, b, nu, r):
+    """:func:`state_feedback_gain` as a function of ``gamma``; the checks and ``A^(r+1)`` are done once."""
     a = require_square(as_matrix(a, "a"), "a")
     b = as_matrix(b, "b")
     if not np.isfinite(nu) or nu <= 0:
         raise ConfigurationError(f"state_feedback_gain: nu must be positive, got {nu}")
     _require_delay("state_feedback_gain", r)
-    p = solve_parametric_dare(a, b, gamma)
-    rmat = np.eye(b.shape[1]) + b.T @ p @ b
-    return -np.linalg.solve(rmat, b.T @ p @ np.linalg.matrix_power(a, int(r) + 1)) / float(nu)
+    power = np.linalg.matrix_power(a, int(r) + 1)
+
+    def gain(gamma):
+        p = solve_parametric_dare(a, b, gamma)
+        return -np.linalg.solve(np.eye(b.shape[1]) + b.T @ p @ b, b.T @ p @ power) / float(nu)
+
+    return gain
 
 
 def observer_gain(a, c, gamma_l, nu_l, r=0):
@@ -426,10 +442,8 @@ def build_augmented(plant, im):
             f"build_augmented: internal model expects {im.g2.shape[1]} error channels, plant has {plant.p}"
         )
     n, nz = plant.n, im.g1.shape[0]
-    a_c = np.block(
-        [[plant.a, np.zeros((n, nz))], [im.g2 @ plant.c, im.g1]]
-    )
-    b_c = np.vstack([plant.b, np.zeros((nz, plant.m))])
+    a_c, b_c = np.zeros((n + nz, n + nz)), np.zeros((n + nz, plant.m))
+    a_c[:n, :n], a_c[n:, :n], a_c[n:, n:], b_c[:n] = plant.a, im.g2 @ plant.c, im.g1, plant.b
     if not stabilizable(a_c, b_c):
         raise SynthesisError(
             "build_augmented: the agent/internal-model cascade is not stabilizable; "
@@ -500,20 +514,15 @@ def network_blocks(plant, h, im, gains, mode, agents):
     z = np.zeros
     nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[0]
 
+    w = nx + nz + (nx if mode == "output" else 0)
+    a0 = z((w, w), dtype=c_bar.dtype)  # every block is real, or complex through h as c_bar is
+    a0[:nx, :nx], a0[nx : nx + nz, :nx], a0[nx : nx + nz, nx : nx + nz] = a_bar, g2 @ c_bar, g1
     if mode == "state":
-        a0 = np.block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
-        b_u = np.vstack([b_bar, z((nz, nu))])
-        return a0, b_u, np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
+        return a0, np.vstack([b_bar, z((nz, nu))]), np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
 
     l_bar = kron(eye_n, gains.l_obs)
-    obs = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
-    a0 = np.block(
-        [
-            [a_bar, z((nx, nz + nx))],
-            [g2 @ c_bar, g1, z((nz, nx))],
-            [l_bar @ c_bar, z((nx, nz)), obs],
-        ]
-    )
+    a0[nx + nz :, :nx] = l_bar @ c_bar
+    a0[nx + nz :, nx + nz :] = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
     b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
     return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
 
@@ -605,6 +614,9 @@ def synthesize_gains(
     and internal-model parts.  In output mode a dual design at
     ``gamma_l`` produces the observer injection.
 
+    A search (:func:`design_search`) builds the augmented pair with its PBH test,
+    ``A_c^(r+1)`` and the default ``nu`` once; a candidate costs its Riccati solves.
+
     Parameters
     ----------
     plant : NominalPlant
@@ -629,6 +641,11 @@ def synthesize_gains(
     -------
     GainSet
     """
+    return _design_context(plant, g, im, delays, mode, nu, nu_l, observer_r)(gamma, gamma_l)
+
+
+def _design_context(plant, g, im, delays, mode="state", nu=None, nu_l=None, observer_r=0):
+    """The ``gamma``-free part of :func:`synthesize_gains`, done once: returns ``design(gamma, gamma_l=None)``."""
     if mode not in ("state", "output"):
         raise ConfigurationError(f"synthesize_gains: unknown mode {mode!r}")
     re_min = float(np.min(np.real(g._h_spectrum)))
@@ -637,28 +654,40 @@ def synthesize_gains(
             f"coupling matrix H has min Re eig(H) = {re_min:.4e}, not above the connectivity threshold "
             f"{DEFAULT_RANK_TOL:.0e}; the graph needs a leader-rooted spanning tree"
         )
-    if nu is None:
-        nu = re_min
-    a_c, b_c = build_augmented(plant, im)
-    k_full = state_feedback_gain(a_c, b_c, gamma, nu, delays.r)
+    nu = re_min if nu is None else nu
+    nu_l = nu if nu_l is None else nu_l
+    feedback = _feedback_law(*build_augmented(plant, im), nu, delays.r)
 
-    l_obs = None
-    if mode == "output":
-        if gamma_l is None:
-            gamma_l = gamma
-        if nu_l is None:
-            nu_l = nu
-        l_obs = observer_gain(plant.a, plant.c, gamma_l, nu_l, observer_r)
-    return GainSet(
-        k_x=k_full[:, : plant.n],
-        k_z=k_full[:, plant.n :],
-        gamma=float(gamma),
-        nu=float(nu),
-        l_obs=l_obs,
-        gamma_l=None if gamma_l is None or mode == "state" else float(gamma_l),
-        nu_l=None if nu_l is None or mode == "state" else float(nu_l),
-        observer_r=int(observer_r),
-    )
+    def design(gamma, gamma_l=None):
+        k_full = feedback(gamma)
+        gamma_l = gamma if gamma_l is None else gamma_l
+        output = mode == "output"
+        return GainSet(
+            k_x=k_full[:, : plant.n],
+            k_z=k_full[:, plant.n :],
+            gamma=float(gamma),
+            nu=float(nu),
+            l_obs=observer_gain(plant.a, plant.c, gamma_l, nu_l, observer_r) if output else None,
+            gamma_l=float(gamma_l) if output else None,
+            nu_l=float(nu_l) if output else None,
+            observer_r=int(observer_r),
+        )
+
+    return design
+
+
+def design_search(plant, g, im, delays, mode="state", nu=None, nu_l=None, observer_r=0):
+    """A search over ``gamma``, its ``gamma``-free work done once: returns ``candidate(gamma, gamma_l=None)``.
+
+    A candidate is :func:`synthesize_gains` certified by :func:`certify_closed_loop`: ``(gains, stable, rho)``.
+    """
+    design = _design_context(plant, g, im, delays, mode, nu, nu_l, observer_r)
+
+    def candidate(gamma, gamma_l=None):
+        gains = design(gamma, gamma_l)
+        return (gains, *certify_closed_loop(plant, g, im, gains, delays, mode))
+
+    return candidate
 
 
 def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", **settings):
@@ -668,9 +697,8 @@ def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", **settings
     :func:`synthesize_gains`.  A :class:`NumericalError` of the Riccati
     solve propagates.
     """
-    gains = synthesize_gains(plant, g, im, delays, gamma, mode=mode, **settings)
-    stable, rho = certify_closed_loop(plant, g, im, gains, delays, mode)
-    return gains, stable, rho
+    gamma_l = settings.pop("gamma_l", None)
+    return design_search(plant, g, im, delays, mode, **settings)(gamma, gamma_l)
 
 
 def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
@@ -680,7 +708,7 @@ def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
     stabilizes the delayed loop whenever the structural assumptions
     hold, so a geometric search is enough.  ``settings`` are those of
     :func:`synthesize_and_certify`; a given ``gamma_l`` is halved in
-    lockstep with ``gamma``.
+    lockstep with ``gamma``; one :func:`design_search` does the ``gamma``-free work once.
 
     Returns
     -------
@@ -705,19 +733,18 @@ def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
             "the low-gain family cannot stabilize exponentially unstable modes through a delay"
         )
 
+    gamma, gamma_l = gamma0, settings.pop("gamma_l", None)
+    candidate = design_search(plant, g, im, delays, mode, **settings)
     tried = []
-    gamma = gamma0
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            gains, stable, rho = synthesize_and_certify(plant, g, im, delays, gamma, mode, **settings)
+            gains, stable, rho = candidate(gamma, gamma_l)
         except NumericalError:
             stable, rho = False, float("nan")
         tried.append((gamma, rho))
         if stable:
             return gains
-        gamma = gamma / 2.0
-        if settings.get("gamma_l") is not None:
-            settings["gamma_l"] /= 2.0
+        gamma, gamma_l = gamma / 2.0, None if gamma_l is None else gamma_l / 2.0
     summary = ", ".join(f"gamma={gk:.3e} -> rho={rk:.6f}" for gk, rk in tried[-5:])
     finite = [(rk, gk) for gk, rk in tried if np.isfinite(rk)]
     best = "rho={:.6f} at gamma={:.3e}".format(*min(finite)) if finite else "none finite"

@@ -24,7 +24,8 @@ from coopreg import (
 from coopreg import delay_lift, h_matrix, network_blocks
 from coopreg import config, graphs, synthesis
 from coopreg import reference as ref
-from coopreg.matrixops import eigenvalues, spectral_radius
+from coopreg.errors import NumericalError
+from coopreg.matrixops import block_diag, eigenvalues, kron, spectral_radius
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +456,97 @@ def uncertain_lifted_radius(sc, gains):
     h, _ = h_matrix(sc.graph)
     a0, b_u, u_map, _ = network_blocks(sc.plant, h, sc.im, gains, sc.mode, sc.agent_matrices())
     return spectral_radius(delay_lift(a0, b_u @ u_map, sc.delays.r))
+
+
+# ---------------------------------------------------------------------------
+# bit-level oracles of the design layer's lean paths
+
+
+def norm_stein_sum(f, q):
+    """``synthesis._stein_sum`` with its convergence test through ``np.linalg.norm``."""
+    for _ in range(40):
+        q = q + f @ q @ f.T
+        f = f @ f
+        if np.linalg.norm(f) <= 1e-8:
+            return q
+    raise np.linalg.LinAlgError("Stein doubling did not converge")
+
+
+def norm_parametric_dare(a, b, gamma):
+    """``synthesis.solve_parametric_dare`` with every norm through ``np.linalg.norm``.
+
+    Its sign iteration tests ``np.linalg.norm(., 1)`` and its doublings
+    :func:`norm_stein_sum`; it returns ``P``, or raises ``NumericalError``
+    where the solver refuses.  The fast path must match it bit for bit.
+    """
+    a, b, gamma = np.array(a, dtype=float), np.array(b, dtype=float), float(gamma)
+    at = a / np.sqrt(1.0 - gamma)
+    eye = np.eye(a.shape[0])
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sign = np.linalg.solve(at + eye, at - eye)
+            for _ in range(100):
+                step = 0.5 * (np.linalg.inv(sign) - sign)
+                sign = sign + step
+                if np.linalg.norm(step, 1) <= 1e-10 * np.linalg.norm(sign, 1):
+                    break
+            else:
+                raise np.linalg.LinAlgError("matrix sign iteration did not converge")
+            u, sv, _ = np.linalg.svd(0.5 * (eye - sign))
+            z = u[:, sv <= 0.5]
+            if z.shape[1] == 0:
+                norm_stein_sum(at, eye)
+                return np.zeros_like(a)
+            f = np.linalg.inv(z.T @ at @ z)
+            fb = f @ z.T @ b
+            p = z @ np.linalg.solve(norm_stein_sum(f, fb @ fb.T), z.T)
+            p = 0.5 * (p + p.T)
+            k = np.linalg.solve(np.eye(b.shape[1]) + b.T @ p @ b, b.T @ p @ at)
+            x = norm_stein_sum((at - b @ k).T, k.T @ k)
+            err = np.linalg.norm(x - p) / np.linalg.norm(p)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NumericalError(f"no stabilizing solution at gamma={gamma} ({exc})") from None
+    if not err <= 1e-6:
+        raise NumericalError(f"accuracy estimate {err:.3e} exceeds 1e-6 at gamma={gamma}")
+    return p
+
+
+def np_block_real_embedding(m):
+    """``[[Re, -Im], [Im, Re]]`` assembled by ``np.block``."""
+    m = np.atleast_2d(m)
+    re, im = np.real(m), np.imag(m)
+    return np.block([[re, -im], [im, re]])
+
+
+def np_block_augmented(plant, im):
+    """The ``(A_c, B_c)`` cascade of ``build_augmented`` assembled by ``np.block``."""
+    n, nz = plant.n, im.g1.shape[0]
+    a_c = np.block([[plant.a, np.zeros((n, nz))], [im.g2 @ plant.c, im.g1]])
+    return a_c, np.vstack([plant.b, np.zeros((nz, plant.m))])
+
+
+def np_block_network_blocks(plant, h, im, gains, mode, agents):
+    """``network_blocks`` assembled by ``np.block``: ``(A0, B, U, D)``, unchecked."""
+    h = np.atleast_2d(np.asarray(h))
+    nn = h.shape[0]
+    a_bar, b_bar, c_blk = (block_diag([agent[k] for agent in agents]) for k in range(3))
+    eye_n = np.eye(nn)
+    c_bar = kron(h, np.eye(plant.p)) @ c_blk
+    g1, g2 = kron(eye_n, im.g1), kron(eye_n, im.g2)
+    kx, kz = kron(h, gains.k_x), kron(eye_n, gains.k_z)
+    z = np.zeros
+    nx, nz, nu, ne = a_bar.shape[0], g1.shape[0], b_bar.shape[1], c_bar.shape[0]
+    if mode == "state":
+        a0 = np.block([[a_bar, z((nx, nz))], [g2 @ c_bar, g1]])
+        return a0, np.vstack([b_bar, z((nz, nu))]), np.hstack([kx, kz]), np.vstack([z((nx, ne)), g2])
+    l_bar = kron(eye_n, gains.l_obs)
+    obs = kron(eye_n, plant.a) - kron(h, gains.l_obs @ plant.c)
+    a0 = np.block(
+        [
+            [a_bar, z((nx, nz + nx))],
+            [g2 @ c_bar, g1, z((nz, nx))],
+            [l_bar @ c_bar, z((nx, nz)), obs],
+        ]
+    )
+    b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
+    return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])

@@ -21,7 +21,7 @@ from coopreg.matrixops import (
     stabilizable,
 )
 
-from conftest import horner_polyval
+from conftest import horner_polyval, np_block_real_embedding
 
 C1, S1 = np.cos(1.0), np.sin(1.0)
 ROT1 = np.array([[C1, S1], [-S1, C1]])
@@ -114,6 +114,17 @@ class TestRank:
     def test_real_embedding_doubles_rank(self):
         m = np.array([[1.0 + 1.0j, 2.0], [0.0, 3.0j]])
         assert numeric_rank(real_embedding(m)) == 2 * complex_rank(m)
+
+    def test_real_embedding_matches_np_block(self):
+        # the preallocated embedding equals np.block's, bit and dtype
+        rng = np.random.default_rng(5)
+        cases = [np.array([[1.0 + 1.0j, 2.0], [0.0, -3.0j]]), 2.5, np.eye(3), np.arange(6).reshape(2, 3)]
+        for shape in [(1, 1), (3, 5), (6, 4), (0, 2)]:
+            cases.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for m in cases:
+            got, want = real_embedding(m), np_block_real_embedding(m)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestMinimalPolynomial:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import yaml
 
 from coopreg import (
     DelaySpec,
@@ -34,7 +35,7 @@ from coopreg.errors import (
     NumericalError,
     SynthesisError,
 )
-from coopreg import synthesis
+from coopreg import cli, synthesis
 from coopreg.graphs import connectivity_spectral_check, h_matrix
 from coopreg.matrixops import eigenvalues, spectral_radius
 from coopreg.synthesis import (
@@ -49,10 +50,17 @@ from coopreg import reference as ref
 
 from conftest import (
     NET12,
+    SCHUR_SEEDS,
+    benchmark_config_dict,
     fixed_point_dare,
+    norm_parametric_dare,
+    norm_stein_sum,
+    np_block_augmented,
+    np_block_network_blocks,
     quadratic_coupling_slices,
     random_connected_digraph,
     random_digraph,
+    random_scenario,
     random_unit_circle_pair,
 )
 
@@ -157,11 +165,13 @@ class TestParametricDare:
         # so no stabilizing solution exists.  Rounding lets the sign
         # iteration settle either way, on no anti-stable mode (P = 0 was
         # returned) or on one of the circle (the doubling took 59 steps
-        # or more); both routes must refuse, at every angle.
+        # or more); both routes must refuse, at every angle, and so must
+        # the np.linalg.norm oracle of the convergence tests.
         for theta in np.linspace(0.05, 3.1, 400):
             a = np.sqrt(0.9) * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-            with pytest.raises(NumericalError):
-                solve_parametric_dare(a, b, 0.1)
+            for solve in (solve_parametric_dare, norm_parametric_dare):
+                with pytest.raises(NumericalError):
+                    solve(a, b, 0.1)
 
     def test_inverse_form_identity(self):
         # When p is invertible the equation is equivalent to
@@ -195,6 +205,52 @@ class TestParametricDare:
         # these f never shrink and never overflow.
         with pytest.raises(np.linalg.LinAlgError, match="Stein doubling did not converge"):
             synthesis._stein_sum(np.array(f), np.eye(2))
+
+    @pytest.mark.parametrize("stein", [synthesis._stein_sum, norm_stein_sum], ids=["solver", "oracle"])
+    def test_stein_doubling_stops_after_forty_steps(self, stein):
+        # f = c with c^(2^k) <= 1e-8 first at k = 40 is summed; one more
+        # step needed (first at k = 41) is refused.
+        assert stein(np.array([[1.0 - 2e-11]]), np.eye(1))[0, 0] > 1e10
+        with pytest.raises(np.linalg.LinAlgError, match="Stein doubling did not converge"):
+            stein(np.array([[1.0 - 1.5e-11]]), np.eye(1))
+
+    @staticmethod
+    def assert_matches_norm_oracle(a, b, gamma):
+        """The solver's P equals the np.linalg.norm oracle's to the bit, or both refuse."""
+        try:
+            want = norm_parametric_dare(a, b, gamma)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                solve_parametric_dare(a, b, gamma)
+            return False
+        got = solve_parametric_dare(a, b, gamma)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return True
+
+    def test_matches_the_norm_oracle_on_the_sweep_ladder(self):
+        # bench4_session's sweep, 0.32 down to 1.25e-3, on the reference
+        # augmented pair and on the reference observer pair
+        plant = ref.reference_plant()
+        a_c, b_c = build_augmented(plant, ref.reference_internal_model())
+        for gamma in [0.32 / 2**k for k in range(9)] + [ref.GAMMA, ref.CALIBRATED_GAMMA, ref.GAMMA_L]:
+            assert self.assert_matches_norm_oracle(a_c, b_c, gamma)
+            assert self.assert_matches_norm_oracle(plant.a.T, plant.c.T, gamma)
+
+    def test_matches_the_norm_oracle_on_random_pairs(self):
+        # 200 random stabilizable pairs, and the observer pairs (A', C') of
+        # the random scenarios' plants
+        rng = np.random.default_rng(23)
+        solved = 0
+        for _ in range(200):
+            a, b = random_unit_circle_pair(
+                rng, int(rng.integers(1, 6)), int(rng.integers(1, 3)), extra_stable=bool(rng.random() < 0.5)
+            )
+            solved += self.assert_matches_norm_oracle(a, b, float(10.0 ** rng.uniform(-3.0, np.log10(0.5))))
+        assert solved >= 190
+        for seed in (101, 202, 303, *SCHUR_SEEDS):
+            plant = random_scenario(np.random.default_rng(seed), "output")[0].plant
+            for gamma in (0.3, 0.05, 0.005):
+                self.assert_matches_norm_oracle(plant.a.T, plant.c.T, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +355,17 @@ class TestBuildAugmented:
         expect_b = np.vstack([plant.b, np.zeros((2, 1))])
         assert np.array_equal(a_c, expect_a)
         assert np.array_equal(b_c, expect_b)
+
+    def test_matches_np_block_assembly(self):
+        # the preallocated cascade equals np.block's, bit and dtype, on the
+        # reference plant and on random plants with their internal models
+        cases = [(ref.reference_plant(), ref.reference_internal_model())]
+        for seed in (101, 202, 303, *SCHUR_SEEDS):
+            sc, _ = random_scenario(np.random.default_rng(seed), "state")
+            cases.append((sc.plant, sc.im))
+        for plant, im in cases:
+            for got, want in zip(build_augmented(plant, im), np_block_augmented(plant, im)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_unstabilizable_cascade_rejected(self):
         # A zero output matrix disconnects the internal model, whose
@@ -497,6 +564,26 @@ class TestNetworkBlocks:
         got = spectral_radius(delay_lift(a0, b_u @ u_map, sc.delays.r))
         assert abs(got - rho) <= 1e-6
         assert (got < 1.0) == (rho < 1.0)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_matches_np_block_assembly(self, mode, target_gains):
+        # the preallocated A0 (and B, U, D) equal np.block's, bit and dtype:
+        # the reference H, the certificate's [[1j]] slice, and NET12 with
+        # uncertain followers
+        plant, im = ref.reference_plant(), ref.reference_internal_model()
+        cases = [
+            (plant, h_matrix(ref.reference_graph())[0], im, target_gains, [(plant.a, plant.b, plant.c)] * 4),
+            (plant, [[1j]], im, target_gains, [(plant.a, plant.b, plant.c)]),
+        ]
+        sc = ref.reference_scenario(mode=mode)
+        cases.append((sc.plant, h_matrix(sc.graph)[0], sc.im, target_gains, sc.agent_matrices()))
+        for seed in (101, *SCHUR_SEEDS):
+            sc, gains = random_scenario(np.random.default_rng(seed), mode, graph=NET12)
+            cases.append((sc.plant, h_matrix(NET12)[0], sc.im, gains, sc.agent_matrices()))
+        for case in cases:
+            got = network_blocks(*case[:4], mode, case[4])
+            for g, w in zip(got, np_block_network_blocks(*case[:4], mode, case[4])):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_stack_length_must_match_h(self, target_gains):
         plant = ref.reference_plant()
@@ -900,3 +987,75 @@ class TestAutoTuneGamma:
                 ref.reference_plant(), ref.reference_graph(),
                 ref.reference_internal_model(), ref.reference_delays(), 1.5,
             )
+
+
+# ---------------------------------------------------------------------------
+# a design search: the gamma-free work once, one Riccati solve per candidate
+
+
+class TestDesignSearch:
+    GRAPHS = {"chain64": unit_chain(64), "tree64": random_tree(64), "net12": NET12}
+
+    @staticmethod
+    def count(monkeypatch, name):
+        """Record the arguments of every call of ``synthesis.<name>``."""
+        fn, calls = getattr(synthesis, name), []
+        monkeypatch.setattr(synthesis, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+        return calls
+
+    @staticmethod
+    def sweep_config(tmp_path, mode):
+        path = tmp_path / f"sweep_{mode}.yaml"
+        path.write_text(yaml.safe_dump(benchmark_config_dict(mode=mode), sort_keys=False))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("gamma_l", [None, 0.18], ids=["gamma_l=gamma", "lockstep"])
+    def test_auto_tune_runs_pbh_once_and_one_solve_per_candidate(self, mode, gamma_l, monkeypatch):
+        # CHAIN(64) from 0.5 tries 0.5, 0.25 and 0.125; gamma_l follows
+        # gamma or is halved with it, so each candidate solves the observer
+        pbh = self.count(monkeypatch, "stabilizable")
+        solves = self.count(monkeypatch, "solve_parametric_dare")
+        certs = self.count(monkeypatch, "certify_closed_loop")
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        gains = auto_tune_gamma(plant, unit_chain(64), im, delays, 0.5, mode=mode, gamma_l=gamma_l)
+        assert gains.gamma == 0.125 and len(certs) == 3 and len(pbh) == 1
+        state = [args[2] for args in solves if args[0].shape == (4, 4)]
+        observer = [args[2] for args in solves if args[0].shape == (2, 2)]
+        assert state == [0.5, 0.25, 0.125] and len(solves) == len(state) + len(observer)
+        if mode == "output":
+            assert observer == ([0.5, 0.25, 0.125] if gamma_l is None else [0.18, 0.09, 0.045])
+        else:
+            assert observer == []
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_sweep_runs_pbh_once_and_one_solve_per_candidate(self, mode, tmp_path, monkeypatch, capsys):
+        # the scenario file fixes gamma_l = 0.18; each candidate still
+        # solves the observer at it
+        pbh = self.count(monkeypatch, "stabilizable")
+        solves = self.count(monkeypatch, "solve_parametric_dare")
+        gammas = [0.32 / 2**k for k in range(9)]
+        argv = ["sweep", self.sweep_config(tmp_path, mode), "--gammas", ",".join(map(repr, gammas))]
+        assert cli.main(argv) == 0
+        stable = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert stable == ["no"] + ["yes"] * 8
+        assert len(pbh) == 1
+        assert [args[2] for args in solves if args[0].shape == (4, 4)] == gammas
+        assert [args[2] for args in solves if args[0].shape == (2, 2)] == ([0.18] * 9 if mode == "output" else [])
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("graph", list(GRAPHS), ids=list(GRAPHS))
+    def test_tuned_gains_equal_synthesize_gains(self, graph, mode):
+        # the search context gives, at the chosen gamma (and gamma_l), the
+        # gains of a one-shot synthesis to the bit
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        g = self.GRAPHS[graph]
+        for settings in ({}, {"gamma_l": 0.18}):
+            tuned = auto_tune_gamma(plant, g, im, delays, 0.9, mode=mode, **settings)
+            gamma_l = tuned.gamma_l if settings else None
+            once = synthesize_gains(plant, g, im, delays, tuned.gamma, mode=mode, gamma_l=gamma_l)
+            for name in ("k_x", "k_z", "l_obs"):
+                got, want = getattr(tuned, name), getattr(once, name)
+                assert (got is None and want is None) or np.array_equal(got, want)
+            for name in ("gamma", "nu", "gamma_l", "nu_l", "observer_r"):
+                assert getattr(tuned, name) == getattr(once, name)
