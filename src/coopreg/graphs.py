@@ -18,6 +18,7 @@ rather than assumed.
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -124,30 +125,43 @@ class Digraph:
         return slices
 
     @cached_property
-    def _edge_index(self):
-        """Read-only ``(order, ends, w, starts)`` of the edge-local coupling, built once per (frozen) graph.
+    def _in_edge_table(self):
+        """Read-only ``(order, groups)``: the in-edge layout of every edge-local coupling, once per graph.
 
-        ``order`` lists the followers by in-degree, largest first, ties
-        in node order.  The entries are the in-edges rank by rank (the
-        jagged diagonals of the in-edge lists): entries ``starts[k]`` to
-        ``starts[k + 1]`` hold the ``k``-th in-edge, in edge-list order,
-        of each follower of ``order`` that has more than ``k``, in that
-        order.  ``ends`` lists every entry's receiver, then every entry's
-        sender; ``w`` holds the weights.
+        ``order`` lists the followers in stepping order.  A group
+        ``(lo, hi, ends, w)`` holds followers ``order[lo:hi]``: row ``k``
+        of ``ends`` (shape ``(hi - lo, slots, 2)``) and ``w`` (``(hi -
+        lo, slots)``) holds each in-edge of follower ``order[lo + k]``, in
+        edge-list order, as its receiver, sender and weight, then padding
+        up to the group's largest in-degree: the leader as both ends, at
+        weight 0.  All followers form one group, in node order, when ``N *
+        max in-degree <= 2 (|E| + N)``.  Otherwise a group holds, in node
+        order, the followers of one bit length of the in-degree, largest
+        first, those that hear nobody counting as in-degree 1.  A group
+        then pads fewer slots than it has in-edges, plus one per follower
+        that hears nobody, and there are at most ``bit_length(max
+        in-degree)`` groups.
         """
-        heard = [[] for _ in range(self.n_followers + 1)]
+        n = self.n_followers
+        heard = [[] for _ in range(n + 1)]
         for src, dst, w in self.edges:
             heard[dst].append((dst, src, w))
-        deg = np.array([len(edges) for edges in heard[1:]])
-        order = np.argsort(-deg, kind="stable") + 1
-        counts = self.n_followers - np.cumsum(np.bincount(deg))[:-1]  # followers with more than k in-edges
-        entries = [heard[i][k] for k, count in enumerate(counts) for i in order[:count]]
-        cols = list(zip(*entries)) or [(), (), ()]
-        dst, src, w = (np.array(col, dtype=kind) for col, kind in zip(cols, (int, int, float)))
-        index = (order, np.concatenate([dst, src]), w, np.append(0, np.cumsum(counts)))
-        for arr in index:
+        deg = [len(edges) for edges in heard]
+        key = [0] * (n + 1)
+        if n * max(deg) > 2 * (len(self.edges) + n):
+            key = [-max(d, 1).bit_length() for d in deg]
+        order = np.array(sorted(range(1, n + 1), key=key.__getitem__), dtype=int)
+        groups, lo = [], 0
+        for _, members in groupby(order.tolist(), key.__getitem__):
+            members = list(members)
+            slots = max(deg[i] for i in members)
+            rows = np.array([heard[i] + [(0, 0, 0.0)] * (slots - deg[i]) for i in members])
+            rows = rows.reshape(len(members), slots, 3)  # [receiver, sender, weight] per slot
+            groups.append((lo, lo + len(members), rows[..., :2].astype(int), rows[..., 2].copy()))
+            lo += len(members)
+        for arr in (order, *(arr for group in groups for arr in group[2:])):
             arr.flags.writeable = False
-        return index
+        return order, tuple(groups)
 
     def in_edges(self, i):
         """List of ``(source, weight)`` pairs feeding node ``i`` (leader included)."""

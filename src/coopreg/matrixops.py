@@ -8,10 +8,9 @@ groups:
 * validation and construction (:func:`as_matrix`, :func:`require_square`),
 * spectral utilities (:func:`eigenvalues`, :func:`spectral_radius`,
   :func:`on_unit_circle`),
-* rank machinery with an explicit tolerance, including ranks of complex
-  matrices computed through a real embedding so that only real SVDs are
-  ever taken (:func:`numeric_rank`, :func:`complex_rank`,
-  :func:`stabilizable`, :func:`detectable`),
+* rank machinery with one explicit tolerance, for real and complex
+  matrices alike (:func:`numeric_rank`, :func:`stabilizable`,
+  :func:`detectable`),
 * polynomial tools used to build internal models
   (:func:`minimal_polynomial`, :func:`companion_pair`).
 
@@ -36,8 +35,6 @@ __all__ = [
     "kron",
     "block_diag",
     "numeric_rank",
-    "real_embedding",
-    "complex_rank",
     "controllability_matrix",
     "stabilizable",
     "detectable",
@@ -168,7 +165,7 @@ def block_diag(mats):
 
 
 def numeric_rank(m):
-    """Numerical rank via singular values.
+    """Numerical rank via singular values, of a real or a complex matrix.
 
     A singular value counts toward the rank when it exceeds
     ``DEFAULT_RANK_TOL * max(1, s_max)``, which behaves like a relative
@@ -180,26 +177,6 @@ def numeric_rank(m):
     s = np.linalg.svd(m, compute_uv=False)
     cutoff = DEFAULT_RANK_TOL * max(1.0, float(s[0]))
     return int(np.count_nonzero(s > cutoff))
-
-
-def real_embedding(m):
-    """Real 2n x 2m representation ``[[Re, -Im], [Im, Re]]`` of a complex matrix.
-
-    The embedding doubles every singular value's multiplicity, so the
-    real rank is exactly twice the complex rank.
-    """
-    m = np.atleast_2d(m)
-    re, im = np.real(m), np.imag(m)
-    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
-
-
-def complex_rank(m):
-    """Rank of a complex matrix computed through :func:`real_embedding`.
-
-    Keeping all rank decisions inside real SVDs means one code path and
-    one tolerance convention for real and complex pencils alike.
-    """
-    return numeric_rank(real_embedding(m)) // 2
 
 
 def controllability_matrix(a, b):
@@ -233,7 +210,7 @@ def stabilizable(a, b):
         if abs(lam) < 1.0 - DEFAULT_RANK_TOL:
             continue
         pencil = np.hstack([lam * eye - a, b]).astype(complex)
-        if complex_rank(pencil) < n:
+        if numeric_rank(pencil) < n:
             return False
     return True
 

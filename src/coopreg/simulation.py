@@ -43,14 +43,15 @@ beside the feedback state (``x``, or ``xi`` in output mode), then the
 exosystem state ``v(t)``, filled before the loop.  A step writes every
 follower's next ``[z | x | xi | e]`` straight into row ``t + 1`` as the
 product of a fused matrix ``M_i`` and its drive, gathered by one
-``take`` at flat offsets built once per run from the graph and the
-table below; only the first ``r_con`` steps (``r_con + d_ev`` in output
-mode), where ``u`` is held at ``w(0)``, have offsets of their own.
-``M_i`` holds ``B_i K`` (and the observer's ``B K``) on the law's
-inputs, the coupled feedback and ``z``, read as late as ``u`` would be
-and held at ``t = 0`` before it, and ``E_i`` on ``v(t)``; its ``e`` rows
-are ``C_i`` times its ``x`` rows plus ``F`` on ``v(t+1)``, so
-``e(t+1) = C_i x(t+1) + F v(t+1)``.
+``take`` at flat offsets built once per run.  Every step reads the same
+offsets: before ``t = r_con`` (``r_con + d_ev`` for the observer) the
+law's inputs come from pre-history rows that hold their values at
+``t = 0`` (a given ``controller_past``/``observer_past`` holds its oldest
+value in the rows before it), so ``u`` is held at ``u(0)``.  ``M_i``
+holds ``B_i K`` (and the observer's ``B K``) on the law's inputs, the
+coupled feedback and ``z``, read as late as ``u`` would be, and ``E_i``
+on ``v(t)``; its ``e`` rows are ``C_i`` times its ``x`` rows plus ``F``
+on ``v(t+1)``, so ``e(t+1) = C_i x(t+1) + F v(t+1)``.
 
 No coupled value is formed inside the loop.  Each coupled read (the
 feedback state the law reads, ``e_v``, and in output mode the
@@ -63,17 +64,20 @@ and one product per degree group: one 2-D product ``D M_0'`` over the
 drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
 ``A_i``, ``B_i``, ``C_i`` and ``E_i``), else one small product per
 follower.  The whole stack is compared once per call, with no option or
-tolerance; the two paths agree to rounding.  Followers are padded to a
-common number of pair slots per *degree group* (:func:`_degree_groups`):
-a padding slot reads the leader's zero row at weight 0, and a group pads
-at most twice its in-edges plus its size, so a step costs
-``O(|E| + N)``.  When one group holds every follower, node order is
-kept and the trace's signals are views of the buffer; otherwise the
-followers are stepped sorted by in-degree and gathered back to node
-order once, after the loop.  After the loop, one coupling pass
-(:func:`_edge_coupling`, in blocks of 64 rows) forms ``e_v`` and the
-coupled feedback ``u`` reads, bit for bit what
-:func:`edgewise_virtual_errors` gives; ``u`` and ``y = C_i x`` follow.
+tolerance; the two paths agree to rounding.  The slots come from one
+table per graph, ``Digraph._in_edge_table``: the followers in stepping
+order, in degree groups, and each member's in-edges in edge-list order,
+padded to its group's largest in-degree by slots that read the leader's
+zero row at weight 0.  All followers form one group, in node order,
+unless that pads past ``2 (|E| + N)`` slots; then a group holds the
+followers of one in-degree bit length and pads fewer slots than it has
+in-edges, so a step costs ``O(|E| + N)``.  With one group the trace's
+signals are views of the buffer; otherwise its rows are gathered back
+to node order once, after the loop.  After the loop, one coupling pass
+(:func:`_edge_coupling`, per group, in blocks of 64 rows) reads the same
+table and writes ``e_v`` and the coupled feedback ``u`` reads in node
+order, bit for bit what :func:`edgewise_virtual_errors`, the table's
+third reader, gives; ``u`` and ``y = C_i x`` follow.
 The divergence guard walks each block of steps once, in the loop.
 Modes and laws differ only in how many steps late each signal is read::
 
@@ -483,25 +487,47 @@ def load_trace_csv(path):
     Values come back exactly as written.  The file is read once, as
     bytes, and the body is parsed by byte range, the first half by a
     forked child (:func:`_convert_rows`) for a large trace on a Linux
-    host with two or more CPUs.  A ``#`` or a non-ASCII byte in the
-    body, a lone CR above it, or a failure in either half sends the file
-    to one parse of its text-mode lines, whose values or error it then
-    gets.  A byte that is not UTF-8 (in a comment line too), a damaged
-    cell or row, a row width other than the header's, a missing column or
-    a non-integer ``t`` raises ``ConfigurationError`` naming ``path``.
+    host with two or more CPUs.  ``#`` lines and trailing ``#`` comments
+    are skipped anywhere, and a lone CR ends a line as CRLF and LF do.
+    When either half fails, this process parses every row again by the
+    same route, so an error names its row in the whole body.  A byte
+    that is not UTF-8 (in a comment line too), a damaged cell or row, a
+    row width other than the header's, a missing column or a
+    non-integer ``t`` raises ``ConfigurationError`` naming ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    top = 0  # the header is the first line not starting with "#"
-    while raw.startswith(b"#", top):
-        top = raw.find(b"\n", top) + 1 or len(raw)
-    start = raw.find(b"\n", top) + 1 or len(raw)
+    if not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
+
+    def layout(raw):  # (raw, header start, body start, body bytes)
+        top = 0  # the header is the first line not starting with "#"
+        while raw.startswith(b"#", top):
+            top = raw.find(b"\n", top) + 1 or len(raw)
+        start = raw.find(b"\n", top) + 1 or len(raw)
+        return raw, top, start, len(raw) - start
+
+    def lf_ends(raw, part):  # a lone CR in raw[part] ends a line: then LF ends every line
+        if b"\r" in raw[part].replace(b"\r\n", b""):
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return layout(raw)
+
+    raw, top, start, n = layout(raw)
+    raw, top, start, n = lf_ends(raw, slice(0, start))  # the whole file is rewritten only for a lone CR
+    if top == len(raw):
+        raise ConfigurationError(f"{path}: empty trace file")
+    header = raw[top:start].decode().rstrip("\r\n").split(",")
 
     def parse(src):
-        block = np.loadtxt(src, delimiter=",", ndmin=2)
-        if block.shape[1] != len(header):
+        with warnings.catch_warnings():  # a range of comments and blank lines holds no rows
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(src, delimiter=",", ndmin=2)
+        if block.size and block.shape[1] != len(header):
             raise ValueError(f"rows hold {block.shape[1]} values, the header names {len(header)} columns")
-        return block
+        return block.reshape(-1, len(header))
 
     def rows_of(lo, hi):
         # Ranges count from the end of the body, so this process parses
@@ -523,27 +549,18 @@ def load_trace_csv(path):
             raise ValueError("the child sent too few rows")
         blocks[0] = data
 
-    data, n = None, len(raw) - start
-    plain = raw.isascii() and raw.find(b"#", start) < 0 and b"\r" not in raw[:start].replace(b"\r\n", b"")
-    if top < len(raw) and plain:
-        header, blocks = raw[top:start].decode().rstrip("\r\n").split(","), []
+    blocks = []
+    try:
+        whole = _convert_rows(n, n >= _FORK_MIN_READ, lambda lo, hi: blocks.append(rows_of(lo, hi)), there, take)
+    except ValueError:
+        whole = False
+    if not whole:  # every row again, here, so an error names its row in the whole body
+        raw, top, start, n = lf_ends(raw, slice(start, None))
         try:
-            if _convert_rows(n, n >= _FORK_MIN_READ, lambda lo, hi: blocks.append(rows_of(lo, hi)), there, take):
-                data = blocks[0]
-        except ValueError:
-            pass
-    if data is None:
-        try:
-            rows = [line for line in io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="") if not line.startswith("#")]
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
-        if not rows:
-            raise ConfigurationError(f"{path}: empty trace file")
-        header = rows[0].rstrip("\r\n").split(",")
-        try:
-            data = parse(rows[1:]) if rows[1:] else np.empty((0, len(header)))
+            blocks = [rows_of(0, n)]
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
+    data = blocks[0]
     index = {name: k for k, name in enumerate(header)}
     T = data.shape[0]
 
@@ -586,77 +603,33 @@ def edgewise_virtual_errors(g, e_all):
     """
     e_all = np.atleast_2d(e_all)
     padded = np.concatenate([np.zeros((1, e_all.shape[1])), e_all])
-    order, ends, _, _ = g._edge_index
-    out = np.zeros(e_all.shape)
-    _edge_coupling(g, padded.take(ends, axis=0), out)
-    return out.take(np.argsort(order), axis=0)
+    order, groups = g._in_edge_table
+    out = np.empty(e_all.shape)
+    for lo, hi, ends, w in groups:
+        out[order[lo:hi] - 1] = _edge_coupling(w, padded[ends])
+    return out
 
 
-def _edge_coupling(g, rows, out):
-    """Add the edge-local combination of :func:`edgewise_virtual_errors` of gathered rows into ``out``.
+def _edge_coupling(w, rows):
+    """The combination of :func:`edgewise_virtual_errors` over one group of ``Digraph._in_edge_table``.
 
-    ``rows[k]`` is the row of node ``ends[k]`` of the graph's
-    ``Digraph._edge_index`` (node 0 the leader's zero row), so its first
-    half holds each in-edge's receiver and its second half the sender;
-    any further axes (time rows, columns) ride along.  ``out`` holds one
-    zero row per follower, in the index's follower order, with the same
-    further axes.  The sender rows are subtracted in place and the
-    weights scale them; then one addition per rank adds the ``k``-th
-    term of every follower that has one.  Each follower's terms are
-    summed in edge-list order, ``((0 + t1) + t2) + ...``: bit for bit
-    what ``np.add.at`` into zero rows gives, signed zeros included, and
-    a zero row for a follower with no in-edge.  Rows and columns never
-    mix, so a block of time rows, or several signals side by side, gives
-    each value the bits it gets alone.  No ``H`` matrix is involved, so
-    the agentwise route stays independent of the Kronecker oracle.
+    ``rows[k, s]`` holds the receiver's and the sender's row at slot
+    ``s`` of the group's ``k``-th follower (node 0 the leader's zero
+    row) and ``w`` the group's weights; any further axes (time rows,
+    columns) ride along.  Returns one row per follower: its terms ``w *
+    (receiver - sender)`` added to a zero row in edge-list order,
+    ``((0 + t1) + t2) + ...``, bit for bit what ``np.add.at`` into zero
+    rows gives, signed zeros included (a padding slot adds ``+0``, which
+    changes no such sum).  Rows and columns never mix, so a value gets
+    the bits it gets alone.  No ``H`` matrix is involved, so the
+    agentwise route stays independent of the Kronecker oracle.
     """
-    _, _, w, starts = g._edge_index
-    terms = rows[: len(w)]
-    terms -= rows[len(w) :]
-    terms *= w.reshape(-1, *[1] * (rows.ndim - 1))
-    for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
-        out[: hi - lo] += terms[lo:hi]
-
-
-def _degree_groups(g):
-    """Followers in stepping order, split into groups padded to one in-degree each.
-
-    Returns ``(order, groups)``: ``order[k]`` is the follower (node) at
-    buffer position ``k + 1``, and each group ``(lo, hi, src, w)`` holds
-    positions ``lo + 1 .. hi``, each member's in-edge senders ``src`` and
-    weights ``w`` from ``Digraph._edge_index``, in edge-list order and
-    padded to the group's largest in-degree with the leader at weight 0.
-    A group pads at most twice its in-edges plus its size, so stepping
-    costs ``O(|E| + N)``.  When all followers fit one group they keep
-    node order; otherwise they take the index's order, by in-degree,
-    largest first, cut into the fewest runs that fit.
-    """
-    by_degree, ends, w, starts = g._edge_index
-    nfoll = g.n_followers
-    deg = np.bincount(ends[: len(w)], minlength=nfoll + 1)[1:]
-    rank = np.empty(nfoll, dtype=int)  # each follower's place in by_degree: its entry in every rank
-    rank[by_degree - 1] = np.arange(nfoll)
-    order, cuts = np.arange(1, nfoll + 1), [0, nfoll]
-    if nfoll * deg.max() > 2 * (deg.sum() + nfoll):
-        order, d = by_degree, deg[by_degree - 1]
-        room = np.append(0, np.cumsum(2 * d + 2))
-        fewest, cut = np.zeros(nfoll + 1, dtype=int), np.zeros(nfoll, dtype=int)
-        for lo in range(nfoll - 1, -1, -1):  # the fewest runs covering d[lo:], d[lo:cut[lo]] first
-            hi = np.arange(lo + 1, nfoll + 1)
-            hi = hi[(hi - lo) * d[lo] <= room[hi] - room[lo]]
-            cut[lo] = hi[np.argmin(fewest[hi])]
-            fewest[lo] = fewest[cut[lo]] + 1
-        cuts = [0]
-        while cuts[-1] < nfoll:
-            cuts.append(int(cut[cuts[-1]]))
-    groups = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        members = order[lo:hi] - 1
-        k = np.arange(deg[members].max())
-        real = k < deg[members, None]
-        entry = np.minimum(starts[k] + rank[members, None], len(w) - 1)
-        groups.append((lo, hi, np.where(real, ends[len(w) + entry], 0), np.where(real, w[entry], 0.0)))
-    return order, groups
+    terms = rows[:, :, 0] - rows[:, :, 1]
+    terms *= w.reshape(*w.shape, *[1] * (terms.ndim - 2))
+    out = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for s in range(w.shape[1]):
+        out += terms[:, s]
+    return out
 
 
 def _guard(step, states, *parts):
@@ -703,14 +676,16 @@ def _exo_trajectory(exo, horizon):
     return v
 
 
-def _fill_past(rows, past):
-    """Write ``past`` (newest first) into the history ``rows`` (oldest first)."""
+def _fill_past(rows, past, r_com):
+    """Write ``past`` (newest first) into the pre-history ``rows`` (oldest first), its oldest value into the rest."""
     if past is None:
         return
     past = np.asarray(past, dtype=float)
-    if past.shape != rows.shape:
-        raise DimensionError(f"history: expected shape {rows.shape}, got {past.shape}")
-    rows[:] = past[::-1]
+    shape = (r_com, *rows.shape[1:])
+    if past.shape != shape:
+        raise DimensionError(f"history: expected shape {shape}, got {past.shape}")
+    if r_com:  # row k is len(rows) - k steps before t = 0
+        rows[:] = past[np.minimum(np.arange(len(rows), 0, -1), r_com) - 1]
 
 
 def _simulate(scenario, gains, law, controller_past, observer_past, output):
@@ -778,48 +753,42 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     x0, z0, xi0 = scenario.initial_states()
     hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
     hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + scenario.exo.f @ exo_v[depth]
-    _fill_past(hist[depth - r_com : depth, 1:, z_], controller_past)
+    _fill_past(hist[:depth, 1:, z_], controller_past, r_com)
     if output:
-        _fill_past(hist[depth - r_com : depth, 1:, xi_], observer_past)
-    order, groups = _degree_groups(scenario.graph)
+        _fill_past(hist[:depth, 1:, xi_], observer_past, r_com)
+    order, groups = scenario.graph._in_edge_table
     pos = np.zeros(nfoll + 1, dtype=int)  # buffer position of each node
     pos[order] = np.arange(1, nfoll + 1)
     if len(groups) > 1:
         hist[: depth + 1, 1:] = hist[: depth + 1, order]
 
     # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
-    # read off a layout of rows 0..depth + 1; only the steps before r_con (r_con + d_ev
-    # for the observer), where u is held at w(0), have offsets of their own.  A coupled
-    # block reads a pair of slots per in-edge, receiver row then sender row, which the
-    # scale weighs by +a_ij and -a_ij; its block of M_i repeats over the slots.
+    # read off a layout of rows 0..depth + 1; before t = r_con they read the law's inputs
+    # from pre-history rows that hold w(0)'s values, so u is held there.  A coupled block
+    # reads a pair of slots per in-edge, receiver row then sender row, which the scale
+    # weighs by +a_ij and -a_ij; its block of M_i repeats over the slots.
     at_h, at_v = split(np.arange((depth + 2) * R).reshape(depth + 2, R))
     fb_ = slice(ns - n, ns)  # the feedback state ends s, just before e
-
-    def blocks(t):  # (row, columns, coupled) of each drive block before v(t) and v(t+1)
-        j, jo = depth - min(t, r_con), depth - min(t, r_con + d_ev)
-        out = [(depth, slice(0, ns), False), (j - d_fb, fb_, True), (j - d_z, z_, False), (depth - d_ev, e_, True)]
-        if output:
-            out += [(jo - d_fb, fb_, True), (jo - d_z, z_, False), (depth, fb_, True)]
-        return out
-
-    early = r_con + d_ev if output else r_con
-    plans, scale, steps, size = [[] for _ in range(early + 1)], [], [], 0
-    for lo, hi, src, w in groups:
+    j, jo = depth - r_con, depth - r_con - d_ev  # (row, columns, coupled) of each drive block before v
+    blocks = [(depth, slice(0, ns), False), (j - d_fb, fb_, True), (j - d_z, z_, False), (depth - d_ev, e_, True)]
+    if output:
+        blocks += [(jo - d_fb, fb_, True), (jo - d_z, z_, False), (depth, fb_, True)]
+    plan, scale, steps, size = [], [], [], 0
+    for lo, hi, ends, w in groups:
         own = np.arange(lo + 1, hi + 1)
-        pairs = np.stack([np.where(w > 0, own[:, None], 0), pos[src]], axis=2).reshape(len(own), -1)
+        pairs = pos[ends].reshape(len(own), -1)
         weights = np.stack([w, -w], axis=2).reshape(len(own), -1)
-        cols, weigh, start = [], [], 0
-        for _, cs, coupled in blocks(0):
+        cols, weigh, read, start = [], [], [], 0
+        for r, cs, coupled in blocks:
             base = np.arange(start, start + cs.stop - cs.start)  # the block's columns of M_i
             cols.append(np.tile(base, pairs.shape[1]) if coupled else base)
             weigh.append(np.repeat(weights, len(base), axis=1) if coupled else np.ones((len(own), len(base))))
+            read.append(at_h[r, pairs if coupled else own, cs].reshape(len(own), -1))
             start += len(base)
+        read.append(np.broadcast_to(at_v[depth : depth + 2].reshape(-1), (len(own), 2 * q)))
         cols = np.append(np.hstack(cols), np.arange(width - 2 * q, width))
         scale.append(np.hstack([*weigh, np.ones((len(own), 2 * q))]).reshape(-1))
-        for t, plan in enumerate(plans):
-            read = [at_h[r, pairs if coupled else own, cs].reshape(len(own), -1) for r, cs, coupled in blocks(t)]
-            read.append(np.broadcast_to(at_v[depth : depth + 2].reshape(-1), (len(own), 2 * q)))
-            plan.append(np.hstack(read).reshape(-1))
+        plan.append(np.hstack(read).reshape(-1))
         shape = (len(own), len(cols)) if uniform else (len(own), len(cols), 1)
         # The product writes row depth + t + 1 of the group in place.
         if uniform:
@@ -828,14 +797,14 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
             steps.append((fused[order[lo:hi] - 1][:, :, cols], (size, shape), hist[:, lo + 1 : hi + 1, :, None]))
         size += len(own) * len(cols)
     # One take gathers every group's drive and one product scales its pair slots.
-    plans, scale = [np.hstack(plan) for plan in plans], np.hstack(scale)
+    plan, scale = np.hstack(plan), np.hstack(scale)
     drive = np.empty(size)
     steps = [(mat, drive[lo : lo + np.prod(shape)].reshape(shape), nxt) for mat, (lo, shape), nxt in steps]
 
     for t0 in range(0, T, _GUARD_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
             for t in range(t0, min(t0 + _GUARD_BLOCK, T)):
-                flat[t * R :].take(plans[min(t, early)], out=drive, mode="clip")
+                flat[t * R :].take(plan, out=drive, mode="clip")
                 drive *= scale
                 for mat, d, nxt in steps:
                     if uniform:
@@ -845,14 +814,16 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     # The coupled feedback u reads and e_v, over rows depth - d_fb .. depth + T - 1, come
-    # from one coupling pass over blocks of rows, each gathered node-major by one take.
-    span, (by_degree, ends, _, _) = T + d_fb, scenario.graph._edge_index
-    index = pos[ends][:, None, None] * S + np.arange(_GUARD_BLOCK)[:, None] * R + np.arange(fb_.start, S)
-    coupled = np.zeros((nfoll, span, S - fb_.start))
+    # from one coupling pass per group over blocks of rows, each gathered by one take.
+    span = T + d_fb
+    offsets = np.arange(_GUARD_BLOCK)[:, None] * R + np.arange(fb_.start, S)
+    index = [pos[ends][..., None, None] * S + offsets for _, _, ends, _ in groups]
+    coupled = np.empty((nfoll, span, S - fb_.start))
     for k in range(0, span, _GUARD_BLOCK):
-        rows = flat[(depth - d_fb + k) * R :].take(index[:, : span - k])
-        _edge_coupling(scenario.graph, rows, coupled[:, k : k + _GUARD_BLOCK])
-    coupled = coupled.take(np.argsort(by_degree), axis=0).transpose(1, 0, 2)
+        for at, (lo, hi, _, w) in zip(index, groups):
+            rows = flat[(depth - d_fb + k) * R :].take(at[..., : span - k, :])
+            coupled[order[lo:hi] - 1, k : k + _GUARD_BLOCK] = _edge_coupling(w, rows)
+    coupled = coupled.transpose(1, 0, 2)
     nodes = hist if len(groups) == 1 else hist[:, pos]
     rows = nodes[depth : depth + T, 1:]
     u = coupled[:T, :, :n] @ gains.k_x.T
@@ -887,8 +858,9 @@ def simulate_state_feedback(scenario, gains, law="transformed", controller_past=
     controller_past : ndarray, optional
         Shape ``(r_com, N, n_z)`` pre-``t=0`` internal-model states for
         the transformed law, newest first (``controller_past[k]`` is
-        the value ``k + 1`` steps before zero).  Defaults to constant
-        extension of the initial state.
+        the value ``k + 1`` steps before zero); the history before
+        these rows holds the oldest given value, ``controller_past[-1]``.
+        Defaults to constant extension of the initial state.
 
     Returns
     -------
@@ -911,7 +883,8 @@ def simulate_output_feedback(
     Parameters mirror :func:`simulate_state_feedback`, for a scenario
     with ``mode == "output"``; ``controller_past``/``observer_past``
     give pre-``t=0`` histories (shape ``(r_com, N, dim)``, newest
-    first) for the transformed law.
+    first) for the transformed law, and the history before the given
+    rows holds the oldest given value.
     """
     return _simulate(scenario, gains, law, controller_past, observer_past, output=True)
 

@@ -53,10 +53,10 @@ from .matrixops import (
     SCHUR_MARGIN,
     as_matrix,
     block_diag,
-    complex_rank,
     detectable,
     eigenvalues,
     kron,
+    numeric_rank,
     require_square,
     spectral_radius,
     stabilizable,
@@ -210,7 +210,7 @@ def transmission_zeros_ok(plant, exo):
         pencil = np.block(
             [[plant.a - lam * np.eye(n), plant.b], [plant.c.astype(complex), zero]]
         )
-        if complex_rank(pencil) < n + p:
+        if numeric_rank(pencil) < n + p:
             return False, complex(lam)
     return True, None
 

@@ -511,8 +511,12 @@ def norm_parametric_dare(a, b, gamma):
     return p
 
 
-def np_block_real_embedding(m):
-    """``[[Re, -Im], [Im, Re]]`` assembled by ``np.block``."""
+def real_embedding(m):
+    """Real ``2n x 2m`` representation ``[[Re, -Im], [Im, Re]]`` of a complex matrix.
+
+    It doubles every singular value's multiplicity, so its real rank is
+    exactly twice the complex rank: the oracle of the complex ranks.
+    """
     m = np.atleast_2d(m)
     re, im = np.real(m), np.imag(m)
     return np.block([[re, -im], [im, re]])

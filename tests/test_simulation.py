@@ -62,10 +62,18 @@ def hub_graph(n, w=0.5):
 
 TREE16 = tree_graph(16)
 HUB16 = hub_graph(16)
+# A chain of 24 followers in which follower 24 also hears followers 1..8 and
+# followers 12 and 18 two more each: in-degrees 1, 3 and 9 span three bit
+# lengths, so three degree groups.
+SPREAD24 = Digraph(
+    24,
+    tuple((i, i + 1, 1.0) for i in range(24)) + tuple((j, 24, 1 / 8) for j in range(1, 9))
+    + ((9, 12, 0.5), (10, 12, 0.5), (15, 18, 0.5), (16, 18, 0.5)),
+)
 # Followers 2 and 4 hear nobody; 1 and 3 hear two nodes each.
 ISOLATED = Digraph(4, ((4, 3, 2.0), (0, 1, 1.5), (2, 1, 0.3), (1, 3, 0.7)))
 # Random plants and gains on graphs of their own: (graph, rng seed).
-GRAPH_CASES = {"net12": (NET12, 12), "hub16": (HUB16, 16), "isolated": (ISOLATED, 54)}
+GRAPH_CASES = {"net12": (NET12, 12), "hub16": (HUB16, 16), "spread24": (SPREAD24, 24), "isolated": (ISOLATED, 54)}
 # Cases of :func:`case_scenario` that run the bundled agent, and their
 # graphs (``None``: the bundled one).
 AGENT_CASES = {
@@ -79,7 +87,7 @@ AGENT_CASES = {
 def case_scenario(case, mode, horizon):
     """A seed draws a small :func:`random_scenario`; a name of
     :data:`GRAPH_CASES` puts a random plant and gains on that graph
-    (``NET12``, ``HUB16`` or ``ISOLATED``) with ``r_con = 1``,
+    (``NET12``, ``HUB16``, ``SPREAD24`` or ``ISOLATED``) with ``r_con = 1``,
     ``r_com = 2``.  A name of :data:`AGENT_CASES` runs
     nominal followers, the bundled agent with ``target_gains``:
     ``"tree16"`` and ``"chain8"`` on TREE(16) and CHAIN(8) share one
@@ -341,10 +349,11 @@ class TestScenario:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
 
-    def test_follower_stacks_and_edge_index_are_built_once_read_only(self, target_gains):
+    def test_follower_stacks_and_in_edge_table_are_built_once_read_only(self, target_gains):
         sc = ref.reference_scenario(horizon=80)
-        stacks, index = sc.agent_stacks(), sc.graph._edge_index
-        for arr in (*stacks, *index):
+        stacks, table = sc.agent_stacks(), sc.graph._in_edge_table
+        order, groups = table
+        for arr in (*stacks, order, *(arr for _, _, ends, w in groups for arr in (ends, w))):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
         a_3, _, _, e_3 = sc.agent_matrices()[2]
@@ -352,7 +361,7 @@ class TestScenario:
         first = simulate_state_feedback(sc, target_gains)
         second = simulate_state_feedback(sc, target_gains)
         assert all(a is b for a, b in zip(sc.agent_stacks(), stacks))
-        assert sc.graph._edge_index is index
+        assert sc.graph._in_edge_table is table
         for name in ("t", "v", "x", "z", "u", "y", "e", "e_v"):
             assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
@@ -486,17 +495,21 @@ class TestBasicRuns:
     @pytest.mark.parametrize(
         "case, law",
         [(case, law) for case in ("reference", "tree16", *GRAPH_CASES) for law in ("transformed", "delayed")]
-        + [("past", "transformed")],
+        + [(past, "transformed") for past in ("past", "past_r3_1", "past_r2_3")],
     )
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_law_and_plant_hold_on_the_trace(self, mode, case, law, target_gains):
         # The uncertain reference followers take the per-follower path,
-        # TREE(16)'s the 2-D one; HUB16 steps two degree groups.
-        if case != "reference" and case != "past":
+        # TREE(16)'s the 2-D one; HUB16 steps two degree groups.  Given
+        # histories longer (r_com = 3) and shorter (r_com = 1) than the
+        # input hold (r_con = 2, 3) serve the held steps t < r_con.
+        if case != "reference" and not case.startswith("past"):
             sc, gains = case_scenario(case, mode, horizon=60)
         else:
             sc, gains = ref.reference_scenario(mode=mode, horizon=60), target_gains
-        past = random_past(sc, 7) if case == "past" else {}
+        if case.startswith("past_r"):
+            sc = replace(sc, delays=DelaySpec(*map(int, case[len("past_r") :].split("_"))))
+        past = random_past(sc, 7) if case.startswith("past") else {}
         run = simulate_state_feedback if mode == "state" else simulate_output_feedback
         check_law_and_plant(sc, gains, law, run(sc, gains, law=law, **past), past)
 
@@ -666,30 +679,47 @@ class TestDegreeGroups:
     @pytest.mark.parametrize("graph", [tree_graph(64), Digraph(64, tuple((i, i + 1, 1.0) for i in range(64))),
                                        ref.reference_graph(), NET12], ids=["tree64", "chain64", "demo", "net12"])
     def test_one_group_keeps_node_order(self, graph):
-        order, groups = simulation._degree_groups(graph)
+        order, groups = graph._in_edge_table
         assert np.array_equal(order, np.arange(1, graph.n_followers + 1))
         assert [(lo, hi) for lo, hi, _, _ in groups] == [(0, graph.n_followers)]
 
     def test_hub_splits_in_two(self):
-        order, groups = simulation._degree_groups(HUB16)
+        order, groups = HUB16._in_edge_table
         assert order[0] == 16 and sorted(order) == list(range(1, 17))
-        assert [(lo, hi, src.shape) for lo, hi, src, _ in groups] == [(0, 1, (1, 15)), (1, 16, (15, 1))]
+        assert [(lo, hi, ends.shape) for lo, hi, ends, _ in groups] == [(0, 1, (1, 15, 2)), (1, 16, (15, 1, 2))]
+
+    def test_three_bit_lengths_give_three_groups(self):
+        order, groups = SPREAD24._in_edge_table
+        assert order.tolist() == [24, 12, 18, *(i for i in range(1, 24) if i not in (12, 18))]
+        assert [(lo, hi, ends.shape) for lo, hi, ends, _ in groups] == [(0, 1, (1, 9, 2)), (1, 3, (2, 3, 2)),
+                                                                        (3, 24, (21, 1, 2))]
 
     def test_padded_slots_stay_within_twice_edges_and_followers(self):
         rng = np.random.default_rng(5)
-        graphs = [HUB16, hub_graph(64), hub_graph(256), ISOLATED, NET12, Digraph(3)]
+        graphs = [HUB16, hub_graph(64), hub_graph(256), SPREAD24, ISOLATED, NET12, Digraph(3)]
         graphs += [Digraph(40, tuple((0, i, 1.0) for i in range(1, 41)) + tuple((i, 40, 1.0) for i in range(1, 40)))]
+        graphs += [Digraph(30, tuple((0, i, 1.0) for i in range(1, 25)) + tuple((j, 30, 1.0) for j in range(1, 25)))]
         graphs += [random_digraph(rng, n_max=30) for _ in range(20)]
+        split = 0
         for g in graphs:
-            order, groups = simulation._degree_groups(g)
+            order, groups = g._in_edge_table
             assert sorted(order) == list(range(1, g.n_followers + 1))
-            padded = sum(src.size for _, _, src, _ in groups)
+            padded = sum(ends.shape[0] * ends.shape[1] for _, _, ends, _ in groups)
             assert padded <= 2 * (len(g.edges) + g.n_followers)
-            for lo, hi, src, w in groups:
-                for i, row_src, row_w in zip(order[lo:hi], src, w):
+            deg = {i: sum(d == i for _, d, _ in g.edges) for i in range(1, g.n_followers + 1)}
+            if len(groups) > 1:
+                split += 1
+                assert len(groups) <= max(deg.values()).bit_length()
+            for lo, hi, ends, w in groups:
+                assert lo < hi and np.array_equal(ends[..., 0] > 0, w > 0)
+                if len(groups) > 1:  # fewer padding slots than in-edges, plus one per follower hearing nobody
+                    edges = sum(deg[i] for i in order[lo:hi])
+                    assert w.size - edges <= max(edges - 1, 0) + sum(deg[i] == 0 for i in order[lo:hi])
+                for i, row_ends, row_w in zip(order[lo:hi], ends, w):
                     real = row_w > 0  # each in-edge in edge-list order, then the leader at weight 0
-                    assert list(zip(row_src[real], row_w[real])) == [(s, a) for s, d, a in g.edges if d == i]
-                    assert real[: real.sum()].all() and not row_src[~real].any()
+                    assert list(zip(row_ends[real, 1], row_w[real])) == [(s, a) for s, d, a in g.edges if d == i]
+                    assert (row_ends[real, 0] == i).all() and real[: real.sum()].all() and not row_ends[~real].any()
+        assert split >= 6
 
     @pytest.mark.parametrize("case", [*GRAPH_CASES, "tree16"])
     @pytest.mark.parametrize("mode", ["state", "output"])
@@ -1102,6 +1132,42 @@ class TestTraceCsv:
         one_cpu(monkeypatch)
         assert_same_trace(trace, load_trace_csv(path))
         assert len(forks) == 2 * (FORKS and case != "one_step")
+
+    @pytest.mark.parametrize(
+        "edit", ["hash_line_each_half", "trailing_comment", "utf8_comment", "lone_cr_header", "lone_cr_body"]
+    )
+    def test_comments_and_line_ends_read_as_written(self, tmp_path, edit, target_gains, forks, monkeypatch):
+        trace = csv_case_trace("large_state", target_gains)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_bytes().split(b"\n")
+        top = next(k for k, line in enumerate(lines) if not line.startswith(b"#"))
+        if edit == "hash_line_each_half":  # the child parses the first half of the body
+            for row in (2300, 700):
+                lines.insert(top + 1 + row, b"# a comment line\r")
+        elif edit == "trailing_comment":
+            lines[top + 2] = lines[top + 2].replace(b"\r", b" # a trailing comment\r")
+        elif edit == "utf8_comment":
+            lines.insert(top + 40, "# caf\u00e9 \u2713".encode())
+        elif edit == "lone_cr_header":  # two comment lines on one LF-ended line
+            lines[1:3] = [lines[1] + b"\r" + lines[2]]
+        else:
+            lines[top + 5 : top + 7] = [lines[top + 5] + lines[top + 6]]
+        path.write_bytes(b"\n".join(lines))
+        assert_same_trace(trace, load_trace_csv(path))
+        assert_no_child()
+        one_cpu(monkeypatch)
+        assert_same_trace(trace, load_trace_csv(path))
+        assert len(forks) == 2 * FORKS
+
+    def test_body_of_comments_holds_no_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        simulate_state_feedback(ref.reference_scenario(horizon=0), zero_gains()).to_csv(path)
+        with open(path, "ab") as fh:
+            fh.write(b"# no rows\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_trace_csv(path).x.shape == (0, 4, 2)
 
     def test_failed_child_rows_are_written_again(self, tmp_path, target_gains, forks, monkeypatch):
         trace = csv_case_trace("large_output", target_gains)
