@@ -500,9 +500,10 @@ class TestBasicRuns:
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_law_and_plant_hold_on_the_trace(self, mode, case, law, target_gains):
         # The uncertain reference followers take the per-follower path,
-        # TREE(16)'s the 2-D one; HUB16 steps two degree groups.  Given
-        # histories longer (r_com = 3) and shorter (r_com = 1) than the
-        # input hold (r_con = 2, 3) serve the held steps t < r_con.
+        # TREE(16)'s the 2-D one; HUB16 and SPREAD24 step two and three
+        # degree groups.  Given histories longer (r_com = 3) and shorter
+        # (r_com = 1) than the input hold (r_con = 2, 3) serve the held
+        # steps t < r_con.
         if case != "reference" and not case.startswith("past"):
             sc, gains = case_scenario(case, mode, horizon=60)
         else:
@@ -519,9 +520,9 @@ class TestBasicRuns:
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_early_steps_under_other_delays(self, mode, case, delays, law, target_gains):
         # Until u leaves its hold at w(0), at step r_con (r_con + d_ev
-        # for the observer), each step gathers its drive from offsets of
-        # its own; these delay pairs make that hold zero, short and
-        # longer than r_com on the per-follower and the 2-D paths.
+        # for the observer), each step reads the law's inputs from the
+        # filled pre-history; these delay pairs make that hold zero,
+        # short and longer than r_com on the per-follower and the 2-D paths.
         if case == "tree16":
             sc, gains = case_scenario(case, mode, horizon=40)
         else:
