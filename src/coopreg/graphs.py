@@ -53,9 +53,10 @@ class Digraph:
     edges: tuple = field(default=())
 
     def __post_init__(self):
-        if not isinstance(self.n_followers, (int, np.integer)) or self.n_followers < 1:
+        n = self.n_followers
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ConfigurationError(
-                f"graph.n_followers: must be a positive integer, got {self.n_followers!r}"
+                f"graph.n_followers: must be a positive integer, got {n!r}"
             )
         seen = set()
         norm = []
@@ -73,7 +74,6 @@ class Digraph:
             if not isinstance(w, numbers.Real) or isinstance(w, bool):
                 raise ConfigurationError(f"graph.edges[{k}]: weight must be a real number, got {w!r}")
             src, dst, w = int(src), int(dst), float(w)
-            n = self.n_followers
             if not (0 <= src <= n) or not (0 <= dst <= n):
                 raise ConfigurationError(
                     f"graph.edges[{k}]: node index out of range 0..{n}: ({src}, {dst})"
@@ -95,7 +95,7 @@ class Digraph:
             seen.add((src, dst))
             norm.append((src, dst, w))
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "n_followers", int(self.n_followers))
+        object.__setattr__(self, "n_followers", int(n))
 
     @cached_property
     def _h_spectrum(self):

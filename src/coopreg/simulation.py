@@ -93,7 +93,6 @@ Modes and laws differ only in how many steps late each signal is read::
 import io
 import os
 import re
-import shutil
 import warnings
 from dataclasses import dataclass
 
@@ -221,10 +220,10 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("state", "output"):
             raise ConfigurationError(f"scenario.mode: must be 'state' or 'output', got {self.mode!r}")
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 0:
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 0:
             raise ConfigurationError(f"scenario.horizon: must be a non-negative integer, got {self.horizon!r}")
         object.__setattr__(self, "horizon", int(self.horizon))
-        if not isinstance(self.seed, (int, np.integer)):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ConfigurationError(f"scenario.seed: must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not (np.isfinite(self.init_low) and np.isfinite(self.init_high)) or self.init_low > self.init_high:
@@ -356,6 +355,8 @@ class SimulationTrace:
 
         Measured as ``|a - b| / max(1, |a|, |b|)`` so it behaves as a
         relative error for large signals and an absolute one near zero.
+        An entry that is nan or infinite on either side deviates by
+        ``inf``, unless both sides hold the same infinity or both nan.
         """
         worst = 0.0
         for name in ("v", *(name for name, _ in _SIGNALS)):
@@ -366,8 +367,11 @@ class SimulationTrace:
                 raise DimensionError(f"trace.{name}: shapes differ, {a.shape} vs {b.shape}")
             if a.size == 0:
                 continue
-            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-            worst = max(worst, float(np.max(np.abs(a - b) / denom)))
+            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give nan
+                dev = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            dev[np.isnan(dev)] = np.inf  # nan exactly where a side is not finite
+            dev[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+            worst = max(worst, float(dev.max()))
         return worst
 
     def to_csv(self, path):
@@ -379,70 +383,64 @@ class SimulationTrace:
         has no columns; its trajectory is implied by ``v``).  Values are
         their shortest round-trip ``repr``, so :func:`load_trace_csv`
         reads them back exactly, and rows end in CRLF.  The signals are
-        joined into one ``(T, columns)`` block, formatted row by row; a
-        large trace on a Linux host with two or more CPUs has its upper
-        half formatted by a forked child (:func:`_convert_rows`), with
-        the same bytes.
+        copied into one preallocated ``(T, columns)`` block, formatted
+        row by row; a large trace on a Linux host with two or more CPUs
+        has its first half formatted by a forked child
+        (:func:`_convert_rows`), with the same bytes.
         """
-        T = self.horizon
-        nfoll = self.x.shape[1]
-        names = ["t"] + [f"v{k}" for k in range(self.v.shape[1])]
+        T, nfoll, nv = self.horizon, self.x.shape[1], self.v.shape[1]
         blocks = [(pre, getattr(self, name)) for name, pre in _SIGNALS if getattr(self, name) is not None]
+        names = ["t"] + [f"v{k}" for k in range(nv)]
         names += [f"{pre}{i + 1}_{k}" for pre, arr in blocks for i in range(nfoll) for k in range(arr.shape[2])]
-        cols = [arr.reshape(T, nfoll * arr.shape[2]) for _, arr in blocks]
-        data = np.concatenate([self.v, *cols], axis=1, dtype=float)
+        data = np.empty((T, len(names) - 1))
+        data[:, :nv] = self.v
+        k = nv
+        for _, arr in blocks:  # each signal straight into its columns, no reshaped copy
+            data[:, k : k + nfoll * arr.shape[2]].reshape(arr.shape)[...] = arr
+            k += nfoll * arr.shape[2]
         ts = self.t.astype(int).tolist()
 
-        def lines(lo, hi):
-            return (f"{t},{','.join(map(repr, row.tolist()))}\r\n" for t, row in zip(ts[lo:hi], data[lo:hi]))
+        def rows(lo, hi):  # line by line into one buffer, with no list of lines and no str copy
+            out = io.BytesIO()
+            for t, row in zip(ts[lo:hi], data[lo:hi]):
+                out.write(f"{t},{','.join(map(repr, row.tolist()))}\r\n".encode())
+            return out.getvalue()
 
-        def write(lo, hi):
-            fh.writelines(lines(lo, hi))
-
-        def copy(lo, hi, src):
-            fh.flush()
-            shutil.copyfileobj(src, fh.buffer)
-
-        with open(path, "w", newline="") as fh:
-            fh.write("# closed-loop simulation trace\n")
-            fh.write(f"# rows: t = 0..{T - 1} (horizon {T}); values at full float precision\n")
-            fh.write("# columns: t; exosystem state v<k>; then per follower i (1-based):\n")
-            fh.write("#   x<i>_<k> plant state, z<i>_<k> internal-model state,\n")
-            if self.xi is not None:
-                fh.write("#   xi<i>_<k> observer state,\n")
-            fh.write("#   u<i>_<k> input, y<i>_<k> output, e<i>_<k> regulated error,\n")
-            fh.write("#   ev<i>_<k> virtual (graph-weighted) error\n")
-            fh.write(",".join(names) + "\r\n")
-            start = fh.tell()
-            if not _convert_rows(
-                T, data.size >= _FORK_MIN_WRITE, write, lambda lo, hi: "".join(lines(lo, hi)).encode(), copy
-            ):
-                fh.seek(start)
-                fh.truncate()
-                write(0, T)
+        comments = [
+            "closed-loop simulation trace",
+            f"rows: t = 0..{T - 1} (horizon {T}); values at full float precision",
+            "columns: t; exosystem state v<k>; then per follower i (1-based):",
+            "  x<i>_<k> plant state, z<i>_<k> internal-model state,",
+            *(["  xi<i>_<k> observer state,"] if self.xi is not None else []),
+            "  u<i>_<k> input, y<i>_<k> output, e<i>_<k> regulated error,",
+            "  ev<i>_<k> virtual (graph-weighted) error",
+        ]
+        parts = _convert_rows(T, data.size >= _FORK_MIN_WRITE, rows)
+        with open(path, "wb") as fh:
+            fh.write(("".join(f"# {line}\n" for line in comments) + ",".join(names) + "\r\n").encode())
+            fh.writelines(parts or [rows(0, T)])
 
 
-def _convert_rows(n, large, here, there, take):
-    """Convert rows ``0..n`` of a trace, the upper half in a forked child where that pays.
+def _convert_rows(n, large, convert):
+    """Convert rows ``0..n`` of a trace, the first half in a forked child where that pays.
 
-    ``here(lo, hi)`` converts rows ``lo..hi`` in this process,
-    ``there(lo, hi)`` returns them converted as bytes, and
-    ``take(lo, hi, stream)`` consumes those bytes from a binary stream.
-    For a ``large`` trace on a host with ``os.sched_getaffinity``
-    reporting two or more CPUs, a child runs ``there(h, n)`` with
-    ``h = n // 2`` while this process runs ``here(0, h)``, then
-    ``take``s the child's bytes from a pipe.  Anywhere else
-    ``here(0, n)`` converts every row.
+    ``convert(lo, hi)`` returns rows ``lo..hi`` converted, as a
+    bytes-like object.  For a ``large`` trace on a host with
+    ``os.sched_getaffinity`` reporting two or more CPUs, a forked child
+    converts rows ``0..n // 2`` and sends them through a pipe while this
+    process converts the rest, and the result is the child's bytes and
+    this process's part, in row order.  Anywhere else, and when ``fork``
+    fails, it is ``[convert(0, n)]``.
 
-    Returns ``False`` when the child failed, and the caller converts its
-    rows again; an exception of ``here`` or ``take`` propagates.  Either
-    way the read end is closed before the child is reaped, so a child
-    blocked on the pipe gets ``EPIPE`` and no child outlives the call.
+    Returns ``None`` when the child failed, and the caller converts its
+    rows again; an exception of ``convert`` in this process propagates.
+    Either way the read end is closed before the child is reaped, so a
+    child blocked on the pipe gets ``EPIPE`` and no child outlives the
+    call.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if not large or len(cpus) < 2:
-        here(0, n)
-        return True
+        return [convert(0, n)]
     h = n // 2
     r, w = os.pipe()
     try:
@@ -458,42 +456,43 @@ def _convert_rows(n, large, here, there, take):
     except OSError:  # no process to spare
         os.close(r)
         os.close(w)
-        here(0, n)
-        return True
+        return [convert(0, n)]
     if pid == 0:
         # Never return into the caller, and never flush a file inherited
-        # from it: its buffered rows would land in the file twice.
+        # from it: its buffered bytes would be written twice.
         code = 1
         try:
             os.close(r)
             with open(w, "wb") as out:
-                out.write(there(h, n))
+                out.write(convert(0, h))
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     try:
         with open(r, "rb") as src:
-            here(0, h)
-            take(h, n, src)
+            tail = convert(h, n)
+            head = src.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    return status == 0
+    return [head, tail] if status == 0 else None
 
 
 def load_trace_csv(path):
     """Read a trace written by :meth:`SimulationTrace.to_csv`.
 
     Values come back exactly as written.  The file is read once, as
-    bytes, and the body is parsed by byte range, the first half by a
-    forked child (:func:`_convert_rows`) for a large trace on a Linux
-    host with two or more CPUs.  ``#`` lines and trailing ``#`` comments
-    are skipped anywhere, and a lone CR ends a line as CRLF and LF do.
-    When either half fails, this process parses every row again by the
-    same route, so an error names its row in the whole body.  A byte
-    that is not UTF-8 (in a comment line too), a damaged cell or row, a
-    row width other than the header's, a missing column or a
-    non-integer ``t`` raises ``ConfigurationError`` naming ``path``.
+    bytes, and the body is parsed by forward byte range: for a large
+    trace on a Linux host with two or more CPUs, a forked child parses
+    the first half and sends its rows as raw float64 bytes, while this
+    process parses the tail (:func:`_convert_rows`).  ``#`` lines and
+    trailing ``#`` comments are skipped anywhere, and a lone CR ends a
+    line as CRLF and LF do.  When either half fails, this process parses
+    every row again by the same route, so an error names its row in the
+    whole body.  A byte that is not UTF-8 (in a comment line too), a
+    damaged cell or row, a row width other than the header's, a missing
+    column or a non-integer ``t`` raises ``ConfigurationError`` naming
+    ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -521,7 +520,12 @@ def load_trace_csv(path):
         raise ConfigurationError(f"{path}: empty trace file")
     header = raw[top:start].decode().rstrip("\r\n").split(",")
 
-    def parse(src):
+    def rows_of(lo, hi):
+        # The rows from the line starting at or after body byte lo up to
+        # the one at or after hi; the tail's BytesIO shares raw.
+        lo, hi = (raw.find(b"\n", start + i - 1) + 1 or len(raw) for i in (lo, hi))
+        src = io.BytesIO(raw[:hi])
+        src.seek(lo)
         with warnings.catch_warnings():  # a range of comments and blank lines holds no rows
             warnings.simplefilter("ignore", UserWarning)
             block = np.loadtxt(src, delimiter=",", ndmin=2)
@@ -529,38 +533,19 @@ def load_trace_csv(path):
             raise ValueError(f"rows hold {block.shape[1]} values, the header names {len(header)} columns")
         return block.reshape(-1, len(header))
 
-    def rows_of(lo, hi):
-        # Ranges count from the end of the body, so this process parses
-        # rows up to the end of raw, through a BytesIO that shares it.
-        lo, hi = (raw.find(b"\n", start + n - i - 1) + 1 or len(raw) for i in (hi, lo))
-        src = io.BytesIO(raw[:hi])
-        src.seek(lo)
-        return parse(src) if lo < hi else np.empty((0, len(header)))
-
-    def there(lo, hi):  # the child's rows, after their count
-        block = rows_of(lo, hi)
-        return len(block).to_bytes(8, "little") + block.tobytes()
-
-    def take(lo, hi, src):  # the child's rows go in front of this process's
-        rows = int.from_bytes(src.read(8), "little")
-        data = np.empty((rows + len(blocks[0]), len(header)))
-        data[rows:] = blocks[0]
-        if src.readinto(data[:rows]) != data[:rows].nbytes:
-            raise ValueError("the child sent too few rows")
-        blocks[0] = data
-
-    blocks = []
     try:
-        whole = _convert_rows(n, n >= _FORK_MIN_READ, lambda lo, hi: blocks.append(rows_of(lo, hi)), there, take)
+        parts = _convert_rows(n, n >= _FORK_MIN_READ, rows_of)
     except ValueError:
-        whole = False
-    if not whole:  # every row again, here, so an error names its row in the whole body
+        parts = None
+    if parts is None:  # every row again, here, so an error names its row in the whole body
         raw, top, start, n = lf_ends(raw, slice(start, None))
         try:
-            blocks = [rows_of(0, n)]
+            parts = [rows_of(0, n)]
         except ValueError as exc:
             raise ConfigurationError(f"{path}: malformed trace data ({exc})") from None
-    data = blocks[0]
+    del raw  # parsed: the file's bytes go before the rows are joined and gathered
+    data = np.concatenate([np.frombuffer(part).reshape(-1, len(header)) for part in parts])
+    del parts
     index = {name: k for k, name in enumerate(header)}
     T = data.shape[0]
 

@@ -140,7 +140,7 @@ class DelaySpec:
     def __post_init__(self):
         for name in ("r_con", "r_com"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
                 raise ConfigurationError(f"delays.{name}: must be a non-negative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -366,7 +366,7 @@ def solve_parametric_dare(a, b, gamma):
 
 def _require_delay(caller, r):
     """Reject a delay ``r`` that is not a non-negative integer, naming ``caller``."""
-    if not isinstance(r, (int, np.integer)) or r < 0:
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
         raise ConfigurationError(f"{caller}: r must be a non-negative integer, got {r!r}")
 
 

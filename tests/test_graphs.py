@@ -72,6 +72,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Digraph(n_followers=0)
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_follower_count_rejected(self, n):
+        # bool is an int subclass: True used to give a one-follower graph
+        with pytest.raises(ConfigurationError) as info:
+            Digraph(n, ())
+        assert str(info.value) == f"graph.n_followers: must be a positive integer, got {n!r}"
+
     def test_in_edges(self):
         g = Digraph(n_followers=3, edges=((0, 1, 2.0), (1, 2, 0.5), (3, 2, 1.5)))
         assert g.in_edges(2) == [(1, 0.5), (3, 1.5)]

@@ -15,6 +15,7 @@ from coopreg.matrixops import (
     kron,
     minimal_polynomial,
     numeric_rank,
+    on_unit_circle,
     spectral_radius,
     stabilizable,
 )
@@ -127,6 +128,21 @@ class TestRank:
             checked += numeric_rank(m) < min(rows, cols)
         assert numeric_rank(real_embedding(np.array([[1.0 + 1.0j, 2.0], [0.0, 3.0j]]))) == 4
         assert checked > 50
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_matrix_has_rank_zero(self, shape):
+        assert numeric_rank(np.zeros(shape)) == 0
+        assert numeric_rank(np.zeros(shape, dtype=complex)) == 0
+
+
+class TestEmptyMatrix:
+    def test_no_eigenvalue_is_off_the_unit_circle(self):
+        assert on_unit_circle(np.zeros((0, 0))) is True
+
+    def test_minimal_polynomial_has_no_coefficients(self):
+        coeffs = minimal_polynomial(np.zeros((0, 0)))
+        assert coeffs.shape == (0,)
+        assert coeffs.dtype == float
 
 
 class TestMinimalPolynomial:

@@ -255,6 +255,20 @@ class TestEdgewiseVirtualErrors:
 
 
 class TestScenario:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_horizon_and_seed_rejected(self, flag):
+        # bool is an int subclass: horizon=True used to run one step
+        base = dict(
+            plant=ref.reference_plant(), exo=ref.reference_exosystem(), graph=ref.reference_graph(),
+            delays=DelaySpec(0, 0), im=ref.reference_internal_model(),
+        )
+        with pytest.raises(ConfigurationError) as info:
+            Scenario(**base, horizon=flag)
+        assert str(info.value) == f"scenario.horizon: must be a non-negative integer, got {flag!r}"
+        with pytest.raises(ConfigurationError) as info:
+            Scenario(**base, seed=flag)
+        assert str(info.value) == f"scenario.seed: must be an integer, got {flag!r}"
+
     def test_validation_errors(self):
         plant = ref.reference_plant()
         exo = ref.reference_exosystem()
@@ -1206,3 +1220,37 @@ class TestTraceCsv:
         sc6 = simulate_state_feedback(ref.reference_scenario(horizon=6), zero_gains())
         with pytest.raises(DimensionError):
             sc5.max_relative_deviation(sc6)
+
+    @pytest.mark.parametrize(
+        "mine, theirs, expect",
+        [
+            (np.nan, 0.5, np.inf),
+            (np.inf, 0.5, np.inf),
+            (-np.inf, 1e300, np.inf),
+            (np.inf, -np.inf, np.inf),
+            (np.nan, np.inf, np.inf),
+            (np.nan, np.nan, 0.0),
+            (np.inf, np.inf, 0.0),
+            (-np.inf, -np.inf, 0.0),
+        ],
+    )
+    def test_deviation_of_non_finite_entries(self, mine, theirs, expect):
+        # a nan or an infinity facing another value used to read 0.0 (and warn)
+        ref_trace = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())
+        a, b = replace(ref_trace, x=ref_trace.x.copy()), replace(ref_trace, x=ref_trace.x.copy())
+        a.x[3, 1, 0], b.x[3, 1, 0] = mine, theirs
+        assert a.max_relative_deviation(b) == expect
+        assert b.max_relative_deviation(a) == expect
+        b.x[0, 0, 0] += 0.25  # a finite deviation elsewhere shows beside equal entries
+        finite = abs(a.x[0, 0, 0] - b.x[0, 0, 0]) / max(1.0, abs(a.x[0, 0, 0]), abs(b.x[0, 0, 0]))
+        assert a.max_relative_deviation(b) == (expect or finite)
+
+    def test_deviation_skips_zero_size_signals(self):
+        empty = simulate_state_feedback(ref.reference_scenario(horizon=0), zero_gains())
+        assert empty.max_relative_deviation(empty) == 0.0
+        trace = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())
+        trace.z = np.empty((5, 4, 0))
+        other = replace(trace, v=trace.v.copy())
+        other.v[2, 0] += 0.5
+        finite = abs(trace.v[2, 0] - other.v[2, 0]) / max(1.0, abs(trace.v[2, 0]), abs(other.v[2, 0]))
+        assert trace.max_relative_deviation(other) == finite

@@ -294,6 +294,13 @@ class TestStateFeedbackGain:
         with pytest.raises(ConfigurationError, match="r must"):
             state_feedback_gain([[1.0]], [[1.0]], 0.1, 1.0, -1)
 
+    @pytest.mark.parametrize("r", [True, False])
+    def test_bool_delay_rejected(self, r):
+        # bool is an int subclass: True used to design for one step of delay
+        with pytest.raises(ConfigurationError) as info:
+            state_feedback_gain([[1.0]], [[1.0]], 0.1, 1.0, r)
+        assert str(info.value) == f"state_feedback_gain: r must be a non-negative integer, got {r!r}"
+
 
 # ---------------------------------------------------------------------------
 # observer gain
@@ -335,6 +342,12 @@ class TestObserverGain:
             with pytest.raises(ConfigurationError) as info:
                 observer_gain([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0]], 0.18, 0.5, r)
             assert str(info.value) == f"observer_gain: r must be a non-negative integer, got {r!r}"
+
+    @pytest.mark.parametrize("r", [True, False])
+    def test_bool_delay_rejected(self, r):
+        with pytest.raises(ConfigurationError) as info:
+            observer_gain([[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0]], 0.18, 0.5, r)
+        assert str(info.value) == f"observer_gain: r must be a non-negative integer, got {r!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +675,16 @@ class TestDelayLift:
             delay_lift(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), 1)
         with pytest.raises(ConfigurationError):
             delay_lift(np.eye(2), np.eye(2), -1)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_delay_rejected(self, flag):
+        with pytest.raises(ConfigurationError) as info:
+            delay_lift(np.eye(2), np.eye(2), flag)
+        assert str(info.value) == f"delay_lift: r must be a non-negative integer, got {flag!r}"
+        for name in ("r_con", "r_com"):
+            with pytest.raises(ConfigurationError) as info:
+                DelaySpec(**{name: flag})
+            assert str(info.value) == f"delays.{name}: must be a non-negative integer, got {flag!r}"
 
 
 # ---------------------------------------------------------------------------
