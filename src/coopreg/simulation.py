@@ -40,7 +40,8 @@ Both agentwise simulators run one time loop over one buffer: row
 delayed read is a row some steps back.  A row holds the leader's zero
 row, each follower's ``[z | x | xi | e]``, the regulated error stored
 beside the feedback state (``x``, or ``xi`` in output mode), then the
-exosystem state ``v(t)``, filled before the loop.  A step writes every
+exosystem state ``v(t)``, filled before the loop by
+:meth:`~coopreg.internal_model.Exosystem.trajectory`.  A step writes every
 follower's next ``[z | x | xi | e]`` straight into row ``t + 1`` as the
 product of a fused matrix ``M_i`` and its drive, gathered by one
 ``take`` at flat offsets built once per run.  Every step reads the same
@@ -64,7 +65,9 @@ and one product per degree group: one 2-D product ``D M_0'`` over the
 drive rows ``D`` when every ``M_i`` equals ``M_0`` exactly (equal
 ``A_i``, ``B_i``, ``C_i`` and ``E_i``), else one small product per
 follower.  The whole stack is compared once per call, with no option or
-tolerance; the two paths agree to rounding.  The slots come from one
+tolerance, and each group's product is then fixed as one ``(lhs, rhs,
+out)`` triple, so the loop makes one ``np.matmul`` call per group; the
+two paths agree to rounding.  The slots come from one
 table per graph, ``Digraph._in_edge_table``: the followers in stepping
 order, in degree groups, and each member's in-edges in edge-list order,
 padded to its group's largest in-degree by slots that read the leader's
@@ -367,8 +370,11 @@ class SimulationTrace:
                 raise DimensionError(f"trace.{name}: shapes differ, {a.shape} vs {b.shape}")
             if a.size == 0:
                 continue
-            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give nan
-                dev = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf / inf: nan; 1e308 - -1e308: inf
+                dev = np.abs(a - b) / scale
+            over = np.isinf(dev)  # two finite sides whose difference overflowed; scaled first, it cannot
+            dev[over] = np.abs(a[over] / scale[over] - b[over] / scale[over])
             dev[np.isnan(dev)] = np.inf  # nan exactly where a side is not finite
             dev[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
             worst = max(worst, float(dev.max()))
@@ -576,7 +582,7 @@ def load_trace_csv(path):
 def edgewise_virtual_errors(g, e_all):
     """Virtual errors computed edge by edge from regulated errors.
 
-    ``e_all`` has one row per follower.  For follower ``i``::
+    ``e_all`` has shape ``(N, p)``, one row per follower.  For follower ``i``::
 
         e_v[i] = sum_j a_ij (e_i - e_j) + a_i0 e_i
 
@@ -586,7 +592,9 @@ def edgewise_virtual_errors(g, e_all):
     checks that identity against the Kronecker route.  The simulators
     apply the same combination to stacked states and observer estimates.
     """
-    e_all = np.atleast_2d(e_all)
+    e_all = np.asarray(e_all)
+    if e_all.ndim != 2 or len(e_all) != g.n_followers:
+        raise DimensionError(f"edgewise_virtual_errors: expected shape ({g.n_followers}, p), got {e_all.shape}")
     padded = np.concatenate([np.zeros((1, e_all.shape[1])), e_all])
     order, groups = g._in_edge_table
     out = np.empty(e_all.shape)
@@ -638,27 +646,6 @@ def _guard(step, states, *parts):
                     step=step + j,
                     norm=m,
                 )
-
-
-def _exo_trajectory(exo, horizon):
-    """``v(t)`` for ``t = 0..horizon-1`` of ``v(t+1) = S v(t)``, built in blocks of 64 rows.
-
-    The first 64 rows and ``P = S^64`` come from the exosystem's cache
-    (``Exosystem._trajectory_head``), so a call costs one product
-    ``v[k:k+64] = v[k-64:k] P'`` per further block.  ``P`` is formed by 64
-    sequential products: on the reference rotation, repeated squaring
-    left ``v(2000)`` 3.3e-14 from the stepped rows (sequential: 1.0e-14;
-    9.4e-14 at ``t = 20000``) and a 2000-step run 7.1e-13 from one on
-    stepped rows (sequential: 1.7e-13).
-    """
-    head, power = exo._trajectory_head
-    block = len(head)
-    v = np.empty((horizon, exo.q))
-    v[:block] = head[:horizon]
-    for k in range(block, horizon, block):
-        hi = min(k + block, horizon)
-        np.matmul(v[k - block : hi - block], power.T, out=v[k:hi])
-    return v
 
 
 def _fill_past(rows, past, r_com):
@@ -734,7 +721,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     buf = np.zeros((depth + T + 1, R))
     flat = buf.reshape(-1)
     hist, exo_v = split(buf)
-    exo_v[depth:] = _exo_trajectory(scenario.exo, T + 1)
+    exo_v[depth:] = scenario.exo.trajectory(T + 1)
     x0, z0, xi0 = scenario.initial_states()
     hist[: depth + 1, 1:, :ns] = np.concatenate([z0, x0, xi0] if output else [z0, x0], axis=1)
     hist[: depth + 1, 1:, e_] = np.matmul(c, x0[:, :, None])[:, :, 0] + scenario.exo.f @ exo_v[depth]
@@ -744,8 +731,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     order, groups = scenario.graph._in_edge_table
     pos = np.zeros(nfoll + 1, dtype=int)  # buffer position of each node
     pos[order] = np.arange(1, nfoll + 1)
-    if len(groups) > 1:
-        hist[: depth + 1, 1:] = hist[: depth + 1, order]
+    hist[: depth + 1, 1:] = hist[: depth + 1, order]
 
     # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
     # read off a layout of rows 0..depth + 1; before t = r_con they read the law's inputs
@@ -758,7 +744,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     blocks = [(depth, slice(0, ns), False), (j - d_fb, fb_, True), (j - d_z, z_, False), (depth - d_ev, e_, True)]
     if output:
         blocks += [(jo - d_fb, fb_, True), (jo - d_z, z_, False), (depth, fb_, True)]
-    plan, scale, steps, size = [], [], [], 0
+    plan, scale, spans, size = [], [], [], 0
     for lo, hi, ends, w in groups:
         own = np.arange(lo + 1, hi + 1)
         pairs = pos[ends].reshape(len(own), -1)
@@ -774,28 +760,25 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
         cols = np.append(np.hstack(cols), np.arange(width - 2 * q, width))
         scale.append(np.hstack([*weigh, np.ones((len(own), 2 * q))]).reshape(-1))
         plan.append(np.hstack(read).reshape(-1))
-        shape = (len(own), len(cols)) if uniform else (len(own), len(cols), 1)
-        # The product writes row depth + t + 1 of the group in place.
-        if uniform:
-            steps.append((fused[0][:, cols].T, (size, shape), hist[:, lo + 1 : hi + 1]))
-        else:
-            steps.append((fused[order[lo:hi] - 1][:, :, cols], (size, shape), hist[:, lo + 1 : hi + 1, :, None]))
+        spans.append((size, cols))
         size += len(own) * len(cols)
-    # One take gathers every group's drive and one product scales its pair slots.
-    plan, scale = np.hstack(plan), np.hstack(scale)
-    drive = np.empty(size)
-    steps = [(mat, drive[lo : lo + np.prod(shape)].reshape(shape), nxt) for mat, (lo, shape), nxt in steps]
+    # One take gathers every group's drive D and one product scales its pair slots; each group's
+    # step (lhs, rhs, out) writes its row depth + t + 1 in place, D M_0' or M_i d_i per follower.
+    plan, scale, drive, steps = np.hstack(plan), np.hstack(scale), np.empty(size), []
+    for (lo, hi, _, _), (at, cols) in zip(groups, spans):
+        d, rows = drive[at : at + (hi - lo) * len(cols)].reshape(hi - lo, -1), hist[:, lo + 1 : hi + 1]
+        if uniform:
+            steps.append((d, fused[0][:, cols].T, rows))
+        else:
+            steps.append((fused[order[lo:hi] - 1][:, :, cols], d[..., None], rows[..., None]))
 
     for t0 in range(0, T, _GUARD_BLOCK):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
             for t in range(t0, min(t0 + _GUARD_BLOCK, T)):
                 flat[t * R :].take(plan, out=drive, mode="clip")
                 drive *= scale
-                for mat, d, nxt in steps:
-                    if uniform:
-                        np.matmul(d, mat, out=nxt[depth + t + 1])
-                    else:
-                        np.matmul(mat, d, out=nxt[depth + t + 1])
+                for lhs, rhs, out in steps:
+                    np.matmul(lhs, rhs, out=out[depth + t + 1])
         _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
 
     # The coupled feedback u reads and e_v, over rows depth - d_fb .. depth + T - 1, come
@@ -904,7 +887,7 @@ def simulate_compact_oracle(scenario, gains):
     b_in = drive @ f_bar
     b_in[: nfoll * n] = e_in.reshape(nfoll * n, -1)
 
-    v = _exo_trajectory(scenario.exo, T)
+    v = scenario.exo.trajectory(T)
     states = scenario.initial_states()[: 2 if mode == "state" else 3]
     whist = np.empty((r + T + 1, b_in.shape[0]))
     whist[: r + 1] = np.concatenate([s.reshape(-1) for s in states])

@@ -21,6 +21,16 @@ class TestExosystem:
         with pytest.raises(DimensionError, match="v0"):
             Exosystem(s=[[1.0]], f=[[1.0]], v0=[1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "v0",
+        [[np.inf], [-np.inf], [np.nan], ["a"], [[1.0], [1.0, 2.0]]],
+        ids=["inf", "-inf", "nan", "string", "ragged"],
+    )
+    def test_v0_must_be_numeric_and_finite(self, v0):
+        # a non-finite v0 used to pass and trip the divergence guard at the first step
+        with pytest.raises(DimensionError, match=r"^exosystem\.v0: "):
+            Exosystem(s=[[1.0]], f=[[1.0]], v0=v0)
+
     def test_default_v0_zero(self):
         exo = Exosystem(s=np.eye(2), f=np.ones((1, 2)))
         assert np.array_equal(exo.v0, np.zeros(2))
@@ -30,6 +40,39 @@ class TestExosystem:
         assert Exosystem(s=[[-1.0]], f=[[1.0]]).modes_on_unit_circle()
         assert not Exosystem(s=[[0.5]], f=[[1.0]]).modes_on_unit_circle()
         assert not Exosystem(s=[[1.1]], f=[[1.0]]).modes_on_unit_circle()
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("horizon", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("v0", [(1.0, 0.0), (0.3, -0.8)])
+    def test_follows_the_step_recursion(self, v0, horizon):
+        exo = reference_exosystem(v0=v0)
+        v = exo.trajectory(horizon)
+        stepped = np.empty((horizon, exo.q))
+        stepped[:1] = exo.v0
+        for t in range(1, horizon):
+            stepped[t] = exo.s @ stepped[t - 1]
+        assert v.shape == (horizon, exo.q)
+        assert np.max(np.abs(v - stepped), initial=0.0) <= 1e-14
+        assert np.array_equal(v[: min(horizon, 64)], stepped[:64])  # the cached rows are the stepped ones
+
+    def test_each_call_returns_a_fresh_writable_array(self):
+        exo = reference_exosystem()
+        first, second = exo.trajectory(130), exo.trajectory(130)
+        assert first is not second and first.flags.writeable
+        first[:] = 7.0
+        assert np.array_equal(exo.trajectory(130), second)
+        head, power = exo._trajectory_head
+        assert not head.flags.writeable and not power.flags.writeable
+
+    @pytest.mark.parametrize("horizon", [-1, True, 2.0, None])
+    def test_refuses_a_horizon_that_is_not_a_non_negative_integer(self, horizon):
+        with pytest.raises(ConfigurationError, match=r"^Exosystem\.trajectory: "):
+            reference_exosystem().trajectory(horizon)
+
+    def test_accepts_a_numpy_integer(self):
+        exo = reference_exosystem()
+        assert np.array_equal(exo.trajectory(np.int64(70)), exo.trajectory(70))
 
 
 class TestDefaultBuild:

@@ -7,6 +7,7 @@ pair with matched initial histories.
 """
 
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -175,6 +176,14 @@ class TestExoStep:
         assert v.shape == (horizon, 2)
         assert np.max(np.abs(v - stepped), initial=0.0) <= 5e-13
 
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_traces_carry_the_exosystem_trajectory(self, mode, target_gains):
+        sc = ref.reference_scenario(mode=mode, horizon=300)
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        want = sc.exo.trajectory(300).view(np.uint64)
+        assert np.array_equal(run(sc, target_gains).v.view(np.uint64), want)
+        assert np.array_equal(simulate_compact_oracle(sc, target_gains).v.view(np.uint64), want)
+
     def test_integer_jordan_blocks_are_exact(self):
         # Every power of S = [[1, 1], [0, 1]] and every block product is
         # an integer computation, so v(t) = (3 - 2t, -2) to the bit.
@@ -235,6 +244,13 @@ class TestEdgewiseVirtualErrors:
         got = edgewise_virtual_errors(g, e_all)
         assert np.max(np.abs(got - kronecker_virtual_errors(g, e_all))) <= 1e-12
         assert np.array_equal(got[[1, 3]], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("e_all", [np.ones((6, 1)), np.ones((3, 1)), np.ones(4)], ids=["6x1", "3x1", "1-D"])
+    def test_refuses_a_shape_other_than_one_row_per_follower(self, e_all):
+        # too many rows used to come back with uninitialised rows past N
+        shape = re.escape(str(e_all.shape))
+        with pytest.raises(DimensionError, match=rf"^edgewise_virtual_errors: .*\(4, p\).*{shape}"):
+            edgewise_virtual_errors(ref.reference_graph(), e_all)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_net12_bitwise_equals_per_edge_scatter(self, p):
@@ -1244,6 +1260,13 @@ class TestTraceCsv:
         b.x[0, 0, 0] += 0.25  # a finite deviation elsewhere shows beside equal entries
         finite = abs(a.x[0, 0, 0] - b.x[0, 0, 0]) / max(1.0, abs(a.x[0, 0, 0]), abs(b.x[0, 0, 0]))
         assert a.max_relative_deviation(b) == (expect or finite)
+
+    def test_deviation_of_opposite_extremes_does_not_overflow(self):
+        ref_trace = simulate_state_feedback(ref.reference_scenario(horizon=5), zero_gains())
+        a, b = replace(ref_trace, x=ref_trace.x.copy()), replace(ref_trace, x=ref_trace.x.copy())
+        a.x[3, 1, 0], b.x[3, 1, 0] = 1e308, -1e308
+        assert a.max_relative_deviation(b) == 2.0
+        assert b.max_relative_deviation(a) == 2.0
 
     def test_deviation_skips_zero_size_signals(self):
         empty = simulate_state_feedback(ref.reference_scenario(horizon=0), zero_gains())
