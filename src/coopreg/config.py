@@ -246,6 +246,10 @@ def config_from_dict(data):
         val = getattr(settings, name)
         if val is not None and not (0.0 < val < 1.0):
             raise ConfigurationError(f"synthesis.{name}: must lie in (0, 1), got {val}")
+    for name in ("nu", "nu_l"):
+        val = getattr(settings, name)
+        if val is not None and not (0.0 < val < np.inf):
+            raise ConfigurationError(f"synthesis.{name}: must be finite and positive, got {val}")
     im = build_internal_model(exo, beta_override=beta_override)
 
     per_agent_e = _items(data, "per_agent_e", "matrices", lambda e, at: _check("matrix", e, at))

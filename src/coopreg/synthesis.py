@@ -21,9 +21,10 @@ and communication delay ``r_com``:
    uses it too.  :func:`certify_closed_loop` certifies the nominal loop
    through one ``lam``-slice per eigenvalue of ``H``: the lifted
    spectrum is the union of the spectra of the slice lifts, so every
-   slice lift must be Schur.  A slice lift is affine in ``lam``,
-   ``L(lam) = L0 + lam L1``, so one :func:`closed_loop_blocks` call at
-   ``lam = i`` gives the pencil ``(L0, L1)`` for every slice.
+   slice lift must be Schur.  A slice lift, on the loop state and the
+   last ``r`` inputs, is affine in ``lam``, ``L(lam) = L0 + lam L1``, so
+   one :func:`network_blocks` call at ``lam = i`` gives the pencil
+   ``(L0, L1)`` for every slice.
 5. :func:`design_search` designs and certifies at each ``gamma`` of a
    search; :func:`auto_tune_gamma` runs one, halving
    ``gamma`` until the certificate accepts, which is the standard way
@@ -458,9 +459,9 @@ def closed_loop_blocks(plant, h, im, gains, mode):
     The aggregate state recursion has the delayed form
     ``w(t+1) = A0 w(t) + A1 w(t - r)`` with ``r = r_con + r_com``.
     ``h`` may be any square coupling matrix, including a ``1 x 1``
-    complex eigenvalue slice, which is how the certificate builds its
-    slice pencil.  The blocks are those of :func:`network_blocks` with
-    every follower at the nominal model.
+    complex eigenvalue slice, whose :func:`delay_lift` is the companion
+    lift of that slice.  The blocks are those of :func:`network_blocks`
+    with every follower at the nominal model.
     """
     nominal = [(plant.a, plant.b, plant.c)] * len(np.atleast_2d(h))
     a0, b_u, u_map, _ = network_blocks(plant, h, im, gains, mode, nominal)
@@ -548,16 +549,41 @@ def delay_lift(a0, a1, r):
     return lift
 
 
+def _input_history_lift(a0, b, u, r):
+    """Lift of ``w(t+1) = A0 w(t) + B U w(t-r)`` on ``(w(t), mu(t-1), ..., mu(t-r))``, ``mu = U w``.
+
+    The first block row is ``[A0, 0, ..., 0, B]``, the second ``[U, 0, ..., 0]``, and
+    ``m``-wide shift identities sit below; ``r = 0`` gives ``A0 + B U``.  It is ``w + r m``
+    wide and has the nonzero spectrum of ``delay_lift(A0, B U, r)``, whose others are zeros.
+    """
+    a0, b, u = np.atleast_2d(a0), np.atleast_2d(b), np.atleast_2d(u)
+    nw, m = b.shape[0], b.shape[-1]
+    if b.ndim != 2 or a0.shape != (nw, nw) or u.shape != (m, nw):
+        shapes = f"{a0.shape}, {b.shape} and {u.shape}"
+        raise DimensionError(f"_input_history_lift: expected A0 w x w, B w x m and U m x w, got {shapes}")
+    _require_delay("_input_history_lift", r)
+    if r == 0:
+        return a0 + b @ u
+    lift = np.zeros((nw + r * m, nw + r * m), dtype=np.result_type(a0, b, u))
+    lift[:nw, :nw] = a0
+    lift[:nw, nw + (r - 1) * m :] = b
+    lift[nw : nw + m, :nw] = u
+    lift[nw + m :, nw : nw + (r - 1) * m] = np.eye((r - 1) * m)
+    return lift
+
+
 def _slice_radii(plant, g, im, gains, delays, mode):
     """Lifted spectral radius of each coupling slice: the real ones of ``g._h_slices``, then the complex ones.
 
-    A slice lift is affine in the coupling, ``L(lam) = L0 + lam L1``; the
-    plant, internal model and gains are real, so the lift at ``lam = i``
-    is ``L0 + i L1``.  ``L0 + lam L1`` matches the builder's own lift at
-    ``lam`` to the bit where their products round alike (on the bundled
-    agent), and to rounding otherwise.  One stacked eigensolve per kind.
+    A slice lift, :func:`_input_history_lift` of the slice's blocks, is
+    affine in the coupling, ``L(lam) = L0 + lam L1``; the plant, internal
+    model and gains are real, so the lift at ``lam = i`` is ``L0 + i L1``.
+    ``L0 + lam L1`` matches the builder's own lift at ``lam`` to the bit
+    where their products round alike (on the bundled agent), and to
+    rounding otherwise.  One stacked eigensolve per kind.
     """
-    lift = delay_lift(*closed_loop_blocks(plant, [[1j]], im, gains, mode), delays.r)
+    blocks = network_blocks(plant, [[1j]], im, gains, mode, [(plant.a, plant.b, plant.c)])
+    lift = _input_history_lift(*blocks[:3], delays.r)
     l0, l1 = lift.real, lift.imag
     return np.concatenate([spectral_radius(l0 + lam[:, None, None] * l1) for lam in g._h_slices if lam.size])
 
@@ -567,11 +593,13 @@ def certify_closed_loop(plant, g, im, gains, delays, mode):
 
     Both closed-loop blocks are Kronecker products against ``I`` or
     ``H``, so a Schur triangularization of ``H`` block-triangularizes
-    the lifted loop: its spectrum is the union, over the eigenvalues
-    ``lam`` of ``H``, of the spectra of the small slice lifts
-    ``delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), r)``.
-    The certificate takes the eigenvalues of ``H`` from the graph, which
-    eigensolves ``H`` once and shares the spectrum with
+    the lifted loop: its nonzero spectrum is the union, over the
+    eigenvalues ``lam`` of ``H``, of those of the slice lifts
+    ``delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), r)``,
+    which are ``(r+1) w`` wide.  The certificate lifts each slice on the
+    loop state and the last ``r`` inputs instead, ``w + r m`` wide, with
+    the same nonzero spectrum.  It takes the eigenvalues of ``H`` from the
+    graph, which eigensolves ``H`` once and shares the spectrum with
     :func:`synthesize_gains`, and lifts one slice per
     distinct value (one per conjugate pair, since conjugate slices have
     conjugate spectra), never the network-sized ``(r+1) N w`` matrix.

@@ -36,9 +36,9 @@ sweep table written to <out>
 """
 SWEEP_CSV = b"""\
 gamma,gain_norm,spectral_radius,stable
-0.32,0.94935663620466,1.1576983122832951,0
-0.16,0.41951382788121944,0.9671199554884704,1
-0.08,0.2009757972285122,0.9515987612973066,1
+0.32,0.94935663620466,1.157698312283294,0
+0.16,0.41951382788121944,0.96711995548847,1
+0.08,0.2009757972285122,0.951598761297308,1
 """
 AUTO_TUNE_STDOUT = """\
 mode: state   gamma = 0.1125   nu = 1.0000
@@ -70,7 +70,7 @@ gains:
 certificate:
   mode: state
   stable: true
-  spectral_radius: 0.937778798533234
+  spectral_radius: 0.9377787985332336
   delay: 2
 """
 
@@ -129,6 +129,12 @@ class TestCheck:
                          "scenario.init_states.x: expected 8 numbers", id="init-state-size"),
             pytest.param("synthesize", ("synthesis", "observer_r"), -2, "output",
                          "synthesis.observer_r: must be a non-negative integer, got -2", id="observer-r"),
+            pytest.param("check", ("synthesis", "nu"), -1.0, "state",
+                         "synthesis.nu: must be finite and positive, got -1.0", id="nu-check"),
+            pytest.param("synthesize", ("synthesis", "nu"), float("nan"), "state",
+                         "synthesis.nu: must be finite and positive, got nan", id="nu-synthesize"),
+            pytest.param("synthesize", ("synthesis", "nu_l"), 0.0, "output",
+                         "synthesis.nu_l: must be finite and positive, got 0.0", id="nu_l-synthesize"),
         ],
     )
     def test_malformed_input_exits_two_with_dotted_path(

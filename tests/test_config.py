@@ -228,6 +228,11 @@ MALFORMED_CONFIGS = [
     ("integer-false", "simulation.seed", False, CE, "simulation.seed: expected an integer, got False"),
     ("gamma-range", "synthesis.gamma", 1.2, CE, "synthesis.gamma: must lie in (0, 1), got 1.2"),
     ("gamma_l-range", "synthesis.gamma_l", 0.0, CE, "synthesis.gamma_l: must lie in (0, 1), got 0.0"),
+    ("nu-negative", "synthesis.nu", -1.0, CE, "synthesis.nu: must be finite and positive, got -1.0"),
+    ("nu-nan", "synthesis.nu", float("nan"), CE, "synthesis.nu: must be finite and positive, got nan"),
+    ("nu-inf", "synthesis.nu", float("inf"), CE, "synthesis.nu: must be finite and positive, got inf"),
+    ("nu_l-zero", "synthesis.nu_l", 0.0, CE, "synthesis.nu_l: must be finite and positive, got 0.0"),
+    ("nu_l-int", "synthesis.nu_l", -2, CE, "synthesis.nu_l: must be finite and positive, got -2.0"),
     ("observer_r-negative", "synthesis.observer_r", -2, CE,
      "synthesis.observer_r: must be a non-negative integer, got -2"),
     ("mode", "mode", "closed", CE, "mode: must be 'state' or 'output', got 'closed'"),

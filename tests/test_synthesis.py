@@ -39,6 +39,7 @@ from coopreg import cli, synthesis
 from coopreg.graphs import connectivity_spectral_check, h_matrix
 from coopreg.matrixops import eigenvalues, spectral_radius
 from coopreg.synthesis import (
+    _input_history_lift,
     _slice_radii,
     build_augmented,
     closed_loop_blocks,
@@ -687,6 +688,60 @@ class TestDelayLift:
             assert str(info.value) == f"delays.{name}: must be a non-negative integer, got {flag!r}"
 
 
+class TestInputHistoryLift:
+    @staticmethod
+    def blocks(rng, w, m, complex_=False):
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+        return draw(w, w) / np.sqrt(w), draw(w, m), draw(m, w) / np.sqrt(w)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5])
+    def test_width_is_w_plus_r_m(self, r):
+        a0, b, u = self.blocks(np.random.default_rng(1), 5, 2)
+        assert _input_history_lift(a0, b, u, r).shape == (5 + 2 * r, 5 + 2 * r)
+
+    def test_zero_delay_is_the_closed_loop(self):
+        for complex_ in (False, True):
+            a0, b, u = self.blocks(np.random.default_rng(2), 4, 2, complex_)
+            lift = _input_history_lift(a0, b, u, 0)
+            assert lift.dtype == (a0 + b @ u).dtype and np.array_equal(lift, a0 + b @ u)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("r", range(7))
+    def test_nonzero_spectrum_matches_the_dense_lift(self, r, complex_):
+        # Every eigenvalue of the input-history lift is one of the dense
+        # lift; the r (w - m) the dense lift has over it are zeros, which
+        # sit in Jordan chains of length r, so rounding moves them by about
+        # eps^(1/r) (4.8e-3 at r = 6 on these draws), and a small eigenvalue
+        # of the loop near them moves with them (5e-9 at |lam| = 0.076).
+        rng = np.random.default_rng(100 + r)
+        for w, m in ((5, 2), (4, 1), (3, 3)):
+            a0, b, u = self.blocks(rng, w, m, complex_)
+            lift = np.linalg.eigvals(_input_history_lift(a0, b, u, r))
+            dense = list(np.linalg.eigvals(delay_lift(a0, b @ u, r)))
+            for lam in lift:
+                k = int(np.argmin(np.abs(np.array(dense) - lam)))
+                assert abs(dense.pop(k) - lam) <= 1e-7 * max(1.0, abs(lam))
+            assert len(dense) == r * (w - m)
+            assert all(abs(lam) <= (1e3 * np.finfo(float).eps) ** (1 / max(r, 1)) for lam in dense)
+
+    def test_validation(self):
+        a0, b, u = self.blocks(np.random.default_rng(3), 4, 2)
+        bad = [
+            (a0[:3], b, u), (a0, b[:3], u), (a0, b, u[:, :3]), (a0, b, u[:1]),
+            (a0, b[..., None], u), (np.zeros((2, 4, 4)), b, u),
+        ]
+        for args in bad:
+            with pytest.raises(DimensionError, match="^_input_history_lift: expected A0 w x w"):
+                _input_history_lift(*args, 1)
+        for r in (-1, True, False, 1.0):
+            with pytest.raises(ConfigurationError) as info:
+                _input_history_lift(a0, b, u, r)
+            assert str(info.value) == f"_input_history_lift: r must be a non-negative integer, got {r!r}"
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -792,8 +847,11 @@ class TestCertifyClosedLoop:
         # merge, and the pencil gives each slice the radius of its own
         # builder lift, so every radius is the same to the bit.  With the
         # gamma = 1/8 design, a pencil taken as L(1) - L(0) is off by up
-        # to 2e-14 in output mode on most of these graphs.
+        # to 2e-14 in output mode on most of these graphs.  The dense
+        # (r+1) w wide slice lift has the same nonzero spectrum, so its
+        # radius agrees to rounding (1.4e-13).
         plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        nominal = [(plant.a, plant.b, plant.c)]
         h, _ = h_matrix(graph)
         slices = quadratic_coupling_slices(h)
         real, cplx = graph._h_slices
@@ -805,11 +863,18 @@ class TestCertifyClosedLoop:
             for gains in (ref.reference_gains(mode), eighth):
                 radii = _slice_radii(plant, graph, im, gains, delays, mode)
                 lifts = [
-                    spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
+                    spectral_radius(
+                        _input_history_lift(*network_blocks(plant, [[lam]], im, gains, mode, nominal)[:3], delays.r)
+                    )
                     for lam in [*real, *cplx]
                 ]
                 assert radii.tolist() == lifts
                 assert certify_closed_loop(plant, graph, im, gains, delays, mode)[1] == max(lifts)
+                dense = [
+                    spectral_radius(delay_lift(*closed_loop_blocks(plant, [[lam]], im, gains, mode), delays.r))
+                    for lam in [*real, *cplx]
+                ]
+                assert np.max(np.abs(radii - dense)) <= 1e-12
 
     @pytest.mark.parametrize("graph", [random_tree(64), NET12], ids=["tree64", "net12"])
     def test_one_eigensolve_per_slice_kind(self, graph, monkeypatch):
@@ -825,6 +890,32 @@ class TestCertifyClosedLoop:
             calls.clear()
             certify_closed_loop(plant, graph, im, gains, delays, mode)
             assert len(calls) <= len(kinds)
+
+    @pytest.mark.parametrize("graph", [random_tree(64), NET12], ids=["tree64", "net12"])
+    def test_slice_width_is_w_plus_r_m(self, graph, monkeypatch):
+        # each slice lift carries the loop state and the last r inputs:
+        # w + r m = 4 + 2 and 6 + 2 for the bundled agent at r = 2, where the
+        # dense slice lift would be (r+1) w = 12 and 18 wide
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
+        n_slices = sum(lam.size for lam in graph._h_slices)
+        gains = {mode: ref.reference_gains(mode) for mode in ("state", "output")}
+        solve, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m.shape) or solve(m))
+        for mode, width in (("state", 6), ("output", 8)):
+            calls.clear()
+            certify_closed_loop(plant, graph, im, gains[mode], delays, mode)
+            assert calls and all(shape[-2:] == (width, width) for shape in calls)
+            assert sum(shape[0] for shape in calls) == n_slices
+
+    @pytest.mark.parametrize("graph", [ref.reference_graph(), random_tree(64)], ids=["reference", "tree64"])
+    @pytest.mark.parametrize("r_con, r_com", [(0, 0), (0, 2), (3, 1), (2, 3), (5, 5)])
+    def test_radius_is_the_dense_slice_radius_at_every_delay(self, graph, r_con, r_com):
+        plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), DelaySpec(r_con, r_com)
+        h, _ = h_matrix(graph)
+        for mode in ("state", "output"):
+            gains = ref.reference_gains(mode)
+            _, rho = certify_closed_loop(plant, graph, im, gains, delays, mode)
+            assert abs(rho - slice_radius(plant, h, im, gains, delays.r, mode)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_non_finite_gain_raises_numerical_error(self, mode):
