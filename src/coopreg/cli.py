@@ -22,6 +22,7 @@ import numpy as np
 from . import reference
 from .config import load_config, load_gains, save_gains
 from .errors import ConfigurationError, CoopregError, DimensionError
+from .matrixops import as_real
 from .simulation import simulate_compact_oracle, simulate_output_feedback, simulate_state_feedback
 from .synthesis import (
     auto_tune_gamma,
@@ -32,7 +33,7 @@ from .synthesis import (
     synthesize_gains,
 )
 
-_USAGE_ERRORS = (ConfigurationError, DimensionError, FileNotFoundError)
+_USAGE_ERRORS = (ConfigurationError, DimensionError, OSError)
 
 
 def _print_matrix(label, arr):
@@ -135,10 +136,10 @@ def _gamma_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("empty gamma list")
-    for v in vals:
-        if not (0.0 < v < 1.0):
-            raise argparse.ArgumentTypeError(f"gamma values must lie in (0, 1), got {v}")
-    return vals
+    try:
+        return [as_real(v, "gamma values", "unit") for v in vals]
+    except ConfigurationError as ex:
+        raise argparse.ArgumentTypeError(str(ex))
 
 
 def cmd_sweep(args):

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .internal_model import Exosystem, build_internal_model
 from .graphs import Digraph
+from .matrixops import as_count, as_real
 from .simulation import FollowerUncertainty, Scenario
 from .synthesis import DelaySpec, GainSet, NominalPlant
 
@@ -55,9 +56,10 @@ class ExperimentConfig:
 
 # Field tables, in file order: (name, kind, default).  A "matrix" is a
 # list of equal-length rows of numbers, a "vector" a flat list of
-# numbers; "number" accepts int or float, "integer" only int (bool is
-# neither), "count" only a non-negative int.  A required field must be present and not null; any other
-# field falls back to its default when absent or null.
+# numbers; "number" accepts int or float ("unit" and "positive" only in
+# as_real's interval of that name), "integer" only int (bool is neither),
+# "count" only a non-negative int.  A required field must be present and
+# not null; any other field falls back to its default when absent or null.
 _REQUIRED = object()
 
 
@@ -69,17 +71,18 @@ _PLANT = _fields("matrix", "a b c") + _fields("matrix", "e", None)
 _EXOSYSTEM = _fields("matrix", "s f") + _fields("vector", "v0", None)
 _GRAPH = _fields("integer", "n_followers")
 _DELAYS = _fields("integer", "r_con r_com", 0)
-_SYNTHESIS = _fields("number", "gamma nu gamma_l nu_l", None) + _fields("count", "observer_r", 0)
+_SYNTHESIS = _fields("unit", "gamma", None) + _fields("positive", "nu", None)
+_SYNTHESIS += _fields("unit", "gamma_l", None) + _fields("positive", "nu_l", None) + _fields("count", "observer_r", 0)
 _BETA_OVERRIDE = _fields("matrix", "beta sigma")
 _UNCERTAINTY = _fields("matrix", "d_a d_b d_e d_c", None)
-_SIMULATION = _fields("integer", "horizon", 100) + _fields("integer", "seed", 0)
+_SIMULATION = _fields("count", "horizon", 100) + _fields("count", "seed", 0)
 _SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_high", 1.0)
 # The observer fields after the first four are written only with l_obs;
 # gamma_l and nu_l are read only beside it.
 _GAINS = _fields("matrix", "k_x k_z") + _fields("number", "gamma nu")
 _GAINS += _fields("matrix", "l_obs", None) + _fields("number", "gamma_l nu_l", None)
 _GAINS += _fields("count", "observer_r", 0)
-_NOUN = {"matrix": "matrix", "vector": "vector", "number": "value", "integer": "value", "count": "value"}
+_NOUN = {"matrix": "matrix", "vector": "vector"}
 
 
 def _is_number(val):
@@ -88,16 +91,14 @@ def _is_number(val):
 
 def _check(kind, val, where):
     """Validate one present (non-null) value of ``kind``; return it as stored."""
-    if kind == "number":
+    if kind in ("number", "unit", "positive"):
         if not _is_number(val):
             raise ConfigurationError(f"{where}: expected a number, got {val!r}")
-        return float(val)
+        return float(val) if kind == "number" else as_real(val, f"{where}:", kind)
     if kind in ("integer", "count"):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigurationError(f"{where}: expected an integer, got {val!r}")
-        if kind == "count" and val < 0:
-            raise ConfigurationError(f"{where}: must be a non-negative integer, got {val}")
-        return val
+        return as_count(val, f"{where}:") if kind == "count" else val
     if kind == "vector":
         if not isinstance(val, list) or not all(map(_is_number, val)):
             raise ConfigurationError(f"{where}: expected a flat list of numbers")
@@ -125,7 +126,7 @@ def _read(fields, section, path):
         if val is not None:
             out[name] = _check(kind, val, f"{path}.{name}")
         elif default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{name}: missing required {_NOUN[kind]}")
+            raise ConfigurationError(f"{path}.{name}: missing required {_NOUN.get(kind, 'value')}")
         else:
             out[name] = default
     return out
@@ -137,7 +138,7 @@ def _plain(kind, val):
         return [[float(v) for v in row] for row in np.atleast_2d(val)]
     if kind == "vector":
         return [float(v) for v in val]
-    return float(val) if kind == "number" else int(val)
+    return int(val) if kind in ("integer", "count") else float(val)
 
 
 def _write(fields, values, sparse=False):
@@ -242,14 +243,6 @@ def config_from_dict(data):
         bo = _read(_BETA_OVERRIDE, _mapping(beta_override, path, "a mapping with beta and sigma"), path)
         beta_override = (bo["beta"], bo["sigma"])
     settings = SynthesisSettings(**synthesis, beta_override=beta_override)
-    for name in ("gamma", "gamma_l"):
-        val = getattr(settings, name)
-        if val is not None and not (0.0 < val < 1.0):
-            raise ConfigurationError(f"synthesis.{name}: must lie in (0, 1), got {val}")
-    for name in ("nu", "nu_l"):
-        val = getattr(settings, name)
-        if val is not None and not (0.0 < val < np.inf):
-            raise ConfigurationError(f"synthesis.{name}: must be finite and positive, got {val}")
     im = build_internal_model(exo, beta_override=beta_override)
 
     per_agent_e = _items(data, "per_agent_e", "matrices", lambda e, at: _check("matrix", e, at))

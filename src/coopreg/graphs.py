@@ -23,7 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .matrixops import DEFAULT_RANK_TOL, eigenvalues
+from .matrixops import DEFAULT_RANK_TOL, as_count, as_real, eigenvalues
 
 __all__ = [
     "Digraph",
@@ -53,11 +53,7 @@ class Digraph:
     edges: tuple = field(default=())
 
     def __post_init__(self):
-        n = self.n_followers
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigurationError(
-                f"graph.n_followers: must be a positive integer, got {n!r}"
-            )
+        n = as_count(self.n_followers, "graph.n_followers:", 1)
         seen = set()
         norm = []
         for k, edge in enumerate(self.edges):
@@ -71,9 +67,8 @@ class Digraph:
                 raise ConfigurationError(
                     f"graph.edges[{k}]: node indices must be integers, got ({src!r}, {dst!r})"
                 )
-            if not isinstance(w, numbers.Real) or isinstance(w, bool):
-                raise ConfigurationError(f"graph.edges[{k}]: weight must be a real number, got {w!r}")
-            src, dst, w = int(src), int(dst), float(w)
+            w = as_real(w, f"graph.edges[{k}]: weight")
+            src, dst = int(src), int(dst)
             if not (0 <= src <= n) or not (0 <= dst <= n):
                 raise ConfigurationError(
                     f"graph.edges[{k}]: node index out of range 0..{n}: ({src}, {dst})"
@@ -84,10 +79,6 @@ class Digraph:
                 raise ConfigurationError(
                     f"graph.edges[{k}]: edge into the leader (node 0) is not allowed"
                 )
-            if not np.isfinite(w) or w <= 0.0:
-                raise ConfigurationError(
-                    f"graph.edges[{k}]: weight must be finite and positive, got {w}"
-                )
             if (src, dst) in seen:
                 raise ConfigurationError(
                     f"graph.edges[{k}]: duplicate edge ({src}, {dst})"
@@ -95,7 +86,7 @@ class Digraph:
             seen.add((src, dst))
             norm.append((src, dst, w))
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "n_followers", int(n))
+        object.__setattr__(self, "n_followers", n)
 
     @cached_property
     def _h_spectrum(self):

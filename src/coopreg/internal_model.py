@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .matrixops import (
+    as_count,
     as_matrix,
     companion_pair,
     controllability_matrix,
@@ -110,8 +111,7 @@ class Exosystem:
         (sequential: 1.0e-14; 9.4e-14 at ``t = 20000``) and a 2000-step
         run 7.1e-13 from one on stepped rows (sequential: 1.7e-13).
         """
-        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 0:
-            raise ConfigurationError(f"Exosystem.trajectory: horizon must be an integer >= 0, got {horizon!r}")
+        horizon = as_count(horizon, "Exosystem.trajectory: horizon")
         head, power = self._trajectory_head
         v = np.empty((horizon, self.q))
         v[:64] = head[:horizon]

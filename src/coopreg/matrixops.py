@@ -5,7 +5,8 @@ Everything here operates on plain ``numpy`` 2-D float arrays;
 treats each matrix as it would alone.  The helpers fall into four
 groups:
 
-* validation and construction (:func:`as_matrix`, :func:`require_square`),
+* validation and construction (:func:`as_matrix`, :func:`require_square`,
+  and the scalar rules :func:`as_count` and :func:`as_real`),
 * spectral utilities (:func:`eigenvalues`, :func:`spectral_radius`,
   :func:`on_unit_circle`),
 * rank machinery with one explicit tolerance, for real and complex
@@ -20,15 +21,19 @@ ascending order: ``coeffs = [c0, c1, ..., c_{d-1}]`` stands for
 implicit, so the degree equals ``len(coeffs)``.
 """
 
+import numbers
+
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import ConfigurationError, DimensionError, NumericalError
 
 __all__ = [
     "DEFAULT_RANK_TOL",
     "SCHUR_MARGIN",
     "as_matrix",
     "require_square",
+    "as_count",
+    "as_real",
     "eigenvalues",
     "spectral_radius",
     "on_unit_circle",
@@ -91,6 +96,39 @@ def require_square(m, name="matrix"):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_count(value, subject, minimum=0):
+    """``value``, any :class:`numbers.Integral` but ``bool``, as an ``int`` of at least ``minimum`` (0 or 1).
+
+    ``subject`` opens the :class:`ConfigurationError` message: ``"delays.r_con:"``, ``"delay_lift: r"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        sign = "non-negative" if minimum == 0 else "positive"
+        raise ConfigurationError(f"{subject} must be a {sign} integer, got {value!r}")
+    return int(value)
+
+
+# The open intervals of as_real: name -> (low, high, what the value must do).
+_INTERVALS = {
+    "finite": (-np.inf, np.inf, "be finite"),
+    "positive": (0.0, np.inf, "be finite and positive"),
+    "unit": (0.0, 1.0, "lie in (0, 1)"),
+}
+
+
+def as_real(value, subject, interval="positive"):
+    """``value``, any :class:`numbers.Real` but ``bool``, as a ``float`` in the open ``interval``.
+
+    ``subject`` opens the :class:`ConfigurationError` message: ``"synthesis.nu:"``, ``"auto_tune_gamma: gamma0"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{subject} must be a real number, got {value!r}")
+    low, high, wording = _INTERVALS[interval]
+    x = float(value)
+    if not low < x < high:
+        raise ConfigurationError(f"{subject} must {wording}, got {x}")
+    return x
 
 
 def eigenvalues(m, name="matrix"):

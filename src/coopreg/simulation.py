@@ -102,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .matrixops import as_matrix, block_diag, kron
+from .matrixops import as_count, as_matrix, as_real, block_diag, kron
 from .graphs import h_matrix
 from .synthesis import _check_gains, network_blocks
 
@@ -223,13 +223,11 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("state", "output"):
             raise ConfigurationError(f"scenario.mode: must be 'state' or 'output', got {self.mode!r}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)) or self.horizon < 0:
-            raise ConfigurationError(f"scenario.horizon: must be a non-negative integer, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ConfigurationError(f"scenario.seed: must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not (np.isfinite(self.init_low) and np.isfinite(self.init_high)) or self.init_low > self.init_high:
+        for name in ("horizon", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), f"scenario.{name}:"))
+        for name in ("init_low", "init_high"):
+            object.__setattr__(self, name, as_real(getattr(self, name), f"scenario.{name}:", "finite"))
+        if self.init_low > self.init_high:
             raise ConfigurationError(
                 f"scenario.init_low/init_high: need finite low <= high, got ({self.init_low}, {self.init_high})"
             )

@@ -52,7 +52,9 @@ from .graphs import connectivity_spectral_check, has_leader_spanning_tree
 from .matrixops import (
     DEFAULT_RANK_TOL,
     SCHUR_MARGIN,
+    as_count,
     as_matrix,
+    as_real,
     block_diag,
     detectable,
     eigenvalues,
@@ -140,10 +142,7 @@ class DelaySpec:
 
     def __post_init__(self):
         for name in ("r_con", "r_com"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-                raise ConfigurationError(f"delays.{name}: must be a non-negative integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, as_count(getattr(self, name), f"delays.{name}:"))
 
     @property
     def r(self):
@@ -329,9 +328,7 @@ def solve_parametric_dare(a, b, gamma):
     b = as_matrix(b, "b")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"solve_parametric_dare: A is {a.shape[0]} x {a.shape[0]} but B has {b.shape[0]} rows")
-    gamma = float(gamma)
-    if not (0.0 < gamma < 1.0):
-        raise ConfigurationError(f"solve_parametric_dare: gamma must lie in (0, 1), got {gamma}")
+    gamma = as_real(gamma, "solve_parametric_dare: gamma", "unit")
 
     at = a / np.sqrt(1.0 - gamma)
     eye = np.eye(a.shape[0])
@@ -365,12 +362,6 @@ def solve_parametric_dare(a, b, gamma):
     return p
 
 
-def _require_delay(caller, r):
-    """Reject a delay ``r`` that is not a non-negative integer, naming ``caller``."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-        raise ConfigurationError(f"{caller}: r must be a non-negative integer, got {r!r}")
-
-
 def state_feedback_gain(a, b, gamma, nu, r):
     """Delay-compensating low-gain state feedback.
 
@@ -389,14 +380,12 @@ def _feedback_law(a, b, nu, r):
     """:func:`state_feedback_gain` as a function of ``gamma``; the checks and ``A^(r+1)`` are done once."""
     a = require_square(as_matrix(a, "a"), "a")
     b = as_matrix(b, "b")
-    if not np.isfinite(nu) or nu <= 0:
-        raise ConfigurationError(f"state_feedback_gain: nu must be positive, got {nu}")
-    _require_delay("state_feedback_gain", r)
-    power = np.linalg.matrix_power(a, int(r) + 1)
+    nu = as_real(nu, "state_feedback_gain: nu")
+    power = np.linalg.matrix_power(a, as_count(r, "state_feedback_gain: r") + 1)
 
     def gain(gamma):
         p = solve_parametric_dare(a, b, gamma)
-        return -np.linalg.solve(np.eye(b.shape[1]) + b.T @ p @ b, b.T @ p @ power) / float(nu)
+        return -np.linalg.solve(np.eye(b.shape[1]) + b.T @ p @ b, b.T @ p @ power) / nu
 
     return gain
 
@@ -420,10 +409,8 @@ def observer_gain(a, c, gamma_l, nu_l, r=0):
     c = as_matrix(c, "c")
     if c.shape[1] != a.shape[0]:
         raise DimensionError(f"observer_gain: A is {a.shape[0]} x {a.shape[0]} but C has {c.shape[1]} columns")
-    if not np.isfinite(nu_l) or nu_l <= 0:
-        raise ConfigurationError(f"observer_gain: nu_l must be positive, got {nu_l}")
-    _require_delay("observer_gain", r)
-    return -state_feedback_gain(a.T, c.T, gamma_l, nu_l, r).T
+    nu_l = as_real(nu_l, "observer_gain: nu_l")
+    return -state_feedback_gain(a.T, c.T, gamma_l, nu_l, as_count(r, "observer_gain: r")).T
 
 
 def build_augmented(plant, im):
@@ -539,7 +526,7 @@ def delay_lift(a0, a1, r):
     a1 = np.atleast_2d(a1)
     if a0.ndim != 2 or a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
         raise DimensionError(f"delay_lift: expected equal square blocks, got {a0.shape} and {a1.shape}")
-    _require_delay("delay_lift", r)
+    r = as_count(r, "delay_lift: r")
     nb = a0.shape[0]
     dtype = np.result_type(a0.dtype, a1.dtype)
     lift = np.zeros(((r + 1) * nb, (r + 1) * nb), dtype=dtype)
@@ -561,7 +548,7 @@ def _input_history_lift(a0, b, u, r):
     if b.ndim != 2 or a0.shape != (nw, nw) or u.shape != (m, nw):
         shapes = f"{a0.shape}, {b.shape} and {u.shape}"
         raise DimensionError(f"_input_history_lift: expected A0 w x w, B w x m and U m x w, got {shapes}")
-    _require_delay("_input_history_lift", r)
+    r = as_count(r, "_input_history_lift: r")
     if r == 0:
         return a0 + b @ u
     lift = np.zeros((nw + r * m, nw + r * m), dtype=np.result_type(a0, b, u))
@@ -698,7 +685,7 @@ def _design_context(plant, g, im, delays, mode="state", nu=None, nu_l=None, obse
             l_obs=observer_gain(plant.a, plant.c, gamma_l, nu_l, observer_r) if output else None,
             gamma_l=float(gamma_l) if output else None,
             nu_l=float(nu_l) if output else None,
-            observer_r=int(observer_r),
+            observer_r=as_count(observer_r, "synthesize_gains: observer_r"),
         )
 
     return design
@@ -751,9 +738,7 @@ def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
         halvings; the message names the smallest finite radius reached
         and the last five candidates.
     """
-    gamma0 = float(gamma0)
-    if not (0.0 < gamma0 < 1.0):
-        raise ConfigurationError(f"auto_tune_gamma: gamma0 must lie in (0, 1), got {gamma0}")
+    gamma0 = as_real(gamma0, "auto_tune_gamma: gamma0", "unit")
     rho_a = spectral_radius(plant.a)
     if rho_a > 1.0 + DEFAULT_RANK_TOL:
         raise SynthesisError(

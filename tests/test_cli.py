@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import coopreg
-from coopreg import cli, load_gains, load_trace_csv
+from coopreg import cli, config, load_gains, load_trace_csv
 from coopreg import reference as ref
 from coopreg.config import save_gains
 from coopreg.synthesis import GainSet
@@ -135,6 +135,8 @@ class TestCheck:
                          "synthesis.nu: must be finite and positive, got nan", id="nu-synthesize"),
             pytest.param("synthesize", ("synthesis", "nu_l"), 0.0, "output",
                          "synthesis.nu_l: must be finite and positive, got 0.0", id="nu_l-synthesize"),
+            pytest.param("check", ("simulation", "seed"), -1, "state",
+                         "simulation.seed: must be a non-negative integer, got -1", id="seed-negative"),
         ],
     )
     def test_malformed_input_exits_two_with_dotted_path(
@@ -149,6 +151,30 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["check", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check", "{dir}"], id="check"),
+            pytest.param(["synthesize", "{config}", "--out", "{dir}"], id="synthesize-out"),
+            pytest.param(["simulate", "{config}", "--trace", "{dir}"], id="simulate-trace"),
+        ],
+    )
+    def test_directory_path_is_usage_error(self, tmp_path, config_path, capsys, argv):
+        # Reading or writing a directory raises IsADirectoryError, an OSError.
+        target = tmp_path / "dir"
+        target.mkdir()
+        assert cli.main([arg.format(dir=target, config=config_path) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+
+    def test_permission_error_is_usage_error(self, config_path, capsys, monkeypatch):
+        # A superuser reads any file whatever its mode, so the opener itself refuses.
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(config, "open", denied, raising=False)
+        assert cli.main(["check", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{config_path}'\n"
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     def test_wrong_shape_plant_e_is_usage_error(self, tmp_path, capsys, command):

@@ -277,7 +277,8 @@ MALFORMED_CONFIGS = [
     ("v0-inf", "exosystem.v0", [float("inf"), 0.0], CE, "exosystem.v0: contains non-finite entries"),
     ("matrix-nan", "plant.a", [[1.0, float("nan")], [0.0, 1.0]], CE, "plant.a: contains non-finite entries"),
     ("horizon-negative", "simulation.horizon", -1, CE,
-     "scenario.horizon: must be a non-negative integer, got -1"),
+     "simulation.horizon: must be a non-negative integer, got -1"),
+    ("seed-negative", "simulation.seed", -1, CE, "simulation.seed: must be a non-negative integer, got -1"),
     ("init-bounds", "simulation.init_low", 2.0, CE,
      "scenario.init_low/init_high: need finite low <= high, got (2.0, 1.0)"),
 ]

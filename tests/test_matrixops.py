@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-from coopreg.errors import DimensionError, NumericalError
+from coopreg import (
+    DelaySpec,
+    Scenario,
+    auto_tune_gamma,
+    observer_gain,
+    solve_parametric_dare,
+    state_feedback_gain,
+    synthesize_gains,
+)
+from coopreg import reference as ref
+from coopreg.errors import ConfigurationError, DimensionError, NumericalError
 from coopreg.matrixops import (
     SCHUR_MARGIN,
+    as_count,
     as_matrix,
+    as_real,
     block_diag,
     companion_pair,
     controllability_matrix,
@@ -46,6 +58,126 @@ class TestValidation:
     def test_as_matrix_rejects_strings(self):
         with pytest.raises(DimensionError):
             as_matrix([["a", "b"]])
+
+
+# Values neither scalar rule accepts, whatever its bounds.
+NOT_SCALARS = [True, np.True_, "1", None]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("value", NOT_SCALARS + NON_FINITE + [-1, 1.0], ids=repr)
+    def test_count_refuses(self, value):
+        with pytest.raises(ConfigurationError) as info:
+            as_count(value, "delays.r_con:")
+        assert str(info.value) == f"delays.r_con: must be a non-negative integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", NOT_SCALARS + NON_FINITE + [0, -1], ids=repr)
+    def test_positive_count_refuses(self, value):
+        with pytest.raises(ConfigurationError) as info:
+            as_count(value, "graph.n_followers:", 1)
+        assert str(info.value) == f"graph.n_followers: must be a positive integer, got {value!r}"
+
+    @pytest.mark.parametrize("value, minimum", [(0, 0), (7, 0), (1, 1), (np.int64(3), 0), (np.uint8(2), 1)])
+    def test_count_accepts_any_integral_and_returns_int(self, value, minimum):
+        got = as_count(value, "n:", minimum)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("interval", ["finite", "positive", "unit"])
+    @pytest.mark.parametrize("value", NOT_SCALARS + [[0.5], np.array(0.5) + 1j], ids=repr)
+    def test_real_refuses_what_is_not_a_real_number(self, value, interval):
+        with pytest.raises(ConfigurationError) as info:
+            as_real(value, "synthesis.nu:", interval)
+        assert str(info.value) == f"synthesis.nu: must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "interval, wording, values",
+        [
+            ("finite", "be finite", NON_FINITE),
+            ("positive", "be finite and positive", NON_FINITE + [0, 0.0, -1e-300, -2]),
+            ("unit", "lie in (0, 1)", NON_FINITE + [0, 0.0, 1, 1.0, -0.5, 1.5]),
+        ],
+    )
+    def test_real_refuses_what_lies_outside_its_open_interval(self, interval, wording, values):
+        for value in values:
+            with pytest.raises(ConfigurationError) as info:
+                as_real(value, "auto_tune_gamma: gamma0", interval)
+            assert str(info.value) == f"auto_tune_gamma: gamma0 must {wording}, got {float(value)}"
+
+    @pytest.mark.parametrize(
+        "value, interval",
+        [(np.float32(0.5), "unit"), (np.int64(2), "positive"), (-3, "finite"), (0.08, "unit"), (1e300, "positive")],
+    )
+    def test_real_accepts_any_real_and_returns_float(self, value, interval):
+        got = as_real(value, "x:", interval)
+        assert type(got) is float and got == float(value)
+
+    def test_positive_is_the_default_interval(self):
+        assert as_real(5, "x:") == 5.0
+        with pytest.raises(ConfigurationError, match=r"^x: must be finite and positive, got -5\.0$"):
+            as_real(-5, "x:")
+
+
+def _api_scenario(**fields):
+    base = dict(
+        plant=ref.reference_plant(), exo=ref.reference_exosystem(), graph=ref.reference_graph(),
+        delays=DelaySpec(0, 0), im=ref.reference_internal_model(),
+    )
+    return Scenario(**base, **fields)
+
+
+def _api_problem():
+    return ref.reference_plant(), ref.reference_graph(), ref.reference_internal_model(), DelaySpec(1, 1)
+
+
+A2, B2, C2 = [[0.9, 0.1], [0.0, 0.9]], [[0.0], [1.0]], [[1.0, 0.0]]
+
+# Each public entry point reads its scalars through as_count / as_real.
+API_SCALARS = [
+    ("state_feedback_gain-nu-bool", lambda: state_feedback_gain(A2, B2, 0.1, True, 0),
+     "state_feedback_gain: nu must be a real number, got True"),
+    ("state_feedback_gain-nu-zero", lambda: state_feedback_gain(A2, B2, 0.1, 0, 0),
+     "state_feedback_gain: nu must be finite and positive, got 0.0"),
+    ("observer_gain-nu_l-bool", lambda: observer_gain(A2, C2, 0.1, True),
+     "observer_gain: nu_l must be a real number, got True"),
+    ("dare-gamma-str", lambda: solve_parametric_dare(A2, B2, "0.1"),
+     "solve_parametric_dare: gamma must be a real number, got '0.1'"),
+    ("auto_tune-gamma0-str", lambda: auto_tune_gamma(*_api_problem(), "0.5"),
+     "auto_tune_gamma: gamma0 must be a real number, got '0.5'"),
+    ("synthesize-nu-str", lambda: synthesize_gains(*_api_problem(), 0.08, nu="1"),
+     "state_feedback_gain: nu must be a real number, got '1'"),
+    ("synthesize-gamma-str", lambda: synthesize_gains(*_api_problem(), "0.08"),
+     "solve_parametric_dare: gamma must be a real number, got '0.08'"),
+    ("synthesize-observer_r-float", lambda: synthesize_gains(*_api_problem(), 0.08, observer_r=1.7),
+     "synthesize_gains: observer_r must be a non-negative integer, got 1.7"),
+    ("scenario-init_low-bool", lambda: _api_scenario(init_low=True),
+     "scenario.init_low: must be a real number, got True"),
+    ("scenario-init_low-str", lambda: _api_scenario(init_low="a"),
+     "scenario.init_low: must be a real number, got 'a'"),
+    ("scenario-init_high-nan", lambda: _api_scenario(init_high=float("nan")),
+     "scenario.init_high: must be finite, got nan"),
+    ("scenario-init-bounds", lambda: _api_scenario(init_low=2.0),
+     "scenario.init_low/init_high: need finite low <= high, got (2.0, 1.0)"),
+    ("scenario-seed-negative", lambda: _api_scenario(seed=-1),
+     "scenario.seed: must be a non-negative integer, got -1"),
+    ("trajectory-horizon-negative", lambda: ref.reference_exosystem().trajectory(-1),
+     "Exosystem.trajectory: horizon must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*case[1:], id=case[0]) for case in API_SCALARS])
+def test_api_scalars_are_checked_by_the_rules(call, message):
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    assert type(info.value) is ConfigurationError
+    assert str(info.value) == message
+
+
+def test_api_scalars_accept_numpy_scalars():
+    sc = _api_scenario(horizon=np.int64(5), seed=np.uint32(3), init_low=np.float32(-0.5))
+    assert (type(sc.horizon), type(sc.seed), type(sc.init_low)) == (int, int, float)
+    assert np.array_equal(state_feedback_gain(A2, B2, np.float32(0.25), np.int64(2), np.int8(1)),
+                          state_feedback_gain(A2, B2, float(np.float32(0.25)), 2.0, 1))
 
 
 class TestEigenvalues:

@@ -283,7 +283,7 @@ class TestScenario:
         assert str(info.value) == f"scenario.horizon: must be a non-negative integer, got {flag!r}"
         with pytest.raises(ConfigurationError) as info:
             Scenario(**base, seed=flag)
-        assert str(info.value) == f"scenario.seed: must be an integer, got {flag!r}"
+        assert str(info.value) == f"scenario.seed: must be a non-negative integer, got {flag!r}"
 
     def test_validation_errors(self):
         plant = ref.reference_plant()
@@ -298,7 +298,7 @@ class TestScenario:
             Scenario(**base, horizon=-1)
         with pytest.raises(ConfigurationError) as info:
             Scenario(**base, seed=1.5)
-        assert str(info.value) == "scenario.seed: must be an integer, got 1.5"
+        assert str(info.value) == "scenario.seed: must be a non-negative integer, got 1.5"
         two_channels = build_internal_model(Exosystem(s=exo.s, f=np.zeros((2, 2)), v0=[0.0, 0.0]))
         with pytest.raises(DimensionError) as info:
             Scenario(**{**base, "im": two_channels})
