@@ -29,7 +29,6 @@ from .synthesis import (
     certify_closed_loop,
     check_assumptions,
     design_search,
-    synthesize_and_certify,
     synthesize_gains,
 )
 
@@ -81,7 +80,8 @@ def cmd_synthesize(args):
         gains = auto_tune_gamma(*problem, gamma0, **settings)
         stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
     else:
-        gains, stable, rho = synthesize_and_certify(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)
+        gamma, gamma_l = _file_gamma(cfg, "for gain synthesis"), settings.pop("gamma_l")
+        gains, stable, rho = design_search(*problem, **settings)(gamma, gamma_l)
 
     print(f"mode: {sc.mode}   gamma = {gains.gamma:.4f}   nu = {gains.nu:.4f}")
     _print_matrix("K_x", gains.k_x)

@@ -6,10 +6,10 @@ maps and uncertainties, and the simulation settings.  Gains produced by
 synthesis are written to a separate file together with their stability
 certificate, so a run can be reproduced without re-running synthesis.
 
-Each section's fields are stated once, in a table that both the reader
-and the writer use.  Readers validate eagerly and name the dotted path
-of the offending field (``plant.a``, ``graph.edges[2]``, ...).  Writing
-is deterministic and round-trips floats at full precision.
+Each section's fields are stated once, in a table.  Readers validate
+eagerly and name the dotted path of the offending field (``plant.a``,
+``graph.edges[2]``, ...).  Scenario files are only read; gain files are
+also written, deterministically and with floats at full precision.
 """
 
 from dataclasses import dataclass
@@ -27,8 +27,6 @@ __all__ = [
     "SynthesisSettings",
     "ExperimentConfig",
     "load_config",
-    "save_config",
-    "config_to_dict",
     "save_gains",
     "load_gains",
 ]
@@ -79,8 +77,8 @@ _SIMULATION = _fields("count", "horizon", 100) + _fields("count", "seed", 0)
 _SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_high", 1.0)
 # The observer fields after the first four are written only with l_obs;
 # gamma_l and nu_l are read only beside it.
-_GAINS = _fields("matrix", "k_x k_z") + _fields("number", "gamma nu")
-_GAINS += _fields("matrix", "l_obs", None) + _fields("number", "gamma_l nu_l", None)
+_GAINS = _fields("matrix", "k_x k_z") + _fields("unit", "gamma") + _fields("positive", "nu")
+_GAINS += _fields("matrix", "l_obs", None) + _fields("unit", "gamma_l", None) + _fields("positive", "nu_l", None)
 _GAINS += _fields("count", "observer_r", 0)
 _NOUN = {"matrix": "matrix", "vector": "vector"}
 
@@ -136,18 +134,12 @@ def _plain(kind, val):
     """``val`` as the plain YAML value of its field kind."""
     if kind == "matrix":
         return [[float(v) for v in row] for row in np.atleast_2d(val)]
-    if kind == "vector":
-        return [float(v) for v in val]
     return int(val) if kind in ("integer", "count") else float(val)
 
 
-def _write(fields, values, sparse=False):
-    """Plain YAML of ``values`` in table order, without ``None`` (or, if ``sparse``, defaults)."""
-    return {
-        name: _plain(kind, values[name])
-        for name, kind, default in fields
-        if values[name] is not None and not (sparse and values[name] == default)
-    }
+def _write(fields, values):
+    """Plain YAML of ``values`` in table order, without ``None``."""
+    return {name: _plain(kind, values[name]) for name, kind, _ in fields if values[name] is not None}
 
 
 def _mapping(val, path, what="a mapping"):
@@ -268,37 +260,6 @@ def config_from_dict(data):
         **simulation,
     )
     return ExperimentConfig(scenario=scenario, synthesis=settings)
-
-
-def config_to_dict(cfg):
-    """Serialize an :class:`ExperimentConfig` back to a plain mapping."""
-    sc, st = cfg.scenario, cfg.synthesis
-    out = {
-        "mode": sc.mode,
-        "plant": _write(_PLANT, vars(sc.plant)),
-        "exosystem": _write(_EXOSYSTEM, vars(sc.exo)),
-        "graph": _write(_GRAPH, vars(sc.graph)),
-        "delays": _write(_DELAYS, vars(sc.delays)),
-    }
-    out["graph"]["edges"] = [[src, dst, float(w)] for src, dst, w in sc.graph.edges]
-    synth = _write(_SYNTHESIS, vars(st), sparse=True)
-    if st.beta_override is not None:
-        synth["beta_override"] = _write(_BETA_OVERRIDE, dict(zip(("beta", "sigma"), st.beta_override)))
-    if synth:
-        out["synthesis"] = synth
-    if sc.per_agent_e is not None:
-        out["per_agent_e"] = [_plain("matrix", e) for e in sc.per_agent_e]
-    if sc.uncertainties is not None:
-        out["uncertainties"] = [_write(_UNCERTAINTY, vars(u)) for u in sc.uncertainties]
-    out["simulation"] = _write(_SIMULATION, vars(sc))
-    if sc.init_states:
-        out["simulation"]["init_states"] = {k: _plain("matrix", v) for k, v in sc.init_states.items()}
-    return out
-
-
-def save_config(cfg, path):
-    """Write a scenario file; deterministic layout, full precision."""
-    _save_yaml(config_to_dict(cfg), path)
 
 
 def save_gains(gains, path, certificate=None):

@@ -82,7 +82,6 @@ __all__ = [
     "certify_closed_loop",
     "synthesize_gains",
     "design_search",
-    "synthesize_and_certify",
     "auto_tune_gamma",
 ]
 
@@ -669,23 +668,25 @@ def _design_context(plant, g, im, delays, mode="state", nu=None, nu_l=None, obse
             f"coupling matrix H has min Re eig(H) = {re_min:.4e}, not above the connectivity threshold "
             f"{DEFAULT_RANK_TOL:.0e}; the graph needs a leader-rooted spanning tree"
         )
-    nu = re_min if nu is None else nu
-    nu_l = nu if nu_l is None else nu_l
+    nu = re_min if nu is None else as_real(nu, "synthesize_gains: nu")
+    nu_l = nu if nu_l is None else as_real(nu_l, "synthesize_gains: nu_l")
+    observer_r = as_count(observer_r, "synthesize_gains: observer_r")
     feedback = _feedback_law(*build_augmented(plant, im), nu, delays.r)
 
     def design(gamma, gamma_l=None):
+        gamma = as_real(gamma, "synthesize_gains: gamma", "unit")
+        gamma_l = gamma if gamma_l is None else as_real(gamma_l, "synthesize_gains: gamma_l", "unit")
         k_full = feedback(gamma)
-        gamma_l = gamma if gamma_l is None else gamma_l
         output = mode == "output"
         return GainSet(
             k_x=k_full[:, : plant.n],
             k_z=k_full[:, plant.n :],
-            gamma=float(gamma),
-            nu=float(nu),
+            gamma=gamma,
+            nu=nu,
             l_obs=observer_gain(plant.a, plant.c, gamma_l, nu_l, observer_r) if output else None,
-            gamma_l=float(gamma_l) if output else None,
-            nu_l=float(nu_l) if output else None,
-            observer_r=as_count(observer_r, "synthesize_gains: observer_r"),
+            gamma_l=gamma_l if output else None,
+            nu_l=nu_l if output else None,
+            observer_r=observer_r,
         )
 
     return design
@@ -705,25 +706,15 @@ def design_search(plant, g, im, delays, mode="state", nu=None, nu_l=None, observ
     return candidate
 
 
-def synthesize_and_certify(plant, g, im, delays, gamma, mode="state", **settings):
-    """Synthesize at ``gamma`` and certify: returns ``(gains, stable, rho)``.
-
-    ``settings`` (``nu``, ``gamma_l``, ``nu_l``, ``observer_r``) go to
-    :func:`synthesize_gains`.  A :class:`NumericalError` of the Riccati
-    solve propagates.
-    """
-    gamma_l = settings.pop("gamma_l", None)
-    return design_search(plant, g, im, delays, mode, **settings)(gamma, gamma_l)
-
-
 def auto_tune_gamma(plant, g, im, delays, gamma0, mode="state", **settings):
     """Halve ``gamma`` from ``gamma0`` until the closed loop certifies.
 
     The low-gain theory guarantees that a sufficiently small ``gamma``
     stabilizes the delayed loop whenever the structural assumptions
-    hold, so a geometric search is enough.  ``settings`` are those of
-    :func:`synthesize_and_certify`; a given ``gamma_l`` is halved in
-    lockstep with ``gamma``; one :func:`design_search` does the ``gamma``-free work once.
+    hold, so a geometric search is enough.  ``settings`` (``nu``,
+    ``gamma_l``, ``nu_l``, ``observer_r``) are those of
+    :func:`synthesize_gains`; a given ``gamma_l`` is halved in lockstep
+    with ``gamma``; one :func:`design_search` does the ``gamma``-free work once.
 
     Returns
     -------

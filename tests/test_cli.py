@@ -40,6 +40,61 @@ gamma,gain_norm,spectral_radius,stable
 0.16,0.41951382788121944,0.96711995548847,1
 0.08,0.2009757972285122,0.951598761297308,1
 """
+SYNTHESIZE_STDOUT = """\
+mode: state   gamma = 0.0800   nu = 1.0000
+K_x = [[ 0.0940 -0.1200]]
+K_z = [[-0.0413 -0.1243]]
+delay-lifted closed loop: stable (spectral radius 0.9516, delay 2)
+gains written to <out>
+"""
+SYNTHESIZE_OUTPUT_STDOUT = """\
+mode: output   gamma = 0.0800   nu = 1.0000
+K_x = [[ 0.0940 -0.1200]]
+K_z = [[-0.0413 -0.1243]]
+gamma_l = 0.1800   nu_l = 0.5000
+L = [[0.7200]
+     [0.0648]]
+delay-lifted closed loop: stable (spectral radius 0.9516, delay 2)
+gains written to <out>
+"""
+SYNTHESIZE_GAINS = b"""\
+gains:
+  k_x:
+  - - 0.09397552554781664
+    - -0.1200482451826806
+  k_z:
+  - - -0.0412657944556285
+    - -0.12427962305282604
+  gamma: 0.08
+  nu: 1.0
+certificate:
+  mode: state
+  stable: true
+  spectral_radius: 0.951598761297308
+  delay: 2
+"""
+SYNTHESIZE_OUTPUT_GAINS = b"""\
+gains:
+  k_x:
+  - - 0.09397552554781664
+    - -0.1200482451826806
+  k_z:
+  - - -0.0412657944556285
+    - -0.12427962305282604
+  gamma: 0.08
+  nu: 1.0
+  l_obs:
+  - - 0.7199999999999991
+  - - 0.06479999999999986
+  gamma_l: 0.18
+  nu_l: 0.5
+  observer_r: 0
+certificate:
+  mode: output
+  stable: true
+  spectral_radius: 0.9515987612973094
+  delay: 2
+"""
 AUTO_TUNE_STDOUT = """\
 mode: state   gamma = 0.1125   nu = 1.0000
 K_x = [[ 0.1321 -0.1840]]
@@ -225,6 +280,20 @@ class TestSynthesize:
         assert cert["delay"] == 2
         assert gains.gamma == 0.08
 
+    @pytest.mark.parametrize(
+        "mode, stdout, gain_file",
+        [
+            ("state", SYNTHESIZE_STDOUT, SYNTHESIZE_GAINS),
+            ("output", SYNTHESIZE_OUTPUT_STDOUT, SYNTHESIZE_OUTPUT_GAINS),
+        ],
+    )
+    def test_synthesis_output_is_pinned(self, tmp_path, capsys, mode, stdout, gain_file):
+        path = write_config(tmp_path, benchmark_config_dict(mode=mode))
+        out_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out.replace(str(out_path), "<out>") == stdout
+        assert out_path.read_bytes() == gain_file
+
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         p1, p2 = tmp_path / "g1.yaml", tmp_path / "g2.yaml"
         assert cli.main(["synthesize", str(config_path), "--out", str(p1)]) == 0
@@ -342,6 +411,7 @@ class TestSimulate:
             pytest.param("k_x", [[0.1, 0.2, 0.3]], "expected shape (1, 2), got (1, 3)", id="k_x"),
             pytest.param("k_z", [[0.1], [0.2]], "expected shape (1, 2), got (2, 1)", id="k_z"),
             pytest.param("l_obs", [[0.7, 0.06]], "expected shape (2, 1), got (1, 2)", id="l_obs"),
+            pytest.param("gamma", 5.0, "must lie in (0, 1), got 5.0", id="gamma"),
         ],
     )
     def test_wrong_shape_gain_file_is_usage_error(self, tmp_path, capsys, field, value, expected):
@@ -451,10 +521,10 @@ Digraph adjacency laplacian h_matrix has_leader_spanning_tree connectivity_spect
 Exosystem InternalModel build_internal_model
 NominalPlant DelaySpec GainSet AssumptionReport check_assumptions transmission_zeros_ok
 solve_parametric_dare state_feedback_gain observer_gain build_augmented closed_loop_blocks
-network_blocks delay_lift certify_closed_loop synthesize_gains synthesize_and_certify auto_tune_gamma
+network_blocks delay_lift certify_closed_loop synthesize_gains auto_tune_gamma
 FollowerUncertainty Scenario SimulationTrace edgewise_virtual_errors simulate_state_feedback
 simulate_output_feedback simulate_compact_oracle load_trace_csv
-ExperimentConfig SynthesisSettings load_config save_config load_gains save_gains __version__
+ExperimentConfig SynthesisSettings load_config load_gains save_gains __version__
 """.split()
 
 
@@ -466,7 +536,7 @@ def test_package_exports_each_module_list_once():
     assert len(set(coopreg.__all__)) == len(coopreg.__all__)
     for name in coopreg.__all__:
         assert hasattr(coopreg, name), name
-    assert len(EXPORTED_BEFORE) == 47
+    assert len(EXPORTED_BEFORE) == 45
     assert set(EXPORTED_BEFORE) <= set(coopreg.__all__)
 
 

@@ -7,6 +7,7 @@ from coopreg import (
     DelaySpec,
     Scenario,
     auto_tune_gamma,
+    design_search,
     observer_gain,
     solve_parametric_dare,
     state_feedback_gain,
@@ -145,11 +146,21 @@ API_SCALARS = [
     ("auto_tune-gamma0-str", lambda: auto_tune_gamma(*_api_problem(), "0.5"),
      "auto_tune_gamma: gamma0 must be a real number, got '0.5'"),
     ("synthesize-nu-str", lambda: synthesize_gains(*_api_problem(), 0.08, nu="1"),
-     "state_feedback_gain: nu must be a real number, got '1'"),
+     "synthesize_gains: nu must be a real number, got '1'"),
     ("synthesize-gamma-str", lambda: synthesize_gains(*_api_problem(), "0.08"),
-     "solve_parametric_dare: gamma must be a real number, got '0.08'"),
+     "synthesize_gains: gamma must be a real number, got '0.08'"),
     ("synthesize-observer_r-float", lambda: synthesize_gains(*_api_problem(), 0.08, observer_r=1.7),
      "synthesize_gains: observer_r must be a non-negative integer, got 1.7"),
+    ("synthesize-output-gamma_l-str",
+     lambda: synthesize_gains(*_api_problem(), 0.08, mode="output", gamma_l="0.1"),
+     "synthesize_gains: gamma_l must be a real number, got '0.1'"),
+    ("synthesize-output-nu_l-bool", lambda: synthesize_gains(*_api_problem(), 0.08, mode="output", nu_l=True),
+     "synthesize_gains: nu_l must be a real number, got True"),
+    ("synthesize-output-observer_r-float",
+     lambda: synthesize_gains(*_api_problem(), 0.08, mode="output", observer_r=1.7),
+     "synthesize_gains: observer_r must be a non-negative integer, got 1.7"),
+    ("design_search-nu-negative", lambda: design_search(*_api_problem(), nu=-2.0),
+     "synthesize_gains: nu must be finite and positive, got -2.0"),
     ("scenario-init_low-bool", lambda: _api_scenario(init_low=True),
      "scenario.init_low: must be a real number, got True"),
     ("scenario-init_low-str", lambda: _api_scenario(init_low="a"),
