@@ -91,13 +91,13 @@ def cmd_synthesize(args):
         _print_matrix("L", gains.l_obs)
     verdict = "stable" if stable else "NOT stable"
     print(f"delay-lifted closed loop: {verdict} (spectral radius {rho:.4f}, delay {sc.delays.r})")
+    if not stable and not args.allow_unstable:
+        print("refusing success: certificate failed (use --allow-unstable to keep the gains)")
+        return 1
     if args.out:
         cert = {"mode": sc.mode, "stable": stable, "spectral_radius": rho, "delay": sc.delays.r}
         save_gains(gains, args.out, certificate=cert)
         print(f"gains written to {args.out}")
-    if not stable and not args.allow_unstable:
-        print("refusing success: certificate failed (use --allow-unstable to keep the gains)")
-        return 1
     return 0
 
 
@@ -107,7 +107,13 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     sc = cfg.scenario
     if args.gains:
-        gains, _ = load_gains(args.gains)
+        gains, cert = load_gains(args.gains)
+        for field, value in (("mode", sc.mode), ("delay", sc.delays.r)):
+            if cert is not None and cert[field] != value:
+                raise ConfigurationError(
+                    f"certificate.{field}: the gains were certified for {field} {cert[field]}, "
+                    f"the scenario has {field} {value}"
+                )
     else:
         problem, settings = _problem(cfg)
         gains = synthesize_gains(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)

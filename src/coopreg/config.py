@@ -6,7 +6,8 @@ maps and uncertainties, and the simulation settings.  Gains produced by
 synthesis are written to a separate file together with their stability
 certificate, so a run can be reproduced without re-running synthesis.
 
-Each section's fields are stated once, in a table.  Readers validate
+Every mapping in either file is read by one function against a field
+table, which refuses a key the table does not name.  Readers validate
 eagerly and name the dotted path of the offending field (``plant.a``,
 ``graph.edges[2]``, ...).  Scenario files are only read; gain files are
 also written, deterministically and with floats at full precision.
@@ -41,7 +42,6 @@ class SynthesisSettings:
     gamma_l: float = None
     nu_l: float = None
     observer_r: int = 0
-    beta_override: tuple = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +56,12 @@ class ExperimentConfig:
 # list of equal-length rows of numbers, a "vector" a flat list of
 # numbers; "number" accepts int or float ("unit" and "positive" only in
 # as_real's interval of that name), "integer" only int (bool is neither),
-# "count" only a non-negative int.  A required field must be present and
-# not null; any other field falls back to its default when absent or null.
+# "count" only a non-negative int, "bool" only true or false, "mode" only
+# state or output, and an "edge" is a [source, target, weight] list.  A
+# field table as the kind is a nested mapping, and [kind] a list of that
+# kind.  A required field must be present; any other field reads as its
+# default, given in file form, when absent.  A null value counts as
+# absent, except that a mapping or list must not be null.
 _REQUIRED = object()
 
 
@@ -67,20 +71,30 @@ def _fields(kind, names, default=_REQUIRED):
 
 _PLANT = _fields("matrix", "a b c") + _fields("matrix", "e", None)
 _EXOSYSTEM = _fields("matrix", "s f") + _fields("vector", "v0", None)
-_GRAPH = _fields("integer", "n_followers")
+_GRAPH = _fields("integer", "n_followers") + _fields(["edge"], "edges", [])
 _DELAYS = _fields("integer", "r_con r_com", 0)
 _SYNTHESIS = _fields("unit", "gamma", None) + _fields("positive", "nu", None)
 _SYNTHESIS += _fields("unit", "gamma_l", None) + _fields("positive", "nu_l", None) + _fields("count", "observer_r", 0)
-_BETA_OVERRIDE = _fields("matrix", "beta sigma")
+_SYNTHESIS += _fields(_fields("matrix", "beta sigma"), "beta_override", None)
 _UNCERTAINTY = _fields("matrix", "d_a d_b d_e d_c", None)
 _SIMULATION = _fields("count", "horizon", 100) + _fields("count", "seed", 0)
 _SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_high", 1.0)
+_SIMULATION += _fields(_fields("matrix", "x z xi", None), "init_states", None)
+_SCENARIO = _fields("mode", "mode", "state") + _fields(_PLANT, "plant") + _fields(_EXOSYSTEM, "exosystem")
+_SCENARIO += _fields(_GRAPH, "graph") + _fields(_DELAYS, "delays", {}) + _fields(_SYNTHESIS, "synthesis", {})
+_SCENARIO += _fields(["matrix"], "per_agent_e", None) + _fields([_UNCERTAINTY], "uncertainties", None)
+_SCENARIO += _fields(_SIMULATION, "simulation", {})
 # The observer fields after the first four are written only with l_obs;
 # gamma_l and nu_l are read only beside it.
 _GAINS = _fields("matrix", "k_x k_z") + _fields("unit", "gamma") + _fields("positive", "nu")
 _GAINS += _fields("matrix", "l_obs", None) + _fields("unit", "gamma_l", None) + _fields("positive", "nu_l", None)
 _GAINS += _fields("count", "observer_r", 0)
+_CERTIFICATE = _fields("mode", "mode") + _fields("bool", "stable") + _fields("number", "spectral_radius")
+_CERTIFICATE += _fields("count", "delay")
+_GAIN_FILE = _fields(_GAINS, "gains") + _fields(_CERTIFICATE, "certificate", None)
 _NOUN = {"matrix": "matrix", "vector": "vector"}
+_PLURAL = {"matrix": "matrices", "edge": "[source, target, weight]"}
+_PLAIN = {"integer": int, "count": int, "bool": bool, "mode": str}
 
 
 def _is_number(val):
@@ -88,7 +102,28 @@ def _is_number(val):
 
 
 def _check(kind, val, where):
-    """Validate one present (non-null) value of ``kind``; return it as stored."""
+    """Validate one present value of ``kind``; return it as stored."""
+    if isinstance(kind, tuple):
+        return _read(kind, val, where)
+    if isinstance(kind, list):
+        (item,) = kind
+        if not isinstance(val, list):
+            raise ConfigurationError(f"{where}: expected a list of {_PLURAL.get(item, 'mappings')}")
+        # A null entry of a list of mappings reads as an empty one (a nominal follower).
+        empty = {} if isinstance(item, tuple) else None
+        return tuple(_check(item, empty if v is None else v, f"{where}[{k}]") for k, v in enumerate(val))
+    if kind == "mode":
+        if val not in ("state", "output"):
+            raise ConfigurationError(f"{where}: must be 'state' or 'output', got {val!r}")
+        return val
+    if kind == "bool":
+        if not isinstance(val, bool):
+            raise ConfigurationError(f"{where}: expected true or false, got {val!r}")
+        return val
+    if kind == "edge":
+        if not isinstance(val, list) or len(val) != 3:
+            raise ConfigurationError(f"{where}: expected [source, target, weight], got {val!r}")
+        return tuple(val)
     if kind in ("number", "unit", "positive"):
         if not _is_number(val):
             raise ConfigurationError(f"{where}: expected a number, got {val!r}")
@@ -117,16 +152,24 @@ def _check(kind, val, where):
 
 
 def _read(fields, section, path):
-    """Check ``section`` against a field table; return ``{name: value}``."""
+    """Check the mapping ``section`` at dotted ``path`` ("" for the top
+    level) against a field table; return ``{name: value}``."""
+    where = path or "top level"
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: expected a mapping")
+    unknown = set(section) - {name for name, _, _ in fields}
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown fields {sorted(unknown, key=str)}")
     out = {}
     for name, kind, default in fields:
-        val = section.get(name)
-        if val is not None:
-            out[name] = _check(kind, val, f"{path}.{name}")
+        at = f"{path}.{name}" if path else name
+        if name in section and (section[name] is not None or not isinstance(kind, str)):
+            out[name] = _check(kind, section[name], at)
         elif default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{name}: missing required {_NOUN.get(kind, 'value')}")
+            noun = _NOUN.get(kind, "value") if isinstance(kind, str) else "field"
+            raise ConfigurationError(f"{at}: missing required {noun}")
         else:
-            out[name] = default
+            out[name] = None if default is None else _check(kind, default, at)
     return out
 
 
@@ -134,44 +177,12 @@ def _plain(kind, val):
     """``val`` as the plain YAML value of its field kind."""
     if kind == "matrix":
         return [[float(v) for v in row] for row in np.atleast_2d(val)]
-    return int(val) if kind in ("integer", "count") else float(val)
+    return _PLAIN.get(kind, float)(val)
 
 
 def _write(fields, values):
     """Plain YAML of ``values`` in table order, without ``None``."""
     return {name: _plain(kind, values[name]) for name, kind, _ in fields if values[name] is not None}
-
-
-def _mapping(val, path, what="a mapping"):
-    if not isinstance(val, dict):
-        raise ConfigurationError(f"{path}: expected {what}")
-    return val
-
-
-def _section(data, key, fields, required=False, what="a mapping"):
-    """Read the top-level section ``data[key]`` through its field table."""
-    if required and key not in data:
-        raise ConfigurationError(f"{key}: missing required field")
-    return _read(fields, _mapping(data.get(key, {}), key, what), key)
-
-
-def _items(data, key, what, read):
-    """``read(item, "<key>[k]")`` for each item of the optional list ``data[key]``."""
-    items = data.get(key)
-    if items is None:
-        return None
-    if not isinstance(items, list):
-        raise ConfigurationError(f"{key}: expected a list of {what}")
-    return tuple(read(item, f"{key}[{k}]") for k, item in enumerate(items))
-
-
-def _uncertainty(entry, path):
-    if entry is None:
-        return FollowerUncertainty()
-    unknown = set(_mapping(entry, path)) - {name for name, _, _ in _UNCERTAINTY}
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown fields {sorted(unknown)}")
-    return FollowerUncertainty(**_read(_UNCERTAINTY, entry, path))
 
 
 # libyaml scans and emits where PyYAML has it; the resolver, constructor
@@ -203,79 +214,48 @@ def load_config(path):
         With ``scenario`` fully assembled (internal model built,
         shapes cross-checked) and ``synthesis`` settings attached.
     """
-    data = _load_yaml(path)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
-    return config_from_dict(data)
+    return config_from_dict(_load_yaml(path))
 
 
 def config_from_dict(data):
     """Build an :class:`ExperimentConfig` from a parsed mapping."""
-    mode = data.get("mode", "state")
-    if mode not in ("state", "output"):
-        raise ConfigurationError(f"mode: must be 'state' or 'output', got {mode!r}")
-
-    plant = NominalPlant(**_section(data, "plant", _PLANT, required=True))
-    exo = Exosystem(**_section(data, "exosystem", _EXOSYSTEM, required=True))
-
-    n_followers = _section(data, "graph", _GRAPH, required=True)["n_followers"]
-    edges = data["graph"].get("edges", [])
-    if not isinstance(edges, list):
-        raise ConfigurationError("graph.edges: expected a list of [source, target, weight]")
-    for k, item in enumerate(edges):
-        if not isinstance(item, list) or len(item) != 3:
-            raise ConfigurationError(f"graph.edges[{k}]: expected [source, target, weight], got {item!r}")
-    graph = Digraph(n_followers=n_followers, edges=tuple(map(tuple, edges)))
-    delays = DelaySpec(**_section(data, "delays", _DELAYS, what="a mapping with r_con / r_com"))
-
-    synthesis = _section(data, "synthesis", _SYNTHESIS)
-    beta_override = data.get("synthesis", {}).get("beta_override")
-    if beta_override is not None:
-        path = "synthesis.beta_override"
-        bo = _read(_BETA_OVERRIDE, _mapping(beta_override, path, "a mapping with beta and sigma"), path)
-        beta_override = (bo["beta"], bo["sigma"])
-    settings = SynthesisSettings(**synthesis, beta_override=beta_override)
-    im = build_internal_model(exo, beta_override=beta_override)
-
-    per_agent_e = _items(data, "per_agent_e", "matrices", lambda e, at: _check("matrix", e, at))
-    uncertainties = _items(data, "uncertainties", "mappings", _uncertainty)
-
-    simulation = _section(data, "simulation", _SIMULATION)
-    init_states = data.get("simulation", {}).get("init_states")
-    if init_states is not None:
-        path = "simulation.init_states"
-        keys = _mapping(init_states, path)
-        init_states = _read([(key, "matrix", _REQUIRED) for key in keys], init_states, path)
-
+    f = _read(_SCENARIO, data, "")
+    synthesis, simulation = f["synthesis"], f["simulation"]
+    plant = NominalPlant(**f["plant"])
+    exo = Exosystem(**f["exosystem"])
+    graph = Digraph(**f["graph"])
+    delays = DelaySpec(**f["delays"])
+    bo = synthesis.pop("beta_override")
+    im = build_internal_model(exo, beta_override=None if bo is None else (bo["beta"], bo["sigma"]))
+    unc = f["uncertainties"]
+    if unc is not None:
+        unc = tuple(FollowerUncertainty(**u) for u in unc)
+    init = simulation["init_states"]
+    if init is not None:
+        simulation["init_states"] = {key: val for key, val in init.items() if val is not None}
     scenario = Scenario(
         plant=plant,
         exo=exo,
         graph=graph,
         delays=delays,
         im=im,
-        mode=mode,
-        per_agent_e=per_agent_e,
-        uncertainties=uncertainties,
-        init_states=init_states,
+        mode=f["mode"],
+        per_agent_e=f["per_agent_e"],
+        uncertainties=unc,
         **simulation,
     )
-    return ExperimentConfig(scenario=scenario, synthesis=settings)
+    return ExperimentConfig(scenario=scenario, synthesis=SynthesisSettings(**synthesis))
 
 
 def save_gains(gains, path, certificate=None):
     """Write a gain file, optionally with its stability certificate.
 
-    ``certificate`` is a mapping such as
+    ``certificate`` is a mapping of the four certificate fields, such as
     ``{"mode": "state", "stable": True, "spectral_radius": 0.95, "delay": 2}``.
     """
     data = {"gains": _write(_GAINS if gains.l_obs is not None else _GAINS[:4], vars(gains))}
     if certificate is not None:
-        cert = dict(certificate)
-        if "spectral_radius" in cert:
-            cert["spectral_radius"] = float(cert["spectral_radius"])
-        if "stable" in cert:
-            cert["stable"] = bool(cert["stable"])
-        data["certificate"] = cert
+        data["certificate"] = _write(_CERTIFICATE, certificate)
     _save_yaml(data, path)
 
 
@@ -284,7 +264,8 @@ def load_gains(path):
     data = _load_yaml(path)
     if not isinstance(data, dict) or "gains" not in data:
         raise ConfigurationError(f"{path}: missing top-level 'gains' section")
-    gd = _mapping(data["gains"], "gains")
-    skip = () if gd.get("l_obs") is not None else ("gamma_l", "nu_l")
-    gains = _read([f for f in _GAINS if f[0] not in skip], gd, "gains")
-    return GainSet(**gains), data.get("certificate")
+    gains = data["gains"]
+    if isinstance(gains, dict) and gains.get("l_obs") is None:
+        data = dict(data, gains={k: v for k, v in gains.items() if k not in ("gamma_l", "nu_l")})
+    f = _read(_GAIN_FILE, data, "")
+    return GainSet(**f["gains"]), f["certificate"]

@@ -203,6 +203,31 @@ class TestCheck:
         assert cli.main([command, str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    # (keys down to a mapping, its field, the misspelling, the mapping's dotted path)
+    @pytest.mark.parametrize(
+        "keys, field, typo, where",
+        [
+            pytest.param((), "delays", "delay", "top level", id="top-level"),
+            pytest.param(("plant",), "c", "C", "plant", id="plant"),
+            pytest.param(("exosystem",), "v0", "v_0", "exosystem", id="exosystem"),
+            pytest.param(("graph",), "edges", "edge", "graph", id="graph"),
+            pytest.param(("delays",), "r_com", "r_comm", "delays", id="delays"),
+            pytest.param(("synthesis",), "gamma", "gama", "synthesis", id="synthesis"),
+            pytest.param(("synthesis", "beta_override"), "sigma", "sigm", "synthesis.beta_override",
+                         id="beta_override"),
+            pytest.param(("uncertainties", 2), "d_e", "de", "uncertainties[2]", id="uncertainty"),
+            pytest.param(("simulation",), "seed", "sed", "simulation", id="simulation"),
+        ],
+    )
+    def test_misspelled_scenario_field_is_usage_error(self, tmp_path, capsys, keys, field, typo, where):
+        data = benchmark_config_dict()
+        section = data
+        for key in keys:
+            section = section[key]
+        section[typo] = section.pop(field)
+        assert cli.main(["check", str(write_config(tmp_path, data))]) == 2
+        assert capsys.readouterr().err == f"error: {where}: unknown fields ['{typo}']\n"
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["check", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -331,6 +356,18 @@ class TestSynthesize:
         assert cli.main(["synthesize", str(path), "--allow-unstable"]) == 0
         assert "NOT stable" in capsys.readouterr().out
 
+    def test_refused_design_writes_no_gain_file(self, tmp_path, capsys):
+        data = benchmark_config_dict()
+        data["synthesis"]["gamma"] = 0.32
+        path = write_config(tmp_path, data)
+        out_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(out_path)]) == 1
+        assert "gains written" not in capsys.readouterr().out
+        assert not out_path.exists()
+        assert cli.main(["synthesize", str(path), "--out", str(out_path), "--allow-unstable"]) == 0
+        assert capsys.readouterr().out.endswith(f"gains written to {out_path}\n")
+        assert load_gains(out_path)[1]["stable"] is False
+
     def test_auto_tune_recovers_from_large_gamma(self, tmp_path, capsys):
         data = benchmark_config_dict()
         data["synthesis"]["gamma"] = 0.9
@@ -424,6 +461,64 @@ class TestSimulate:
         capsys.readouterr()
         assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
         assert capsys.readouterr().err == f"error: gains.{field}: {expected}\n"
+
+    # (keys down to a mapping of the gain file, its field, the misspelling, the mapping's dotted path)
+    @pytest.mark.parametrize(
+        "keys, field, typo, where",
+        [
+            pytest.param((), "certificate", "certficate", "top level", id="top-level"),
+            pytest.param(("gains",), "gamma", "gama", "gains", id="gains"),
+            pytest.param(("certificate",), "delay", "delays", "certificate", id="certificate"),
+        ],
+    )
+    def test_misspelled_gain_file_field_is_usage_error(self, tmp_path, capsys, keys, field, typo, where):
+        path = write_config(tmp_path, benchmark_config_dict(horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        data = section = yaml.safe_load(gains_path.read_text())
+        for key in keys:
+            section = section[key]
+        section[typo] = section.pop(field)
+        gains_path.write_text(yaml.safe_dump(data))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: unknown fields ['{typo}']\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("delay", 7, "the gains were certified for delay 7, the scenario has delay 2", id="delay"),
+            pytest.param("mode", "output", "the gains were certified for mode output, the scenario has mode state",
+                         id="mode"),
+        ],
+    )
+    def test_gain_file_certified_for_another_scenario_is_usage_error(self, tmp_path, capsys, field, value, message):
+        path = write_config(tmp_path, benchmark_config_dict(horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        data = yaml.safe_load(gains_path.read_text())
+        data["certificate"][field] = value
+        gains_path.write_text(yaml.safe_dump(data))
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: certificate.{field}: {message}\n")
+
+    def test_gain_file_without_certificate_runs(self, tmp_path, capsys):
+        # A matching certificate and none at all give the same report as
+        # gains synthesized on the spot.
+        path = write_config(tmp_path, benchmark_config_dict(horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path)]) == 0
+        expected = capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 0
+        assert capsys.readouterr() == expected
+        data = yaml.safe_load(gains_path.read_text())
+        del data["certificate"]
+        gains_path.write_text(yaml.safe_dump(data))
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_non_finite_gain_file_is_usage_error(self, tmp_path, capsys):
         # refused as input, not left to diverge at step 1 (exit 1)

@@ -167,12 +167,11 @@ MALFORMED_CONFIGS = [
     ("exosystem-missing", "exosystem", DEL, CE, "exosystem: missing required field"),
     ("graph-null", "graph", None, CE, "graph: expected a mapping"),
     ("graph-str", "graph", "g", CE, "graph: expected a mapping"),
-    ("delays-list", "delays", [1, 1], CE, "delays: expected a mapping with r_con / r_com"),
-    ("delays-null", "delays", None, CE, "delays: expected a mapping with r_con / r_com"),
+    ("delays-list", "delays", [1, 1], CE, "delays: expected a mapping"),
+    ("delays-null", "delays", None, CE, "delays: expected a mapping"),
     ("synthesis-str", "synthesis", "fast", CE, "synthesis: expected a mapping"),
     ("simulation-list", "simulation", [], CE, "simulation: expected a mapping"),
-    ("beta_override-list", "synthesis.beta_override", [], CE,
-     "synthesis.beta_override: expected a mapping with beta and sigma"),
+    ("beta_override-list", "synthesis.beta_override", [], CE, "synthesis.beta_override: expected a mapping"),
     ("per_agent_e-dict", "per_agent_e", {}, CE, "per_agent_e: expected a list of matrices"),
     ("uncertainties-dict", "uncertainties", {}, CE, "uncertainties: expected a list of mappings"),
     ("uncertainty-int", "uncertainties.1", 3, CE, "uncertainties[1]: expected a mapping"),
@@ -201,8 +200,6 @@ MALFORMED_CONFIGS = [
     ("per_agent_e-null", "per_agent_e.2", None, CE, "per_agent_e[2]: expected a list of rows"),
     ("uncertainty-ragged", "uncertainties.1.d_a", [[0.0, 0.2], [0.0]], CE,
      "uncertainties[1].d_a: row 1 has 1 entries, expected 2"),
-    ("init_state-null", "simulation.init_states", {"x": None}, CE,
-     "simulation.init_states.x: missing required matrix"),
     ("init_state-flat", "simulation.init_states", {"x": [1.0, 2.0]}, CE,
      "simulation.init_states.x: expected a list of rows"),
     ("vector-str", "exosystem.v0", "zero", CE, "exosystem.v0: expected a flat list of numbers"),
@@ -265,7 +262,7 @@ MALFORMED_CONFIGS = [
     ("per_agent_e-shape", "per_agent_e.1", [[1.0]], DE,
      "per_agent_e[1]: expected shape (2, 2), got (1, 1)"),
     ("init_states-key", "simulation.init_states", {"w": [[0.0]]}, CE,
-     "scenario.init_states: unknown keys ['w']"),
+     "simulation.init_states: unknown fields ['w']"),
     ("init_states-size", "simulation.init_states", {"x": [[1.0, 2.0]]}, CE,
      "scenario.init_states.x: expected 8 numbers for shape (4, 2), got 2"),
     ("plant-rows", "plant.b", [[1.0]], DE, "plant.b: expected 2 rows, got 1"),
@@ -297,9 +294,30 @@ GAIN_FILE = {
     "l_obs": [[0.7], [0.2]], "gamma_l": 0.1, "nu_l": 0.5, "observer_r": 0,
 }
 
+CERTIFICATE = {"mode": "output", "stable": True, "spectral_radius": 0.9385157, "delay": 2}
+
+
+def _certified(**fields):
+    """A gain file whose certificate is CERTIFICATE with ``fields`` set (DEL deletes)."""
+    cert = {k: v for k, v in dict(CERTIFICATE, **fields).items() if v is not DEL}
+    return {"gains": GAIN_FILE, "certificate": cert}
+
+
 # (id, top-level data or a field of GAIN_FILE, value, exact message); all
 # raise ConfigurationError.  ``{path}`` stands for the file name.
 MALFORMED_GAINS = [
+    ("certificate-int", None, {"gains": GAIN_FILE, "certificate": 5}, "certificate: expected a mapping"),
+    ("certificate-null", None, {"gains": GAIN_FILE, "certificate": None}, "certificate: expected a mapping"),
+    ("stable-str", None, _certified(stable="yes"), "certificate.stable: expected true or false, got 'yes'"),
+    ("stable-int", None, _certified(stable=1), "certificate.stable: expected true or false, got 1"),
+    ("stable-missing", None, _certified(stable=DEL), "certificate.stable: missing required value"),
+    ("delay-negative", None, _certified(delay=-1), "certificate.delay: must be a non-negative integer, got -1"),
+    ("delay-float", None, _certified(delay=2.0), "certificate.delay: expected an integer, got 2.0"),
+    ("mode-closed", None, _certified(mode="closed"), "certificate.mode: must be 'state' or 'output', got 'closed'"),
+    ("radius-str", None, _certified(spectral_radius="0.9"),
+     "certificate.spectral_radius: expected a number, got '0.9'"),
+    ("certificate-unknown", None, _certified(radius=0.9), "certificate: unknown fields ['radius']"),
+    ("top-level-unknown", None, dict(_certified(), certficate={}), "top level: unknown fields ['certficate']"),
     ("top-level-list", None, [1], "{path}: missing top-level 'gains' section"),
     ("no-gains", None, {"certificate": {}}, "{path}: missing top-level 'gains' section"),
     ("gains-list", "gains", [], "gains: expected a mapping"),
@@ -376,7 +394,7 @@ class TestConfigRoundTrip:
             for key in ("d_a", "d_b", "d_e"):
                 assert np.array_equal(getattr(u1, key), getattr(u2, key))
         assert cfg2.synthesis.gamma == cfg.synthesis.gamma
-        assert np.array_equal(cfg2.synthesis.beta_override[0], cfg.synthesis.beta_override[0])
+        assert np.array_equal(cfg2.scenario.im.beta, cfg.scenario.im.beta)
 
     def test_init_states_round_trip(self, tmp_path, bench_dict):
         x0 = [[0.1 * k, -0.2 * k] for k in range(4)]
@@ -386,6 +404,14 @@ class TestConfigRoundTrip:
         for s1, s2 in zip(sc.initial_states(), sc2.initial_states()):
             assert np.array_equal(s1, s2)
         assert np.array_equal(sc2.initial_states()[0], np.array(x0))
+
+    def test_null_init_state_is_drawn_from_the_seed(self, bench_dict):
+        # a null init_states entry counts as absent, like any null matrix field
+        drawn = config_from_dict(bench_dict).scenario.initial_states()
+        bench_dict["simulation"]["init_states"] = {"x": None, "z": [[0.5, 0.5]] * 4}
+        states = config_from_dict(bench_dict).scenario.initial_states()
+        assert np.array_equal(states[0], drawn[0])
+        assert np.array_equal(states[1], np.full((4, 2), 0.5))
 
     def test_null_uncertainty_entry_round_trip(self, tmp_path, bench_dict):
         # a null entry means a nominal follower
