@@ -59,10 +59,13 @@ class ExperimentConfig:
 # "count" only a non-negative int, "bool" only true or false, "mode" only
 # state or output, and an "edge" is a [source, target, weight] list.  A
 # field table as the kind is a nested mapping, and [kind] a list of that
-# kind.  A required field must be present; any other field reads as its
-# default, given in file form, when absent.  A null value counts as
-# absent, except that a mapping or list must not be null.
+# kind.  A required field must be present and not null.  An _IF_GIVEN
+# field may be left out, and is then left out of the result, but must
+# not be null.  Any other field reads as its default, given in file form,
+# when absent or null, except that a null mapping or list is refused
+# where the default is not None.
 _REQUIRED = object()
+_IF_GIVEN = object()
 
 
 def _fields(kind, names, default=_REQUIRED):
@@ -79,7 +82,7 @@ _SYNTHESIS += _fields(_fields("matrix", "beta sigma"), "beta_override", None)
 _UNCERTAINTY = _fields("matrix", "d_a d_b d_e d_c", None)
 _SIMULATION = _fields("count", "horizon", 100) + _fields("count", "seed", 0)
 _SIMULATION += _fields("number", "init_low", -1.0) + _fields("number", "init_high", 1.0)
-_SIMULATION += _fields(_fields("matrix", "x z xi", None), "init_states", None)
+_SIMULATION += _fields(_fields("matrix", " ".join(Scenario.INIT_STATE_KEYS), _IF_GIVEN), "init_states", None)
 _SCENARIO = _fields("mode", "mode", "state") + _fields(_PLANT, "plant") + _fields(_EXOSYSTEM, "exosystem")
 _SCENARIO += _fields(_GRAPH, "graph") + _fields(_DELAYS, "delays", {}) + _fields(_SYNTHESIS, "synthesis", {})
 _SCENARIO += _fields(["matrix"], "per_agent_e", None) + _fields([_UNCERTAINTY], "uncertainties", None)
@@ -163,12 +166,13 @@ def _read(fields, section, path):
     out = {}
     for name, kind, default in fields:
         at = f"{path}.{name}" if path else name
-        if name in section and (section[name] is not None or not isinstance(kind, str)):
+        given = name in section
+        if given and (section[name] is not None or (not isinstance(kind, str) and default is not None)):
             out[name] = _check(kind, section[name], at)
-        elif default is _REQUIRED:
+        elif default is _REQUIRED or (given and default is _IF_GIVEN):
             noun = _NOUN.get(kind, "value") if isinstance(kind, str) else "field"
             raise ConfigurationError(f"{at}: missing required {noun}")
-        else:
+        elif default is not _IF_GIVEN:
             out[name] = None if default is None else _check(kind, default, at)
     return out
 
@@ -230,9 +234,6 @@ def config_from_dict(data):
     unc = f["uncertainties"]
     if unc is not None:
         unc = tuple(FollowerUncertainty(**u) for u in unc)
-    init = simulation["init_states"]
-    if init is not None:
-        simulation["init_states"] = {key: val for key, val in init.items() if val is not None}
     scenario = Scenario(
         plant=plant,
         exo=exo,
@@ -255,7 +256,7 @@ def save_gains(gains, path, certificate=None):
     """
     data = {"gains": _write(_GAINS if gains.l_obs is not None else _GAINS[:4], vars(gains))}
     if certificate is not None:
-        data["certificate"] = _write(_CERTIFICATE, certificate)
+        data["certificate"] = _write(_CERTIFICATE, _read(_CERTIFICATE, certificate, "certificate"))
     _save_yaml(data, path)
 
 

@@ -220,6 +220,9 @@ class Scenario:
     init_high: float = 1.0
     init_states: dict = None
 
+    # The blocks of ``init_states``, in the order they are drawn.
+    INIT_STATE_KEYS = ("x", "z", "xi")
+
     def __post_init__(self):
         if self.mode not in ("state", "output"):
             raise ConfigurationError(f"scenario.mode: must be 'state' or 'output', got {self.mode!r}")
@@ -277,7 +280,7 @@ class Scenario:
         # overriding one of them (or ignoring xi in state-feedback mode)
         # never shifts the random stream of the others.
         rng = np.random.default_rng(self.seed)
-        widths = {"x": n, "z": self.im.dim, "xi": n}
+        widths = dict(zip(self.INIT_STATE_KEYS, (n, self.im.dim, n)))
         states = {key: rng.uniform(self.init_low, self.init_high, (nfoll, w)) for key, w in widths.items()}
         bad = set(self.init_states or ()) - set(widths)
         if bad:

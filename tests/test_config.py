@@ -171,6 +171,8 @@ MALFORMED_CONFIGS = [
     ("delays-null", "delays", None, CE, "delays: expected a mapping"),
     ("synthesis-str", "synthesis", "fast", CE, "synthesis: expected a mapping"),
     ("simulation-list", "simulation", [], CE, "simulation: expected a mapping"),
+    ("synthesis-null", "synthesis", None, CE, "synthesis: expected a mapping"),
+    ("simulation-null", "simulation", None, CE, "simulation: expected a mapping"),
     ("beta_override-list", "synthesis.beta_override", [], CE, "synthesis.beta_override: expected a mapping"),
     ("per_agent_e-dict", "per_agent_e", {}, CE, "per_agent_e: expected a list of matrices"),
     ("uncertainties-dict", "uncertainties", {}, CE, "uncertainties: expected a list of mappings"),
@@ -200,6 +202,8 @@ MALFORMED_CONFIGS = [
     ("per_agent_e-null", "per_agent_e.2", None, CE, "per_agent_e[2]: expected a list of rows"),
     ("uncertainty-ragged", "uncertainties.1.d_a", [[0.0, 0.2], [0.0]], CE,
      "uncertainties[1].d_a: row 1 has 1 entries, expected 2"),
+    ("init_state-null", "simulation.init_states", {"x": None}, CE,
+     "simulation.init_states.x: missing required matrix"),
     ("init_state-flat", "simulation.init_states", {"x": [1.0, 2.0]}, CE,
      "simulation.init_states.x: expected a list of rows"),
     ("vector-str", "exosystem.v0", "zero", CE, "exosystem.v0: expected a flat list of numbers"),
@@ -307,7 +311,6 @@ def _certified(**fields):
 # raise ConfigurationError.  ``{path}`` stands for the file name.
 MALFORMED_GAINS = [
     ("certificate-int", None, {"gains": GAIN_FILE, "certificate": 5}, "certificate: expected a mapping"),
-    ("certificate-null", None, {"gains": GAIN_FILE, "certificate": None}, "certificate: expected a mapping"),
     ("stable-str", None, _certified(stable="yes"), "certificate.stable: expected true or false, got 'yes'"),
     ("stable-int", None, _certified(stable=1), "certificate.stable: expected true or false, got 1"),
     ("stable-missing", None, _certified(stable=DEL), "certificate.stable: missing required value"),
@@ -405,13 +408,23 @@ class TestConfigRoundTrip:
             assert np.array_equal(s1, s2)
         assert np.array_equal(sc2.initial_states()[0], np.array(x0))
 
-    def test_null_init_state_is_drawn_from_the_seed(self, bench_dict):
-        # a null init_states entry counts as absent, like any null matrix field
-        drawn = config_from_dict(bench_dict).scenario.initial_states()
-        bench_dict["simulation"]["init_states"] = {"x": None, "z": [[0.5, 0.5]] * 4}
-        states = config_from_dict(bench_dict).scenario.initial_states()
-        assert np.array_equal(states[0], drawn[0])
-        assert np.array_equal(states[1], np.full((4, 2), 0.5))
+    @pytest.mark.parametrize(
+        "path", ["mode", "per_agent_e", "uncertainties", "synthesis.beta_override", "simulation.init_states"]
+    )
+    def test_null_field_reads_as_absent(self, bench_dict, path):
+        # a null leaf, or a null section or list without a default, is as if left out
+        absent = copy.deepcopy(bench_dict)
+        *parents, last = path.split(".")
+        for key in parents:
+            absent = absent[key]
+        absent.pop(last, None)
+        _mutate(bench_dict, path, None)
+        sc = config_from_dict(bench_dict).scenario
+        ref = config_from_dict(absent if not parents else {**bench_dict, parents[0]: absent}).scenario
+        assert sc.mode == ref.mode == "state"
+        assert np.array_equal(sc.im.beta, ref.im.beta) and np.array_equal(sc.im.sigma, ref.im.sigma)
+        for got, want in zip(sc.agent_stacks() + sc.initial_states(), ref.agent_stacks() + ref.initial_states()):
+            assert np.array_equal(got, want)
 
     def test_null_uncertainty_entry_round_trip(self, tmp_path, bench_dict):
         # a null entry means a nominal follower
@@ -508,6 +521,27 @@ class TestGainFiles:
         assert loaded.l_obs is None
         assert loaded.gamma_l is None and loaded.nu_l is None
         assert np.array_equal(loaded.k_x, gains.k_x)
+
+    def test_null_certificate_reads_as_none(self, tmp_path):
+        path = tmp_path / "gains.yaml"
+        path.write_text(yaml.safe_dump({"gains": GAIN_FILE, "certificate": None}))
+        assert load_gains(path)[1] is None
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param({"delay": DEL}, "certificate.delay: missing required value", id="partial"),
+            pytest.param({"mode": "closed"}, "certificate.mode: must be 'state' or 'output', got 'closed'", id="mode"),
+            pytest.param({"delay": -1}, "certificate.delay: must be a non-negative integer, got -1", id="delay"),
+            pytest.param({"stable": 1}, "certificate.stable: expected true or false, got 1", id="stable"),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, target_gains, fields, message):
+        path = tmp_path / "gains.yaml"
+        with pytest.raises(ConfigurationError) as info:
+            save_gains(target_gains, path, certificate=_certified(**fields)["certificate"])
+        assert str(info.value) == message
+        assert not path.exists()
 
     def test_missing_gains_section(self, tmp_path):
         path = tmp_path / "bad.yaml"
