@@ -60,9 +60,12 @@ class DivergenceError(CoopregError):
         Time step at which the guard tripped.
     norm : float
         Max-norm of the aggregate state at that step.
+    agent : int
+        The 1-based follower whose state reached ``norm`` at that step.
     """
 
-    def __init__(self, message, step=None, norm=None):
+    def __init__(self, message, step=None, norm=None, agent=None):
         super().__init__(message)
         self.step = step
         self.norm = norm
+        self.agent = agent

@@ -7,14 +7,18 @@ Two independent execution routes are provided on purpose:
   separately, exchanging only the signals the distributed law is
   allowed to see — neighbor states or outputs, delayed by the
   communication latency;
-* the *compact oracle* (:func:`simulate_compact_oracle`) takes the full
-  uncertain networked loop from :func:`~coopreg.synthesis.network_blocks`,
-  the builder behind the certificate, and iterates it as one recursion.
+* the *compact oracle* (:func:`simulate_compact_oracle`) forms ``H`` and
+  steps the full uncertain networked loop, the recursion of
+  :func:`~coopreg.synthesis.network_blocks`, as structured products on
+  an ``(N, .)`` state, one row per follower, never as a dense Kronecker
+  block.
 
 The two share no stepping code, and only the oracle forms ``H``.  Both
 must produce the same trajectories; the test suite holds them against
-each other, which guards the shared block builder and the history
-bookkeeping at the same time.
+each other, which guards the history bookkeeping, and holds the oracle
+against a dense Kronecker iteration of ``network_blocks`` (in
+``tests/conftest.py``), which guards the block builder behind the
+certificate.
 
 Timing conventions
 ------------------
@@ -102,9 +106,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .matrixops import as_count, as_matrix, as_real, block_diag, kron
+from .matrixops import as_count, as_matrix, as_real
 from .graphs import h_matrix
-from .synthesis import _check_gains, network_blocks
+from .synthesis import _check_gains
 
 __all__ = [
     "DIVERGENCE_GUARD",
@@ -626,26 +630,31 @@ def _edge_coupling(w, rows):
     return out
 
 
-def _guard(step, states, *parts):
+def _guard(step, states, nodes, *parts):
     """Raise :class:`DivergenceError` at the first of ``states`` to leave the guard.
 
-    ``states[j]`` is the state at step ``step + j``.  One test covers the
-    whole block.  Only when it fails (or meets a nan) are the rows walked
-    in order, and the message built from the first of the last-axis
+    ``states[j, k]`` is the state of follower ``nodes[k]`` (1-based; 0 for
+    the leader's zero row) at step ``step + j``.  One test covers the
+    whole block.  Only when it fails (or meets a nan) are the steps
+    walked in order, and the error built from the first of the last-axis
     slices ``parts`` (all of the row if none are given) that is out of
-    bounds, so a block raises what a per-step check would have.
+    bounds, so a block raises what a per-step check would have.  Its
+    ``agent`` is the lowest-numbered follower at which that slice's
+    magnitude is reached (or is nan).
     """
     if np.abs(states).max(initial=0.0) <= DIVERGENCE_GUARD:
         return
     for j, state in enumerate(states):
         for part in parts or (slice(None),):
-            m = float(np.abs(state[..., part]).max(initial=0.0))
+            rows = np.abs(state[..., part]).max(axis=-1, initial=0.0)
+            m = float(rows.max(initial=0.0))
             if not m <= DIVERGENCE_GUARD:  # also catches nan
                 raise DivergenceError(
                     f"simulation diverged at step {step + j} (state magnitude {m:.3e} "
                     f"exceeds guard {DIVERGENCE_GUARD:.1e})",
                     step=step + j,
                     norm=m,
+                    agent=int(nodes[(rows == m) | np.isnan(rows)].min()),
                 )
 
 
@@ -733,6 +742,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
     pos = np.zeros(nfoll + 1, dtype=int)  # buffer position of each node
     pos[order] = np.arange(1, nfoll + 1)
     hist[: depth + 1, 1:] = hist[: depth + 1, order]
+    nodes = np.append(0, order)  # the node of each buffer position
 
     # Step t gathers its drive from flat[t * R:], whose row depth is time t, at offsets
     # read off a layout of rows 0..depth + 1; before t = r_con they read the law's inputs
@@ -780,7 +790,7 @@ def _simulate(scenario, gains, law, controller_past, observer_past, output):
                 drive *= scale
                 for lhs, rhs, out in steps:
                     np.matmul(lhs, rhs, out=out[depth + t + 1])
-        _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], x_, z_, xi_)
+        _guard(t0 + 1, hist[depth + t0 + 1 : depth + t0 + _GUARD_BLOCK + 1, :, :ns], nodes, x_, z_, xi_)
 
     # The coupled feedback u reads and e_v, over rows depth - d_fb .. depth + T - 1, come
     # from one coupling pass per group over blocks of rows, each gathered by one take.
@@ -859,59 +869,95 @@ def simulate_output_feedback(
 
 
 def simulate_compact_oracle(scenario, gains):
-    """Iterate the assembled closed-loop recursion in one shot.
+    """Iterate the compact networked loop, every follower with its uncertain ``(A_i, B_i, C_i, E_i)``.
 
-    Takes ``A0``, ``A1 = B U`` and the virtual-error drive from
-    :func:`~coopreg.synthesis.network_blocks`, the builder behind the
-    certificate, called with every follower's uncertain
-    ``(A_i, B_i, C_i)``, and runs ``w(t+1) = A0 w(t) + A1 w(t - r) +
-    B_v v(t)`` directly.  Serves as the independent cross-check for the
-    agentwise simulators: it shares no stepping code with them, and it
-    forms ``H``, which they never do, so it checks the builder too.
-    The feed ``B_v v(t)`` fills the history before the loop, a step is
-    the two delay products, and ``y``, ``e``, ``e_v`` and ``u`` are
-    formed over the whole horizon after it.
+    The loop is the recursion of :func:`~coopreg.synthesis.network_blocks`,
+    applied as structured products on an ``(N, .)`` state, never as a
+    dense Kronecker block: ``(H (x) K) vec X = vec(K X H')``.  Follower
+    ``i``'s row for time ``t`` holds ``[z | x | xi | C_i x]``, the coupled
+    readouts ``H [fb | C x]`` (``fb`` is ``x``, or ``xi`` in output mode)
+    and ``v(t)``, filled in before the loop.  A step is one product with
+    ``H`` and one stacked product of each follower's step matrix with its
+    rows ``t - r .. t``.  That matrix carries the local blocks, the
+    coupling, the feed ``E_i v`` and ``G2``/``L`` times ``(H 1 (x) F) v``,
+    the delayed input ``B_i u(t - r_con)``, and ``C_i`` times its ``x``
+    rows.  ``y``, ``e``, ``e_v`` and ``u`` are formed after the loop.  It
+    shares no stepping code with the agentwise simulators and forms ``H``,
+    which they never do.  A step costs ``O(N^2 (n + p) + N (r + 1) w^2)``
+    for rows ``w`` wide.
     """
-    mode = scenario.mode
-    nfoll = scenario.n_agents
-    n, m, p = scenario.plant.n, scenario.plant.m, scenario.plant.p
-    nz = scenario.im.dim
-    r, r_com = scenario.delays.r, scenario.delays.r_com
-    T = scenario.horizon
-
-    _, _, c, e_in = scenario.agent_stacks()
+    output = scenario.mode == "output"
+    _check_gains(scenario.plant, scenario.im, gains, scenario.mode, "simulate_compact_oracle")
+    nfoll, n, m, p = scenario.n_agents, scenario.plant.n, scenario.plant.m, scenario.plant.p
+    nz, q = scenario.im.dim, scenario.exo.q
+    r, r_com, T = scenario.delays.r, scenario.delays.r_com, scenario.horizon
+    a, b, c, e_in = scenario.agent_stacks()
     h, _ = h_matrix(scenario.graph)
-    a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, mode, scenario.agent_matrices())
-    a1 = b_u @ u_map
-    c_blk = block_diag(c)
-    f_bar = kron(h @ np.ones((nfoll, 1)), scenario.exo.f)
-    b_in = drive @ f_bar
-    b_in[: nfoll * n] = e_in.reshape(nfoll * n, -1)
+    lead = h.sum(axis=1)  # H 1: the leader weights
+    lead_f = lead[:, None, None] * scenario.exo.f  # follower i's block row of H 1 (x) F
 
+    # One follower's row: [z | x | xi | c = C_i x | H fb | H c | v]; its step matrix acts on rows t - r .. t.
+    ns = nz + 2 * n if output else nz + n
+    z_, x_, xi_, c_ = slice(0, nz), slice(nz, nz + n), slice(nz + n, ns), slice(ns, ns + p)
+    fb_ = xi_ if output else x_
+    hfb_, hc_ = slice(c_.stop, c_.stop + n), slice(c_.stop + n, c_.stop + n + p)
+    v_ = slice(hc_.stop, hc_.stop + q)
+    width = v_.stop
+    step = np.zeros((nfoll, c_.stop, r + 1, width))
+    now = step[:, :, r]
+    now[:, z_, z_], now[:, z_, hc_], now[:, z_, v_] = scenario.im.g1, scenario.im.g2, scenario.im.g2 @ lead_f
+    now[:, x_, x_], now[:, x_, v_] = a, e_in
+    law = np.zeros((m, width))  # u(t) off the row of t - r_com
+    law[:, z_], law[:, hfb_] = gains.k_z, gains.k_x
+    step[:, x_, 0] += b @ law  # B_i u(t - r_con) off row t - r; at r = 0 that is row t itself
+    if output:
+        now[:, xi_, xi_], now[:, xi_, hfb_] = scenario.plant.a, -gains.l_obs @ scenario.plant.c
+        now[:, xi_, hc_], now[:, xi_, v_] = gains.l_obs, gains.l_obs @ lead_f
+        step[:, xi_, 0] += scenario.plant.b @ law
+    step[:, c_] = np.matmul(c, step[:, x_].reshape(nfoll, n, -1)).reshape(nfoll, -1, r + 1, width)
+    step = step.reshape(nfoll, c_.stop, -1)
+
+    # Row k of follower i's buffer holds time k - r, the constant history in front.
+    buf = np.zeros((nfoll, r + T + 1, width))
+    x0, z0, xi0 = scenario.initial_states()
+    past = buf[:, : r + 1]
+    past[..., z_], past[..., x_], past[..., c_] = z0[:, None], x0[:, None], np.matmul(c, x0[..., None])[:, None, :, 0]
+    if output:
+        past[..., xi_] = xi0[:, None]
+    past[..., hfb_.start : hc_.stop] = (h @ past[:, 0, fb_.start : c_.stop])[:, None]
     v = scenario.exo.trajectory(T)
-    states = scenario.initial_states()[: 2 if mode == "state" else 3]
-    whist = np.empty((r + T + 1, b_in.shape[0]))
-    whist[: r + 1] = np.concatenate([s.reshape(-1) for s in states])
-    np.matmul(v, b_in.T, out=whist[r + 1 :])
+    buf[:, r : r + T, v_] = v
+    # Step t reads [fb | c] of row t, writes H times it beside them, and then
+    # writes [z | x | xi | c] of row t + 1 from the window of rows t - r .. t.
+    by_time = buf.transpose(1, 0, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(buf.reshape(nfoll, -1), (r + 1) * width, axis=1)
+    operands = (
+        by_time[r:, :, fb_.start : c_.stop],
+        by_time[r:, :, hfb_.start : hc_.stop],
+        windows[:, ::width, :, None].transpose(1, 0, 2, 3),
+        by_time[r + 1 :, :, : c_.stop, None],
+    )
+    nodes = np.arange(1, nfoll + 1)
     for t0 in range(0, T, _GUARD_BLOCK):
+        block = slice(t0, min(t0 + _GUARD_BLOCK, T))
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging block runs on to its end
-            for k in range(r + t0, r + min(t0 + _GUARD_BLOCK, T)):
-                nxt = whist[k + 1]
-                nxt += a0 @ whist[k]
-                nxt += a1 @ whist[k - r]
-        _guard(t0 + 1, whist[r + t0 + 1 : r + t0 + _GUARD_BLOCK + 1])
+            for readouts, coupled, window, nxt in zip(*(op[block] for op in operands)):
+                np.matmul(h, readouts, out=coupled)
+                np.matmul(step, window, out=nxt)
+        _guard(t0 + 1, by_time[r + t0 + 1 : r + t0 + _GUARD_BLOCK + 1, :, :ns], nodes)
 
-    rows = whist[r : r + T]
-    x = rows[:, : nfoll * n]
-    y = (x @ c_blk.T).reshape(T, nfoll, p)
+    # One copy of the states: a trace must not keep the wide buffer alive.
+    rows = np.ascontiguousarray(by_time[r : r + T, :, : c_.stop])
+    y = rows[:, :, c_]
+    f_v = v @ scenario.exo.f.T
     return SimulationTrace(
         t=np.arange(T, dtype=int),
         v=v,
-        x=x.reshape(T, nfoll, n),
-        z=rows[:, nfoll * n : nfoll * (n + nz)].reshape(T, nfoll, nz),
-        u=(whist[r - r_com : r - r_com + T] @ u_map.T).reshape(T, nfoll, m),
+        x=rows[:, :, x_],
+        z=rows[:, :, z_],
+        u=by_time[r - r_com : r - r_com + T] @ law.T,
         y=y,
-        e=y + (v @ scenario.exo.f.T)[:, None],
-        e_v=(x @ (kron(h, np.eye(p)) @ c_blk).T + v @ f_bar.T).reshape(T, nfoll, p),
-        xi=rows[:, nfoll * (n + nz) :].reshape(T, nfoll, n) if mode == "output" else None,
+        e=y + f_v[:, None],
+        e_v=by_time[r : r + T, :, hc_] + lead[:, None] * f_v[:, None],
+        xi=rows[:, :, xi_] if output else None,
     )

@@ -22,7 +22,7 @@ from coopreg import (
     build_internal_model,
 )
 from coopreg import delay_lift, h_matrix, network_blocks
-from coopreg import config, graphs, synthesis
+from coopreg import SimulationTrace, config, graphs, synthesis
 from coopreg import reference as ref
 from coopreg.errors import NumericalError
 from coopreg.matrixops import block_diag, eigenvalues, kron, spectral_radius
@@ -554,3 +554,53 @@ def np_block_network_blocks(plant, h, im, gains, mode, agents):
     )
     b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
     return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
+
+
+def dense_compact_oracle(scenario, gains):
+    """The uncertain networked loop iterated as dense Kronecker blocks: the structured oracle's reference.
+
+    Takes ``A0``, ``A1 = B U`` and the virtual-error drive from
+    ``network_blocks``, called with every follower's uncertain ``(A_i,
+    B_i, C_i)``, and runs ``w(t+1) = A0 w(t) + A1 w(t - r) + B_v v(t)``,
+    each step two ``(N w)^2`` products, so it also guards the block
+    builder behind the certificate.  It has no divergence guard: use it on
+    runs that stay finite.
+    """
+    nfoll = scenario.n_agents
+    n, m, p = scenario.plant.n, scenario.plant.m, scenario.plant.p
+    nz = scenario.im.dim
+    r, r_com = scenario.delays.r, scenario.delays.r_com
+    T = scenario.horizon
+
+    _, _, c, e_in = scenario.agent_stacks()
+    h, _ = h_matrix(scenario.graph)
+    a0, b_u, u_map, drive = network_blocks(scenario.plant, h, scenario.im, gains, scenario.mode, scenario.agent_matrices())
+    a1 = b_u @ u_map
+    c_blk = block_diag(c)
+    f_bar = kron(h @ np.ones((nfoll, 1)), scenario.exo.f)
+    b_in = drive @ f_bar
+    b_in[: nfoll * n] = e_in.reshape(nfoll * n, -1)
+
+    v = scenario.exo.trajectory(T)
+    states = scenario.initial_states()[: 2 if scenario.mode == "state" else 3]
+    whist = np.empty((r + T + 1, b_in.shape[0]))
+    whist[: r + 1] = np.concatenate([s.reshape(-1) for s in states])
+    np.matmul(v, b_in.T, out=whist[r + 1 :])
+    for k in range(r, r + T):
+        whist[k + 1] += a0 @ whist[k]
+        whist[k + 1] += a1 @ whist[k - r]
+
+    rows = whist[r : r + T]
+    x = rows[:, : nfoll * n]
+    y = (x @ c_blk.T).reshape(T, nfoll, p)
+    return SimulationTrace(
+        t=np.arange(T, dtype=int),
+        v=v,
+        x=x.reshape(T, nfoll, n),
+        z=rows[:, nfoll * n : nfoll * (n + nz)].reshape(T, nfoll, nz),
+        u=(whist[r - r_com : r - r_com + T] @ u_map.T).reshape(T, nfoll, m),
+        y=y,
+        e=y + (v @ scenario.exo.f.T)[:, None],
+        e_v=(x @ (kron(h, np.eye(p)) @ c_blk).T + v @ f_bar.T).reshape(T, nfoll, p),
+        xi=rows[:, nfoll * (n + nz) :].reshape(T, nfoll, n) if scenario.mode == "output" else None,
+    )

@@ -1,13 +1,16 @@
 """Simulation-layer tests: scenarios, traces, simulators, cross-checks.
 
-The agentwise simulators are held against the compact Kronecker-form
-oracle (two independently coded routes), against hand-stepped small
-recursions, and against each other across the transformed/delayed law
-pair with matched initial histories.
+The agentwise simulators are held against the compact-form oracle (two
+independently coded routes), against hand-stepped small recursions, and
+against each other across the transformed/delayed law pair with matched
+initial histories.  The oracle, which applies its Kronecker blocks as
+structured products, is held against the dense Kronecker iteration of
+``network_blocks`` (``conftest.dense_compact_oracle``).
 """
 
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -34,12 +37,14 @@ from coopreg import (
 from coopreg.errors import ConfigurationError, DimensionError, DivergenceError, NumericalError
 from coopreg.graphs import h_matrix
 from coopreg.matrixops import kron
-from coopreg import reference as ref
+from coopreg import config, reference as ref
 from coopreg import simulation
+from coopreg.synthesis import auto_tune_gamma, synthesize_gains
 
 from conftest import (
     NET12,
     SCHUR_SEEDS,
+    dense_compact_oracle,
     random_digraph,
     random_scenario,
     reference_trace_csv,
@@ -126,6 +131,8 @@ def check_schur_case(case, sc, gains, *traces):
 # keyed ``<mode>-<law>-<signal>``, recorded from the kernel that stepped
 # ``[x | z | xi]`` and formed ``e = y + F v`` each step.
 GOLDEN_TRACES = Path(__file__).with_name("reference_traces_60.npz")
+# The bundled demo scenario file.
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "benchmark_scenario.yaml"
 
 
 def zero_gains(mode="state"):
@@ -573,16 +580,16 @@ class TestBasicRuns:
             assert np.max(np.abs(matched.z[: sc.horizon - r_com] - trace.z[r_com:])) <= 1e-9
 
     @pytest.mark.parametrize(
-        "mode, law, step, norm",
+        "mode, law, step, norm, agent",
         [
-            ("state", "transformed", 4, 5.408456028852427e12),
-            ("state", "delayed", 4, 5.408456028852427e12),
-            ("output", "transformed", 4, 8.614752247812051e12),
-            ("output", "delayed", 3, 8.61473922661937e12),
+            ("state", "transformed", 4, 5.408456028852427e12, 3),
+            ("state", "delayed", 4, 5.408456028852427e12, 3),
+            ("output", "transformed", 4, 8.614752247812051e12, 3),
+            ("output", "delayed", 3, 8.61473922661937e12, 3),
         ],
         ids=["state-transformed", "state-delayed", "output-transformed", "output-delayed"],
     )
-    def test_divergence_guard_raises(self, mode, law, step, norm, target_gains):
+    def test_divergence_guard_raises(self, mode, law, step, norm, agent, target_gains):
         sc = ref.reference_scenario(mode=mode, horizon=50)
         wild = GainSet(
             k_x=np.array([[1e6, 1e6]]), k_z=np.array([[0.0, 0.0]]), gamma=0.1, nu=1.0,
@@ -593,26 +600,27 @@ class TestBasicRuns:
             run(sc, wild, law=law)
         assert exc.value.step == step
         assert exc.value.norm == pytest.approx(norm, rel=1e-9)
+        assert exc.value.agent == agent
         assert str(exc.value) == (
             f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
         )
 
     @pytest.mark.parametrize(
-        "mode, law, k_x, horizon, step, norm",
+        "mode, law, k_x, horizon, step, norm, agent",
         [
-            ("state", "transformed", 1e6, 50, 4, 5.408456028852427e12),
-            ("output", "delayed", 1e6, 50, 3, 8.61473922661937e12),
-            ("state", "transformed", 1e50, 64, 1, 2.2619972172846628e50),
-            ("output", "delayed", 1e50, 64, 1, 3.2552967068802737e50),
-            ("state", "transformed", 0.2, 90, 90, 1.2229157030854873e12),
-            ("output", "delayed", 0.2, 100, 100, 1.214608353727484e12),
-            ("state", "transformed", 0.2, 300, 90, 1.2229157030854873e12),
-            ("output", "delayed", 0.2, 300, 100, 1.214608353727484e12),
+            ("state", "transformed", 1e6, 50, 4, 5.408456028852427e12, 3),
+            ("output", "delayed", 1e6, 50, 3, 8.61473922661937e12, 3),
+            ("state", "transformed", 1e50, 64, 1, 2.2619972172846628e50, 2),
+            ("output", "delayed", 1e50, 64, 1, 3.2552967068802737e50, 3),
+            ("state", "transformed", 0.2, 90, 90, 1.2229157030854873e12, 4),
+            ("output", "delayed", 0.2, 100, 100, 1.214608353727484e12, 4),
+            ("state", "transformed", 0.2, 300, 90, 1.2229157030854873e12, 4),
+            ("output", "delayed", 0.2, 300, 100, 1.214608353727484e12, 4),
         ],
         ids=["first-block-state", "first-block-output", "overflow-state", "overflow-output",
              "last-step-state", "last-step-output", "second-block-state", "second-block-output"],
     )
-    def test_block_guard_stops_at_the_first_step_out(self, mode, law, k_x, horizon, step, norm, target_gains):
+    def test_block_guard_stops_at_the_first_step_out(self, mode, law, k_x, horizon, step, norm, agent, target_gains):
         # The guard checks blocks of steps.  A run that leaves it in the
         # first block, on its very last step (t = T - 1 makes step T), or
         # in a later block raises the step, norm and message a check after
@@ -630,6 +638,7 @@ class TestBasicRuns:
                 run(sc, gains, law=law)
         assert exc.value.step == step
         assert exc.value.norm == pytest.approx(norm, rel=1e-9)
+        assert exc.value.agent == agent
         assert str(exc.value) == (
             f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
         )
@@ -832,6 +841,107 @@ class TestOracleAgreement:
         assert agentwise.max_relative_deviation(oracle) <= 1e-9
 
 
+def bench_tree(n, seed):
+    """The benchmark's ``random_tree(n, seed)``: each follower's parent uniform over earlier nodes, weights U[1, 2]."""
+    rng = np.random.default_rng(seed)
+    return Digraph(n, tuple((int(rng.integers(0, i)), i, float(rng.uniform(1.0, 2.0))) for i in range(1, n + 1)))
+
+
+def bench_network_scenario(g, mode, horizon, seed):
+    """The benchmark's ``network_scenario``: the bundled agent on ``g``, followers nominal, ``E = [[0, 0], [0, 1]]``."""
+    plant = ref.reference_plant()
+    sc = ref.reference_scenario(mode=mode, horizon=horizon, seed=seed, uncertain=False)
+    return replace(sc, plant=NominalPlant(plant.a, plant.b, plant.c, e=[[0.0, 0.0], [0.0, 1.0]]), graph=g, per_agent_e=None)
+
+
+def dense_case(case, mode):
+    """A scenario and gains for :class:`TestDenseReference`.
+
+    ``"reference"`` and ``"nominal"`` are the bundled benchmark, uncertain
+    and nominal, with ``target_gains``; a seed or ``"net12"`` is a
+    :func:`case_scenario`; ``"demo_r<r_con>_<r_com>"`` is the demo file at
+    those delays with the gains its ``synthesis`` section gives, as
+    ``coopreg simulate --oracle`` runs it; ``"tree64"`` is the
+    ``sim_tree64`` benchmark at seed 1: its tree, scenario and tuned gains.
+    """
+    if case in ("reference", "nominal"):
+        return ref.reference_scenario(mode=mode, horizon=400, uncertain=case == "reference"), ref.target_gains()
+    if isinstance(case, str) and case.startswith("demo_r"):
+        cfg = config.load_config(DEMO)
+        st = cfg.synthesis
+        sc = replace(cfg.scenario, mode=mode, delays=DelaySpec(*map(int, case[len("demo_r") :].split("_"))))
+        gains = synthesize_gains(
+            sc.plant, sc.graph, sc.im, sc.delays, st.gamma, nu=st.nu, mode=mode, gamma_l=st.gamma_l, nu_l=st.nu_l,
+            observer_r=st.observer_r,
+        )
+        return sc, gains
+    if case == "tree64":
+        graph_seed, init = (int(s) for s in np.random.SeedSequence(1).generate_state(2))
+        sc = bench_network_scenario(bench_tree(64, graph_seed), mode, 500, init)
+        return sc, auto_tune_gamma(sc.plant, sc.graph, sc.im, sc.delays, 0.5, mode=mode)
+    return case_scenario(case, mode, horizon=150)
+
+
+# Where the loop amplifies rounding, no two routes agree to 1e-12: the NET12
+# draws grow to 1e8, and the sim_tree64 output run swings to 1e3 before it
+# settles.  There the dense reference and the agentwise route differ by
+# 5.1e-12 (net12, state) and 4.3e-12 (tree64, output) as well.
+DENSE_TOL = {("net12", "state"): 1e-11, ("net12", "output"): 1e-11, ("tree64", "output"): 3e-11}
+
+
+class TestDenseReference:
+    """The structured oracle against the dense Kronecker iteration of ``network_blocks``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["reference", "nominal", 101, 202, 303, *SCHUR_SEEDS, "net12",
+         "demo_r0_0", "demo_r0_2", "demo_r3_1", "demo_r2_0", "tree64"],
+    )
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_structured_oracle_matches_the_dense_iteration(self, mode, case):
+        sc, gains = dense_case(case, mode)
+        oracle = simulate_compact_oracle(sc, gains)
+        assert oracle.max_relative_deviation(dense_compact_oracle(sc, gains)) <= DENSE_TOL.get((case, mode), 1e-12)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_n1024_runs_in_a_fraction_of_one_dense_block(self, mode):
+        # In output mode one dense block of the loop is (N w)^2 = 6144^2
+        # floats, 302 MB; the structured oracle stays below 64 MB, so no
+        # such array is built on its path.
+        rng = np.random.default_rng(7)
+        uncertainties = tuple(
+            FollowerUncertainty(d_a=rng.uniform(-0.01, 0.01, (2, 2)), d_c=rng.uniform(-0.01, 0.01, (1, 2)))
+            for _ in range(1024)
+        )
+        sc = replace(bench_network_scenario(bench_tree(1024, 3), mode, 30, 1), uncertainties=uncertainties)
+        gains = ref.target_gains()
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        agentwise = run(sc, gains)
+        tracemalloc.start()
+        try:
+            oracle = simulate_compact_oracle(sc, gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert agentwise.max_relative_deviation(oracle) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_both_routes_name_the_same_diverging_follower(self, mode, target_gains):
+        # SPREAD24's three degree groups put followers 24, 12 and 18 first
+        # in the agentwise buffer.  The run leaves the guard at follower 12
+        # (state) or 18 (output), and both routes name it in node order.
+        sc = replace(ref.reference_scenario(mode=mode, horizon=50, uncertain=False), graph=SPREAD24, per_agent_e=None)
+        wild = replace(target_gains, k_x=np.full((1, 2), 1e6), k_z=np.zeros((1, 2)))
+        order, groups = SPREAD24._in_edge_table
+        assert len(groups) == 3 and list(order[:3]) == [24, 12, 18]
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        for simulate in (run, simulate_compact_oracle):
+            with pytest.raises(DivergenceError) as exc:
+                simulate(sc, wild)
+            assert (exc.value.step, exc.value.agent) == (4, 12 if mode == "state" else 18)
+
+
 class TestGoldenTraces:
     @pytest.mark.parametrize("law", ["transformed", "delayed"])
     @pytest.mark.parametrize("mode", ["state", "output"])
@@ -888,6 +998,17 @@ class TestOracleOutputs:
                 simulate_compact_oracle(sc, wild)
         assert exc.value.step == step
         assert exc.value.norm == pytest.approx(norm, rel=1e-9)
+        assert str(exc.value) == (
+            f"simulation diverged at step {step} (state magnitude {norm:.3e} exceeds guard 1.0e+12)"
+        )
+        # The agentwise run of the same gains names the same follower: 3,
+        # or 2 at k_x = 1e50 in state mode (pinned in TestBasicRuns).
+        run = simulate_state_feedback if mode == "state" else simulate_output_feedback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as agentwise:
+                run(sc, wild)
+        assert exc.value.agent == agentwise.value.agent == (2 if (mode, k_x) == ("state", 1e50) else 3)
 
 
 def matched_transformed_run(sc, gains, run, delayed_trace):
