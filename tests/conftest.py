@@ -359,6 +359,14 @@ NET12 = Digraph(
 )
 
 
+def random_tree(rng, n, weights=(1.0, 2.0)):
+    """A random tree on the leader and ``n`` followers: follower ``i``
+    hears one node drawn uniformly from ``0 .. i - 1``, at a weight drawn
+    from ``U[weights]``.  Every parent precedes its child, so ``H`` is
+    lower triangular, its eigenvalues the weights."""
+    return Digraph(n, tuple((int(rng.integers(0, i)), i, float(rng.uniform(*weights))) for i in range(1, n + 1)))
+
+
 def random_scenario(rng, mode, horizon=200, graph=None, delays=None):
     """Small random scenario for cross-route trace comparisons.
 
@@ -554,6 +562,19 @@ def np_block_network_blocks(plant, h, im, gains, mode, agents):
     )
     b_u = np.vstack([b_bar, z((nz, nu)), kron(eye_n, plant.b)])
     return a0, b_u, np.hstack([z((nu, nx)), kz, kx]), np.vstack([z((nx, ne)), g2, l_bar])
+
+
+def peak_relative_deviation(a, b):
+    """Worst deviation of trace ``a`` from trace ``b``, each signal's
+    ``|a - b|`` scaled by ``max(1, peak |a|, peak |b|)`` over the run:
+    rounding a loop amplified, as a share of the largest value it took."""
+    worst = 0.0
+    for name in ("v", "x", "z", "xi", "u", "y", "e", "e_v"):
+        sa, sb = getattr(a, name), getattr(b, name)
+        if sa is None or sb is None or sa.size == 0:
+            continue
+        worst = max(worst, float(np.max(np.abs(sa - sb)) / max(1.0, np.max(np.abs(sa)), np.max(np.abs(sb)))))
+    return worst
 
 
 def dense_compact_oracle(scenario, gains):

@@ -62,6 +62,7 @@ from conftest import (
     random_connected_digraph,
     random_digraph,
     random_scenario,
+    random_tree,
     random_unit_circle_pair,
 )
 
@@ -71,11 +72,8 @@ def unit_chain(n):
     return Digraph(n_followers=n, edges=tuple((i, i + 1, 1.0) for i in range(n)))
 
 
-def random_tree(n):
-    """Leader -> 1, then each follower i >= 2 hears one uniformly drawn earlier node."""
-    rng = np.random.default_rng(0)
-    edges = [(0, 1, 1.0)] + [(int(rng.integers(0, i)), i, float(rng.uniform(0.5, 2.0))) for i in range(2, n + 1)]
-    return Digraph(n_followers=n, edges=tuple(edges))
+# 64 distinct real coupling eigenvalues, down to 0.5.
+TREE64 = random_tree(np.random.default_rng(0), 64, weights=(0.5, 2.0))
 
 
 def slice_radius(plant, h, im, gains, r, mode):
@@ -838,7 +836,7 @@ class TestCertifyClosedLoop:
 
     @pytest.mark.parametrize(
         "graph",
-        [ref.reference_graph(), NET12, random_tree(64), unit_chain(64)]
+        [ref.reference_graph(), NET12, TREE64, unit_chain(64)]
         + [random_digraph(np.random.default_rng(seed)) for seed in range(8)],
         ids=["reference", "net12", "tree64", "chain64"] + [f"random{seed}" for seed in range(8)],
     )
@@ -876,7 +874,7 @@ class TestCertifyClosedLoop:
                 ]
                 assert np.max(np.abs(radii - dense)) <= 1e-12
 
-    @pytest.mark.parametrize("graph", [random_tree(64), NET12], ids=["tree64", "net12"])
+    @pytest.mark.parametrize("graph", [TREE64, NET12], ids=["tree64", "net12"])
     def test_one_eigensolve_per_slice_kind(self, graph, monkeypatch):
         # the real slices and the complex ones are each lifted as one stack
         # and eigensolved in one call
@@ -891,7 +889,7 @@ class TestCertifyClosedLoop:
             certify_closed_loop(plant, graph, im, gains, delays, mode)
             assert len(calls) <= len(kinds)
 
-    @pytest.mark.parametrize("graph", [random_tree(64), NET12], ids=["tree64", "net12"])
+    @pytest.mark.parametrize("graph", [TREE64, NET12], ids=["tree64", "net12"])
     def test_slice_width_is_w_plus_r_m(self, graph, monkeypatch):
         # each slice lift carries the loop state and the last r inputs:
         # w + r m = 4 + 2 and 6 + 2 for the bundled agent at r = 2, where the
@@ -907,7 +905,7 @@ class TestCertifyClosedLoop:
             assert calls and all(shape[-2:] == (width, width) for shape in calls)
             assert sum(shape[0] for shape in calls) == n_slices
 
-    @pytest.mark.parametrize("graph", [ref.reference_graph(), random_tree(64)], ids=["reference", "tree64"])
+    @pytest.mark.parametrize("graph", [ref.reference_graph(), TREE64], ids=["reference", "tree64"])
     @pytest.mark.parametrize("r_con, r_com", [(0, 0), (0, 2), (3, 1), (2, 3), (5, 5)])
     def test_radius_is_the_dense_slice_radius_at_every_delay(self, graph, r_con, r_com):
         plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), DelaySpec(r_con, r_com)
@@ -1033,10 +1031,12 @@ class TestAutoTuneGamma:
         assert stable
 
     def test_h_is_eigensolved_once_per_call(self, h_eigensolves):
-        # Five designs are tried on TREE(64) from gamma = 0.5; each one's
+        # Five designs are tried on a fresh copy of TREE64 (the shared one
+        # may hold its spectrum already) from gamma = 0.5; each one's
         # default nu and certificate slices read one shared spectrum.
         plant, im, delays = ref.reference_plant(), ref.reference_internal_model(), ref.reference_delays()
-        gains = auto_tune_gamma(plant, random_tree(64), im, delays, 0.5)
+        tree = Digraph(TREE64.n_followers, TREE64.edges)
+        gains = auto_tune_gamma(plant, tree, im, delays, 0.5)
         assert gains.gamma == 0.03125
         assert h_eigensolves == [(64, 64)]
 
@@ -1108,7 +1108,7 @@ class TestAutoTuneGamma:
 
 
 class TestDesignSearch:
-    GRAPHS = {"chain64": unit_chain(64), "tree64": random_tree(64), "net12": NET12}
+    GRAPHS = {"chain64": unit_chain(64), "tree64": TREE64, "net12": NET12}
 
     @staticmethod
     def count(monkeypatch, name):
