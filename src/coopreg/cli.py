@@ -114,6 +114,17 @@ def cmd_simulate(args):
                     f"certificate.{field}: the gains were certified for {field} {cert[field]}, "
                     f"the scenario has {field} {value}"
                 )
+        if cert is not None:  # the verdict and radius are certified again, not taken on trust
+            stable, rho = certify_closed_loop(sc.plant, sc.graph, sc.im, gains, sc.delays, sc.mode)
+            for field, value, differs in (
+                ("stable", stable, cert["stable"] != stable),
+                ("spectral_radius", rho, not abs(cert["spectral_radius"] - rho) <= 1e-6),
+            ):
+                if differs:  # lower(): true and false as the file spells them
+                    raise ConfigurationError(
+                        f"certificate.{field}: the file reads {str(cert[field]).lower()}, "
+                        f"the gains certify {str(value).lower()} on the scenario"
+                    )
     else:
         problem, settings = _problem(cfg)
         gains = synthesize_gains(*problem, _file_gamma(cfg, "for gain synthesis"), **settings)

@@ -97,6 +97,7 @@ Modes and laws differ only in how many steps late each signal is read::
     u received by the plant             r_con         r_con
 """
 
+import functools
 import io
 import os
 import re
@@ -135,10 +136,11 @@ _SIGNAL_COLUMN = re.compile(r"^([a-z]+?)(\d+)_(\d+)$")
 _V_COLUMN = re.compile(r"^v\d+$")
 # Fewest trace values to write, and body bytes to read, worth converting in
 # two processes.  Measured on a 2-vCPU Xeon VM with 43-column traces:
-# writing 10k values takes 13 ms either way and 20k take 25 ms in one
-# process, 19 ms in two; 40k values read in 21-25 ms either way, and 80k
-# (1.6 MB) in 45 ms in one process, 36-45 ms in two.
-_FORK_MIN_WRITE = 20_000
+# writing 63k values takes 20 ms in one process and 15-18 ms in two, 101k
+# take 30 and 24 ms, and a fork costs the operations after it about 10 ms
+# of page faults; 40k values read in 21-25 ms either way, and 80k (1.6 MB)
+# in 45 ms in one process, 36-45 ms in two.
+_FORK_MIN_WRITE = 100_000
 _FORK_MIN_READ = 1_600_000
 
 
@@ -394,28 +396,26 @@ class SimulationTrace:
         has no columns; its trajectory is implied by ``v``).  Values are
         their shortest round-trip ``repr``, so :func:`load_trace_csv`
         reads them back exactly, and rows end in CRLF.  The signals are
-        copied into one preallocated ``(T, columns)`` block, formatted
-        row by row; a large trace on a Linux host with two or more CPUs
-        has its first half formatted by a forked child
-        (:func:`_convert_rows`), with the same bytes.
+        copied into one preallocated ``(T, columns)`` block, whose rows
+        :func:`_repr_rows` writes in bounded chunks with NumPy array
+        operations, byte for byte what ``repr`` gives; a large trace on
+        a Linux host with two or more CPUs has its first half written by
+        a forked child (:func:`_convert_rows`), with the same bytes.
         """
         T, nfoll, nv = self.horizon, self.x.shape[1], self.v.shape[1]
         blocks = [(pre, getattr(self, name)) for name, pre in _SIGNALS if getattr(self, name) is not None]
         names = ["t"] + [f"v{k}" for k in range(nv)]
         names += [f"{pre}{i + 1}_{k}" for pre, arr in blocks for i in range(nfoll) for k in range(arr.shape[2])]
-        data = np.empty((T, len(names) - 1))
-        data[:, :nv] = self.v
-        k = nv
+        data = np.zeros((T, len(names)))  # column 0 holds the place of t, written as integer text
+        data[:, 1 : nv + 1] = self.v
+        k = nv + 1
         for _, arr in blocks:  # each signal straight into its columns, no reshaped copy
             data[:, k : k + nfoll * arr.shape[2]].reshape(arr.shape)[...] = arr
             k += nfoll * arr.shape[2]
-        ts = self.t.astype(int).tolist()
+        ts = self.t.astype(int)
 
-        def rows(lo, hi):  # line by line into one buffer, with no list of lines and no str copy
-            out = io.BytesIO()
-            for t, row in zip(ts[lo:hi], data[lo:hi]):
-                out.write(f"{t},{','.join(map(repr, row.tolist()))}\r\n".encode())
-            return out.getvalue()
+        def rows(lo, hi):
+            return _repr_rows(ts[lo:hi], data[lo:hi])
 
         comments = [
             "closed-loop simulation trace",
@@ -426,10 +426,169 @@ class SimulationTrace:
             "  u<i>_<k> input, y<i>_<k> output, e<i>_<k> regulated error,",
             "  ev<i>_<k> virtual (graph-weighted) error",
         ]
-        parts = _convert_rows(T, data.size >= _FORK_MIN_WRITE, rows)
+        parts = _convert_rows(T, T * (len(names) - 1) >= _FORK_MIN_WRITE, rows)
         with open(path, "wb") as fh:
             fh.write(("".join(f"# {line}\n" for line in comments) + ",".join(names) + "\r\n").encode())
             fh.writelines(parts or [rows(0, T)])
+
+
+# Shortest round-trip decimals of float64 values by Schubfach (R. Giulietti,
+# "The Schubfach way to render doubles", 2020) on uint64 arrays; every uint64
+# constant is an np.uint64 scalar, so NumPy 1.x and 2.x promote alike.
+_U = np.uint64
+_REPR_CHUNK, _REPR_LAYOUT = 4096, 512  # values per chunk of _repr_rows, and per gather of its cells
+
+
+@functools.lru_cache(maxsize=None)
+def _repr_tables():
+    """``(g, digits4, tz4, templates, p10)`` of :func:`_repr_rows`, built on the first write.
+
+    ``g[:, k + 324]`` holds the 126-bit ``g ~ 10**-k``, ``g1 2**63 + g0``,
+    as ``g1, g1_hi, g1_lo, g0_hi, g0_lo`` (32-bit halves).  ``digits4``
+    holds the ASCII of 0000..9999 as uint32 words, ``tz4`` their trailing
+    zeros.  A template lists the source bytes of a value's 26-byte cell:
+    the source row holds the 17 digits at bytes 3..19 after three ``0``
+    (or a text at 0..19), the exponent's magnitude at 21..23, ``.-e+`` at
+    24..27, then a NUL and the separator.  Template ids: fixed notation
+    ``(sign 20 + point + 3) 17 + digits - 1``, exponent notation from
+    680, 0.0 and -0.0 at 816 and 817, a text at 818.
+    """
+    g = np.empty((5, 617), dtype=np.uint64)
+    for k in range(-324, 293):
+        e2 = (-k * 913124641741) >> 38  # floor(log2(10**-k))
+        num, den = 10 ** max(-k, 0) << max(125 - e2, 0), 10 ** max(k, 0) << max(e2 - 125, 0)
+        g1, g0 = divmod(num // den + 1, 1 << 63)  # 2**125 < g < 2**126
+        g[:, k + 324] = g1, g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF
+    i = np.arange(10000, dtype=np.int16)
+    digits4 = np.stack([48 + i // 10**j % 10 for j in (3, 2, 1, 0)], 1).astype(np.uint8).view(np.uint32).ravel()
+    tz4 = sum((i % 10**j == 0).astype(np.int16) for j in range(1, 5))
+    zero, dot, minus, exp, plus = b"\0", b"\x18", b"\x19", b"\x1a", b"\x1b"
+
+    def run(a, b):  # digits a..b-1
+        return bytes(range(3 + a, 3 + b))
+
+    fixed = [
+        zero + dot + zero * -d + run(0, nd) if d <= 0
+        else run(0, min(d, nd)) + (dot if d < nd else zero * (d - nd) + dot + zero) + run(d, nd)
+        for d in range(-3, 17) for nd in range(1, 18)
+    ]
+    expo = [  # with the exponent's last two or three digits
+        run(0, 1) + dot * (nd > 1) + run(1, nd) + exp + x + width
+        for x in (plus, minus) for width in (b"\x16\x17", b"\x15\x16\x17") for nd in range(1, 18)
+    ]
+    cells = fixed + [minus + c for c in fixed] + expo + [minus + c for c in expo]
+    cells += [zero + dot + zero, minus + zero + dot + zero, bytes(range(20))]
+    templates = np.frombuffer(b"".join(c.ljust(24, b"\x1c") + b"\x1d\x1e" for c in cells), np.uint8)
+    tables = g, digits4, tz4, templates.reshape(-1, 26), np.array([10**j for j in range(18)], _U)
+    for table in tables:  # shared by every write
+        table.setflags(write=False)
+    return tables
+
+
+def _rop(g, cp):
+    """Schubfach's ``rop(g cp 2**-127)``: the high product from 32-bit halves, rounded to odd."""
+    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
+    lo, hi = cp & _U(0xFFFFFFFF), cp >> _U(32)
+    x1 = g0_hi * hi + ((g0_hi * lo + g0_lo * hi + ((g0_lo * lo) >> _U(32))) >> _U(32))
+    y1 = g1_hi * hi + ((g1_hi * lo + g1_lo * hi + ((g1_lo * lo) >> _U(32))) >> _U(32))
+    z = ((g1 * cp) >> _U(1)) + x1
+    return (y1 + (z >> _U(63))) | (((z & _U(2**63 - 1)) + _U(2**63 - 1)) >> _U(63))
+
+
+def _shortest(mag, g):
+    """``(f, e)``: ``f 10**e`` is the shortest decimal that reads back as
+    the positive finite float64 of bits ``mag``, the closest such (an even
+    last digit on a tie), as ``repr`` chooses; ``f < 10**17``.  This is
+    Schubfach's choice, except that a one-digit ``s`` may also shorten to
+    ``10``: ``repr`` writes ``1e-323``, not ``9.9e-324``."""
+    t = mag & _U(2**52 - 1)
+    bq = (mag >> _U(52)).astype(np.int64)
+    irregular = (t == _U(0)) & (bq > 1)  # at a power of two the lower neighbour is half as far
+    c = t | (bq != 0).astype(np.uint64) << _U(52)
+    q = np.maximum(bq, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2**q)), or of 3/4 2**q
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    g = np.take(g, k + 324, axis=1)
+    out = c & _U(1)  # an odd significand's interval leaves out its ends
+    cb = c << _U(2)
+    vb = _rop(g, cb << h)
+    vbl = _rop(g, (cb - _U(2) + irregular) << h) + out
+    vbr = _rop(g, (cb + _U(2)) << h) - out
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    short = upin != ((sp10 + _U(10)) << _U(2) <= vbr)  # one multiple of ten in the interval
+    uin = vbl <= vb & ~_U(3)
+    closer = (vb & _U(3)) + (s & _U(1)) < _U(3)
+    pick_s = np.where(uin != ((vb | _U(3)) + _U(1) <= vbr), uin, closer)
+    return np.where(short, np.where(upin, sp10, sp10 + _U(10)), np.where(pick_s, s, s + _U(1))), k
+
+
+def _repr_sources(vals, src, tables):
+    """Write the ASCII digits of ``vals`` into their source rows ``src`` (uint32, 8 a row); return the template ids."""
+    g, digits4, tz4, _, p10 = tables
+    bits = vals.view(np.uint64)
+    neg = (bits >> _U(63)).astype(np.int64)
+    mag = bits & _U(2**63 - 1)
+    ok = mag - _U(1) < _U(0x7FF0000000000000 - 1)  # finite and nonzero
+    f, e = _shortest(np.where(ok, mag, _U(0x3FF0000000000000)), g)
+    nd = np.searchsorted(p10, f, side="right")
+    f = (f * np.take(p10, 17 - nd)).astype(np.int64)  # the 17 digits, left-aligned
+    d = e + nd  # the value is 0.<digits> 10**d
+    hi = f // 10**8
+    lo = f - hi * 10**8
+    d0 = hi // 10**8
+    hi -= d0 * 10**8
+    words = (d0, hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)  # 1 + 4 x 4 digits
+    x = np.abs(d - 1)
+    for j, word in enumerate((*words, x)):
+        src[:, j] = np.take(digits4, word)
+    tz, zeros = np.take(tz4, words[4]), words[4] == 0
+    for word in words[3:0:-1]:
+        tz += zeros * np.take(tz4, word)
+        zeros &= word == 0
+    fixed = (neg * 20 + d + 3) * 17  # repr's fixed notation, for -4 < d <= 16
+    tid = np.where((d > -4) & (d < 17), fixed, 680 + ((neg * 2 + (d < 1)) * 2 + (x >= 100)) * 17) + 16 - tz
+    tid[~ok] = 816 + neg[~ok]
+    for i in np.flatnonzero(mag >= _U(0x7FF0000000000000)):
+        src.view(np.uint8)[i, :20] = np.frombuffer(repr(float(vals[i])).encode().ljust(20, b"\0"), np.uint8)
+        tid[i] = 818
+    return tid
+
+
+def _repr_rows(ts, data):
+    """The CSV rows ``f"{t},{','.join(map(repr, row[1:]))}\\r\\n"`` of ``ts`` and ``data``, as one bytearray.
+
+    ``data`` is a C-contiguous float64 block whose column 0 holds the
+    place of ``t``.  Each chunk of whole rows (up to ``_REPR_CHUNK``
+    values, one row at least) takes one pass: :func:`_repr_sources` lays
+    out every value's digits in its source row, gathers of each value's
+    template (:func:`_repr_tables`) fill a NUL-padded ``(values, 26)``
+    block, and its NULs are compressed out into the one output buffer.
+    ``t`` and the rare ``inf`` and ``nan`` (through ``repr``) are texts.
+    """
+    tables = _repr_tables()
+    rows, cols = data.shape
+    per = max(1, min(rows, _REPR_CHUNK // cols))
+    src = np.zeros((per * cols, 8), dtype=np.uint32)
+    src[:, 6:] = np.frombuffer(b".-e+\0,\0\0", np.uint32)
+    src[cols - 1 :: cols, 7] = np.frombuffer(b"\0\r\n\0", np.uint32)
+    src8 = src.view(np.uint8)
+    base, at = np.arange(0, 32 * _REPR_LAYOUT, 32)[:, None], np.empty((_REPR_LAYOUT, 26), dtype=np.intp)
+    cells = np.empty((per * cols, 26), dtype=np.uint8)
+    text = np.asarray(ts).astype("S20").view(np.uint8).reshape(-1, 20)
+    out = bytearray()  # grown in place: no list of parts and no join
+    for lo in range(0, rows, per):
+        m = min(rows - lo, per) * cols
+        tid = _repr_sources(data[lo : lo + per].reshape(-1), src[:m], tables)
+        src8[:m:cols, :20] = text[lo : lo + per]
+        tid[::cols] = 818
+        for a in range(0, m, _REPR_LAYOUT):  # offsets for part of the chunk at a time keep them small
+            b = min(a + _REPR_LAYOUT, m)
+            np.add(np.take(tables[3], tid[a:b], axis=0), base[: b - a], out=at[: b - a])
+            np.take(src8[a:b].reshape(-1), at[: b - a], out=cells[a:b], mode="clip")
+        out += cells[:m][cells[:m] != 0].data  # a memoryview: an array's own += would broadcast
+    return out
 
 
 def _convert_rows(n, large, convert):
@@ -457,8 +616,9 @@ def _convert_rows(n, large, convert):
     try:
         # From Python 3.12 fork warns whenever the process has other
         # threads, and an idle OpenBLAS pool counts.  The child is safe:
-        # it runs only repr/join or np.loadtxt, no BLAS, takes no lock
-        # another thread may hold, and leaves through os._exit.
+        # it runs only NumPy elementwise operations, takes and gathers
+        # (and repr for a rare inf or nan) or np.loadtxt, no BLAS, takes
+        # no lock another thread may hold, and leaves through os._exit.
         with warnings.catch_warnings():
             warnings.filterwarnings(
                 "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning

@@ -503,6 +503,38 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
         assert capsys.readouterr() == ("", f"error: certificate.{field}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            pytest.param(lambda rho: {"stable": False, "spectral_radius": 3.0},
+                         "certificate.stable: the file reads false, the gains certify true on the scenario",
+                         id="verdict"),
+            pytest.param(lambda rho: {"spectral_radius": 0.5},
+                         "certificate.spectral_radius: the file reads 0.5, the gains certify {rho} on the scenario",
+                         id="radius"),
+            pytest.param(lambda rho: {"spectral_radius": rho + 9e-7}, None, id="radius-within-1e-6"),
+        ],
+    )
+    def test_gain_file_verdict_is_certified_again(self, tmp_path, capsys, edits, message):
+        # the bundled scenario's gains certify stable at radius 0.9516
+        path = write_config(tmp_path, benchmark_config_dict(horizon=5))
+        gains_path = tmp_path / "gains.yaml"
+        assert cli.main(["synthesize", str(path), "--out", str(gains_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 0
+        expected = capsys.readouterr()
+        data = yaml.safe_load(gains_path.read_text())
+        rho = data["certificate"]["spectral_radius"]
+        assert data["certificate"]["stable"] and 0.95 < rho < 0.96
+        data["certificate"].update(edits(rho))
+        gains_path.write_text(yaml.safe_dump(data))
+        if message is None:
+            assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 0
+            assert capsys.readouterr() == expected
+            return
+        assert cli.main(["simulate", str(path), "--gains", str(gains_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(rho=rho)}\n")
+
     def test_gain_file_without_certificate_runs(self, tmp_path, capsys):
         # A matching certificate and none at all give the same report as
         # gains synthesized on the spot.

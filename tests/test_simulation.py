@@ -1198,6 +1198,23 @@ class TestTraceCsv:
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    def test_formatter_writes_what_repr_writes(self):
+        # 2**20 random bit patterns (subnormals, signed zeros, inf and every
+        # nan among them), each power of ten and its two neighbours, the
+        # powers of two, the notation switches and the extremes
+        bits = np.random.default_rng(33).integers(0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
+        tens = np.array([float(f"1e{k}") for k in range(-324, 309)] + [1e-5, 1e-4, 1e16])
+        edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, np.inf, np.nan]
+        chosen = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        chosen = np.concatenate([chosen, np.ldexp(1.0, np.arange(-1074, 1024)), edges])
+        values = np.concatenate([bits.view(np.float64), chosen, -chosen])
+        values = np.concatenate([values, np.zeros(-values.size % 16)]).reshape(-1, 16)
+        data = np.hstack([np.zeros((values.shape[0], 1)), values])  # column 0 holds the place of t
+        got = bytes(simulation._repr_rows(np.arange(values.shape[0]), data)).split(b"\r\n")
+        want = [f"{t},{','.join(map(repr, row))}".encode() for t, row in enumerate(values.tolist())] + [b""]
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert bad is None and len(got) == len(want), (bad, got[bad], want[bad]) if bad is not None else len(got)
+
     @pytest.mark.parametrize(
         "damage",
         [
